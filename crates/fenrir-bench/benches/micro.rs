@@ -5,8 +5,11 @@
 //! * `similarity_matrix` — all pairs of 64 and 128 observations × 2 000
 //!   networks, sequential and on 4 threads;
 //! * `dendrogram_build` — HAC over 128, 512 and 1 024 observations with
-//!   six planted modes, under all three linkages; `threshold` — one cut
-//!   and the adaptive sweep over the 512-observation average-linkage tree;
+//!   six planted modes, under all three linkages; `dendrogram_build_ties`
+//!   — single linkage over 400, 800 and 1 600 such observations with Φ
+//!   snapped to 16 values, the ties recurring routing produces;
+//!   `threshold` — one cut and the adaptive sweep over the
+//!   512-observation average-linkage tree;
 //! * `pipeline` — the G-Root study (Test scale) stage by stage;
 //! * `dns` and `icmp` — encode and decode of the measurement probes;
 //! * `topology_build_ns` and `route_table` — at 100, 400 and 1 600 stubs;
@@ -123,6 +126,19 @@ fn planted_modes(n: usize, modes: usize) -> SimilarityMatrix {
     SimilarityMatrix::from_raw(n, v).expect("square")
 }
 
+/// [`planted_modes`] with Φ snapped to a 16-value grid, so that most
+/// distances tie.
+fn planted_ties(n: usize) -> SimilarityMatrix {
+    let sim = planted_modes(n, 6);
+    let mut v = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            v[i * n + j] = (sim.get(i, j) * 15.0).round() / 15.0;
+        }
+    }
+    SimilarityMatrix::from_raw(n, v).expect("square")
+}
+
 fn phi_kernel() -> Obj {
     [1_000usize, 10_000, 100_000]
         .iter()
@@ -162,6 +178,14 @@ fn hac_by_linkage(sim: &SimilarityMatrix) -> Obj {
 fn dendrogram_build() -> Obj {
     [128usize, 512, 1024].iter().fold(Obj::new(), |o, &n| {
         o.obj(n, hac_by_linkage(&planted_modes(n, 6)))
+    })
+}
+
+fn dendrogram_build_ties() -> Obj {
+    [400usize, 800, 1600].iter().fold(Obj::new(), |o, &n| {
+        let sim = planted_ties(n);
+        let row = Obj::new().time("single_ns", || Dendrogram::build(&sim, Linkage::Single));
+        o.obj(n, row)
     })
 }
 
@@ -327,6 +351,7 @@ fn main() {
         .obj("phi_kernel", phi_kernel())
         .obj("similarity_matrix", similarity_matrix())
         .obj("dendrogram_build", dendrogram_build())
+        .obj("dendrogram_build_ties", dendrogram_build_ties())
         .obj("threshold", threshold())
         .obj("pipeline", pipeline())
         .obj("dns", dns())

@@ -1,16 +1,23 @@
 //! Hierarchical Agglomerative Clustering (§2.6.2 of the paper).
 //!
 //! Fenrir discovers routing "modes" by clustering routing vectors on their
-//! Gower distance `1 − Φ`. The paper cites SLINK (single linkage); this
-//! module runs greedy global-minimum agglomeration, which yields exact
-//! single, complete, and average linkage: each step merges the closest
-//! pair of active clusters, found through a cached nearest neighbour per
-//! cluster, and updates distances by Lance-Williams. A total-order key
-//! (distance, then cluster ids) breaks ties canonically, so the merge
-//! sequence is a pure function of the distance matrix. Memory is
-//! `O(|T|²)`. A step scans the cache and recomputes only the entries its
-//! merge invalidated, so time is `O(|T|³)` in the worst case — |T| is
-//! observation times, a few thousand even for five years of daily data.
+//! Gower distance `1 − Φ`. Every linkage follows one canonical rule: each
+//! step merges the pair of active clusters with the smallest
+//! `(distance, min id, max id)` key, distances ordered by
+//! `f64::total_cmp`, so the merge sequence is a pure function of the
+//! distance matrix.
+//!
+//! Single linkage (SLINK, the paper's citation and the default) is built
+//! from a minimum spanning tree in `O(|T|²)` time: Prim over the condensed
+//! Φ, then one tie level of bitwise-equal distances at a time (see
+//! `single_linkage`). Complete and average linkage run greedy
+//! global-minimum agglomeration over a dense `|T|²` copy of the
+//! distances: each step merges the closest pair, found through a cached
+//! nearest neighbour per cluster, and updates distances by
+//! Lance-Williams. A step recomputes only the cache entries its merge
+//! invalidated, so the engine takes `O(|T|³)` time in the worst case,
+//! which tied distances reach — |T| is observation times, a few thousand
+//! even for five years of daily data.
 //!
 //! The paper's **adaptive distance threshold** rule is implemented by
 //! [`AdaptiveThreshold`]: sweep thresholds from 0 to 1 in steps of 0.01 and
@@ -25,7 +32,8 @@ use crate::similarity::SimilarityMatrix;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Linkage {
     /// Minimum pairwise distance (SLINK, the paper's citation). Prone to
-    /// chaining but cheap and faithful to the paper.
+    /// chaining but faithful to the paper, and the cheapest: built from a
+    /// minimum spanning tree in `O(|T|²)` time, ties or not.
     #[default]
     Single,
     /// Maximum pairwise distance; produces compact, similar-diameter modes.
@@ -62,8 +70,9 @@ pub struct Dendrogram {
     merges: Vec<Merge>,
 }
 
-/// Working state of the greedy global-minimum agglomeration shared by
-/// [`Dendrogram::build`] and [`Dendrogram::extend`].
+/// Working state of the greedy global-minimum agglomeration that
+/// [`Dendrogram::build`] and [`Dendrogram::extend`] run for complete and
+/// average linkage.
 ///
 /// Each *slot* is one leaf index; a merged cluster lives on in the slot of
 /// its smaller member and the other slot retires. Every candidate pair is
@@ -88,6 +97,7 @@ struct Engine {
 
 impl Engine {
     fn from_leaves(sim: &SimilarityMatrix, linkage: Linkage) -> Engine {
+        debug_assert_ne!(linkage, Linkage::Single, "single linkage has its own path");
         let n = sim.len();
         let mut d = vec![0.0f64; n * n];
         for i in 0..n {
@@ -159,10 +169,10 @@ impl Engine {
             }
             let dxm = self.d[x * n + m];
             let dym = self.d[y * n + m];
-            let new = match self.linkage {
-                Linkage::Single => dxm.min(dym),
-                Linkage::Complete => dxm.max(dym),
-                Linkage::Average => (sx as f64 * dxm + sy as f64 * dym) / (sx + sy) as f64,
+            let new = if self.linkage == Linkage::Complete {
+                dxm.max(dym)
+            } else {
+                (sx as f64 * dxm + sy as f64 * dym) / (sx + sy) as f64
             };
             self.d[x * n + m] = new;
             self.d[m * n + x] = new;
@@ -219,13 +229,249 @@ impl Engine {
     }
 }
 
+/// End of a leaf list, and the id of a retired slot.
+const NONE: usize = usize::MAX;
+
+/// Exact single linkage through a minimum spanning tree, in `O(n²)` time
+/// whatever the ties.
+///
+/// Single-linkage merge distances are the edge weights of any minimum
+/// spanning tree (MST), and the clusters just below a distance `w` are the
+/// components of the tree's edges shorter than `w`. So the tree's edges
+/// are taken one *tie level* at a time, a level being the edges with
+/// bitwise-equal distances, and [`contract_level`] performs each level's
+/// merges in the engine's canonical order. The merges come out bit for
+/// bit as the greedy engine would produce them: same ids, sizes and
+/// distance bits.
+fn single_linkage(sim: &SimilarityMatrix) -> Vec<Merge> {
+    let mut edges = minimum_spanning_tree(sim);
+    edges.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+    let mut forest = Forest::new(sim.len());
+    let mut merges = Vec::with_capacity(edges.len());
+    for level in edges.chunk_by(|x, y| x.0.to_bits() == y.0.to_bits()) {
+        contract_level(sim, level, &mut forest, &mut merges);
+    }
+    merges
+}
+
+/// Edges `(distance, u, v)` of a minimum spanning tree over all pairs of
+/// `sim`'s observations: Prim under `f64::total_cmp`, `O(n²)` time and
+/// `O(n)` memory beyond the matrix.
+fn minimum_spanning_tree(sim: &SimilarityMatrix) -> Vec<(f64, usize, usize)> {
+    let n = sim.len();
+    // Each vertex outside the tree, its distance to the tree and the tree
+    // vertex at that distance. Distances start at the real ones to vertex
+    // 0, not at +∞: a NaN distance sorts above +∞ and would be lost.
+    let mut outside: Vec<(usize, f64, usize)> =
+        (1..n).map(|v| (v, sim.distance(0, v), 0)).collect();
+    let mut edges = Vec::with_capacity(outside.len());
+    while !outside.is_empty() {
+        let closest = (1..outside.len()).fold(0, |best, k| {
+            if outside[k].1.total_cmp(&outside[best].1).is_lt() {
+                k
+            } else {
+                best
+            }
+        });
+        let (v, d, u) = outside.swap_remove(closest);
+        edges.push((d, u, v));
+        for (j, dj, near) in &mut outside {
+            let d = sim.distance(v, *j);
+            if d.total_cmp(dj).is_lt() {
+                *dj = d;
+                *near = v;
+            }
+        }
+    }
+    edges
+}
+
+/// The root of `x` in the union-find forest `parent`.
+fn root(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]]; // path halving
+        x = parent[x];
+    }
+    x
+}
+
+/// The current clusters of a single-linkage build: a union-find over
+/// leaves. Each root heads a linked list of its cluster's leaves and
+/// carries the cluster's id and size.
+struct Forest {
+    parent: Vec<usize>,
+    /// The next leaf of the same cluster, or [`NONE`].
+    next: Vec<usize>,
+    /// The last leaf of the list a root heads.
+    last: Vec<usize>,
+    /// Cluster id (scipy numbering), valid at roots.
+    id: Vec<usize>,
+    /// Cluster size in leaves, valid at roots.
+    size: Vec<usize>,
+}
+
+impl Forest {
+    fn new(n: usize) -> Forest {
+        Forest {
+            parent: (0..n).collect(),
+            next: vec![NONE; n],
+            last: (0..n).collect(),
+            id: (0..n).collect(),
+            size: vec![1; n],
+        }
+    }
+
+    /// The leaves of the cluster rooted at `root`.
+    fn leaves(&self, root: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(root), |&x| Some(self.next[x]).filter(|&y| y != NONE))
+    }
+
+    /// Hang the cluster rooted at `root` under the root `into`.
+    fn absorb(&mut self, into: usize, root: usize) {
+        self.parent[root] = into;
+        self.next[self.last[into]] = root;
+        self.last[into] = self.last[root];
+    }
+}
+
+/// Perform the merges of one tie level: `level` holds the MST edges at one
+/// distance `w`, and every smaller distance has been merged.
+///
+/// The level's edges join the clusters they touch into groups. No leaf
+/// pair across two clusters lies below `w`, so within a group two
+/// clusters are at single-linkage distance `w` exactly when some leaf
+/// pair between them is (they are *adjacent*), and clusters in different
+/// groups lie farther apart. Each leaf pair is inspected at most once
+/// over a build, since after its level it lies inside one cluster, and a
+/// group of two clusters needs no inspection: the level's edge joins them.
+///
+/// The greedy engine merges the smallest `(w, min id, max id)` key first,
+/// and a merged cluster takes the next id, larger than any other. So the
+/// level contracts in a queue of ascending ids: the front cluster merges
+/// with its adjacent cluster of smallest id, and the new cluster joins
+/// the back. A front without neighbours is all that is left of its
+/// group.
+fn contract_level(
+    sim: &SimilarityMatrix,
+    level: &[(f64, usize, usize)],
+    forest: &mut Forest,
+    merges: &mut Vec<Merge>,
+) {
+    let n = sim.len();
+    let (w, bits) = (level[0].0, level[0].0.to_bits());
+    let ends: Vec<(usize, usize)> = level
+        .iter()
+        .map(|&(_, u, v)| (root(&mut forest.parent, u), root(&mut forest.parent, v)))
+        .collect();
+    // The touched clusters' roots in ascending id order; a cluster is
+    // known below by its position here.
+    let mut roots: Vec<usize> = ends.iter().flat_map(|&(a, b)| [a, b]).collect();
+    roots.sort_unstable_by_key(|&r| forest.id[r]);
+    roots.dedup();
+    let k = roots.len();
+    let at = |r: usize| {
+        roots
+            .binary_search_by_key(&forest.id[r], |&x| forest.id[x])
+            .expect("touched cluster")
+    };
+
+    // Groups: a union-find over positions, joined along the level's edges.
+    let mut group: Vec<usize> = (0..k).collect();
+    for &(a, b) in &ends {
+        let (ga, gb) = (root(&mut group, at(a)), root(&mut group, at(b)));
+        group[ga.max(gb)] = ga.min(gb);
+    }
+    let tops: Vec<usize> = (0..k).map(|x| root(&mut group, x)).collect();
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_unstable_by_key(|&x| (tops[x], x));
+    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for members in order.chunk_by(|&x, &y| tops[x] == tops[y]) {
+        let pair = members.len() == 2;
+        // The inner loop takes the clusters before `y` in id order; over
+        // singletons it walks along row `y` of the condensed matrix.
+        for (i, &y) in members.iter().enumerate() {
+            for &x in &members[..i] {
+                let touching = pair
+                    || forest.leaves(roots[y]).any(|q| {
+                        forest
+                            .leaves(roots[x])
+                            .any(|p| sim.distance(p, q).to_bits() == bits)
+                    });
+                if touching {
+                    adjacent[x].push(y);
+                    adjacent[y].push(x);
+                }
+            }
+        }
+    }
+
+    // Contract. Every touched cluster starts in its own slot; a merge
+    // keeps the slot that holds more of them and retires the other.
+    let mut owner: Vec<usize> = (0..k).collect();
+    let mut held: Vec<Vec<usize>> = (0..k).map(|x| vec![x]).collect();
+    let mut id: Vec<usize> = roots.iter().map(|&r| forest.id[r]).collect();
+    let mut size: Vec<usize> = roots.iter().map(|&r| forest.size[r]).collect();
+    let mut queue: Vec<(usize, usize)> = (0..k).map(|x| (x, id[x])).collect();
+    let mut front = 0;
+    while let Some(&(s, sid)) = queue.get(front) {
+        front += 1;
+        if id[s] != sid {
+            continue; // merged since it was queued
+        }
+        let mut partner: Option<usize> = None;
+        for &x in &held[s] {
+            for &y in &adjacent[x] {
+                let t = owner[y];
+                if t != s && partner.is_none_or(|p| id[t] < id[p]) {
+                    partner = Some(t);
+                }
+            }
+        }
+        let Some(t) = partner else { continue };
+        // `sid` is the smallest live id, so it is the pair's `a`.
+        let merged = Merge {
+            a: sid,
+            b: id[t],
+            distance: w,
+            size: size[s] + size[t],
+        };
+        let new_id = n + merges.len();
+        merges.push(merged);
+        let (keep, gone) = if held[s].len() >= held[t].len() {
+            (s, t)
+        } else {
+            (t, s)
+        };
+        let moved = std::mem::take(&mut held[gone]);
+        for &x in &moved {
+            owner[x] = keep;
+        }
+        held[keep].extend(moved);
+        id[gone] = NONE;
+        (id[keep], size[keep]) = (new_id, merged.size);
+        queue.push((keep, new_id));
+    }
+
+    // Each group is one cluster now, rooted at its surviving slot's root.
+    for x in 0..k {
+        let into = roots[owner[x]];
+        if roots[x] != into {
+            forest.absorb(into, roots[x]);
+        } else {
+            (forest.id[into], forest.size[into]) = (id[x], size[x]);
+        }
+    }
+}
+
 impl Dendrogram {
     /// Run HAC over the Gower distances of `sim` with the given linkage.
     ///
     /// The merge sequence is canonical: at every step the pair with the
     /// smallest `(distance, min id, max id)` key merges, so the output is a
     /// pure function of the matrix and two builds (or a build and an
-    /// incremental [`Dendrogram::extend`]) agree exactly.
+    /// incremental [`Dendrogram::extend`]) agree exactly. Single linkage
+    /// builds from a minimum spanning tree in `O(n²)` time; complete and
+    /// average linkage run the greedy engine, `O(n³)` in the worst case.
     ///
     /// Errors if the matrix is empty.
     pub fn build(sim: &SimilarityMatrix, linkage: Linkage) -> Result<Self> {
@@ -233,10 +479,13 @@ impl Dendrogram {
         if n == 0 {
             return Err(Error::EmptyInput("similarity matrix"));
         }
-        let mut merges = Vec::with_capacity(n - 1);
-        if n > 1 {
+        let merges = if linkage == Linkage::Single {
+            single_linkage(sim)
+        } else {
+            let mut merges = Vec::with_capacity(n - 1);
             Engine::from_leaves(sim, linkage).run(&mut merges);
-        }
+            merges
+        };
         debug_assert!(
             merges
                 .windows(2)
@@ -249,14 +498,18 @@ impl Dendrogram {
     /// Grow the tree over observations newly appended to `sim` — the
     /// daily-operations path where an operator adds one sweep per day.
     ///
-    /// Let `cutoff` be the smallest distance involving any new observation.
-    /// No cluster containing a new observation can take part in a merge
-    /// below `cutoff`, so the existing merges strictly below it are exactly
-    /// the prefix a batch build over the grown matrix would produce. Those
-    /// are replayed (Lance-Williams updates only — no neighbour search),
-    /// and greedy agglomeration resumes from the reconstructed state. The
-    /// result is identical to `Dendrogram::build(sim, linkage)` — bit for
-    /// bit, including tie resolution — which the property tests assert.
+    /// Single linkage simply builds over the grown matrix: its `O(n²)`
+    /// build costs no more than a replay would, and keeps no dense copy.
+    ///
+    /// Complete and average linkage replay. Let `cutoff` be the smallest
+    /// distance involving any new observation. No cluster containing a
+    /// new observation can take part in a merge below `cutoff`, so the
+    /// existing merges strictly below it are exactly the prefix a batch
+    /// build over the grown matrix would produce. Those are replayed
+    /// (Lance-Williams updates only — no neighbour search), and greedy
+    /// agglomeration resumes from the reconstructed state. The result is
+    /// identical to `Dendrogram::build(sim, linkage)` — bit for bit,
+    /// including tie resolution — which the property tests assert.
     ///
     /// The first `self.len()` observations of `sim` must be the ones this
     /// tree was built from. Errors if the matrix shrank.
@@ -271,6 +524,10 @@ impl Dendrogram {
             });
         }
         if new_n == old_n {
+            return Ok(());
+        }
+        if self.linkage == Linkage::Single {
+            *self = Dendrogram::build(sim, Linkage::Single)?;
             return Ok(());
         }
         let mut cutoff = f64::INFINITY;
@@ -324,6 +581,9 @@ impl Dendrogram {
     /// tree replaces the diverged one, and the guard's quarantine steers
     /// every later call straight to the batch path — the campaign
     /// continues with correct results instead of aborting.
+    ///
+    /// Single linkage draws no sample: its extend is the batch build, so a
+    /// cross-check would compare that build with itself.
     pub fn extend_guarded(
         &mut self,
         sim: &SimilarityMatrix,
@@ -332,6 +592,9 @@ impl Dendrogram {
         if guard.quarantined() {
             *self = Dendrogram::build(sim, self.linkage)?;
             return Ok(());
+        }
+        if self.linkage == Linkage::Single {
+            return self.extend(sim);
         }
         let old_n = self.n;
         self.extend(sim)?;
@@ -969,7 +1232,8 @@ mod tests {
         // always picks the smaller id pair first, so no batch build ever
         // produces this tree — exactly the kind of state an incremental
         // bug would leave behind, and one the replay path accepts without
-        // noticing (each merge is individually genuine).
+        // noticing (each merge is individually genuine). Average linkage
+        // replays; single linkage rebuilds instead.
         // Distances must be the bit-exact `1 − Φ` values the replay will
         // recompute, not decimal literals.
         let tie = full.distance(0, 1);
@@ -994,16 +1258,26 @@ mod tests {
                 size: 4,
             },
         ];
-        let mut d = Dendrogram::from_parts(4, Linkage::Single, poisoned).unwrap();
+        let mut d = Dendrogram::from_parts(4, Linkage::Average, poisoned.clone()).unwrap();
         let mut guard = DivergenceGuard::new(SamplingRate::always());
         d.extend_guarded(&full, &mut guard).unwrap();
-        let batch = Dendrogram::build(&full, Linkage::Single).unwrap();
+        let batch = Dendrogram::build(&full, Linkage::Average).unwrap();
         assert_eq!(d.merges(), batch.merges());
         assert!(guard.quarantined());
         assert_eq!(guard.drain_new(), 1);
         // Quarantined extends keep producing the batch tree.
         d.extend_guarded(&full, &mut guard).unwrap();
         assert_eq!(d.merges(), batch.merges());
+
+        // Single linkage's extend is the batch build: the poisoned prefix
+        // is dropped, and there is nothing for the guard to find.
+        let mut single = Dendrogram::from_parts(4, Linkage::Single, poisoned).unwrap();
+        let mut guard = DivergenceGuard::new(SamplingRate::always());
+        single.extend_guarded(&full, &mut guard).unwrap();
+        let batch = Dendrogram::build(&full, Linkage::Single).unwrap();
+        assert_eq!(single.merges(), batch.merges());
+        assert!(!guard.quarantined());
+        assert_eq!(guard.drain_new(), 0);
     }
 
     #[test]
@@ -1027,5 +1301,181 @@ mod tests {
         grown.extend(&full).unwrap();
         let batch = Dendrogram::build(&full, Linkage::Average).unwrap();
         assert_eq!(grown.merges(), batch.merges());
+    }
+
+    /// Naive `O(n³)` HAC, the reference every build path must match: each
+    /// step scans every pair of active clusters for the smallest
+    /// `(distance, min id, max id)` key under `total_cmp`. A new cluster's
+    /// distances under single and complete linkage are the min or max over
+    /// its leaf pairs; average linkage keeps the engine's Lance–Williams
+    /// distances.
+    fn naive_hac(sim: &SimilarityMatrix, linkage: Linkage) -> Vec<Merge> {
+        let n = sim.len();
+        let ids = 2 * n;
+        // Distances between clusters by id, filled in as clusters form.
+        let mut dist = vec![f64::NAN; ids * ids];
+        for i in 0..n {
+            for j in 0..n {
+                dist[i * ids + j] = sim.distance(i, j);
+            }
+        }
+        // Active clusters: id and leaves.
+        let mut active: Vec<(usize, Vec<usize>)> = (0..n).map(|i| (i, vec![i])).collect();
+        let mut merges = Vec::new();
+        while active.len() > 1 {
+            let mut best: Option<((f64, usize, usize), usize, usize)> = None;
+            for x in 0..active.len() {
+                for y in x + 1..active.len() {
+                    let (ix, iy) = (active[x].0, active[y].0);
+                    let key = (dist[ix * ids + iy], ix.min(iy), ix.max(iy));
+                    let lt = |b: &(f64, usize, usize)| {
+                        key.0
+                            .total_cmp(&b.0)
+                            .then(key.1.cmp(&b.1))
+                            .then(key.2.cmp(&b.2))
+                            .is_lt()
+                    };
+                    if best.is_none_or(|(b, _, _)| lt(&b)) {
+                        best = Some((key, x, y));
+                    }
+                }
+            }
+            let ((distance, a, b), x, y) = best.expect("two active clusters");
+            let (iy, ly) = active.remove(y);
+            let (ix, lx) = active.remove(x);
+            let (sx, sy) = (lx.len(), ly.len());
+            let leaves: Vec<usize> = lx.into_iter().chain(ly).collect();
+            let id = n + merges.len();
+            for (m, lm) in &active {
+                let leaf_pairs = leaves
+                    .iter()
+                    .flat_map(|&p| lm.iter().map(move |&q| sim.distance(p, q)));
+                let d = match linkage {
+                    Linkage::Single => leaf_pairs.reduce(f64::min).unwrap(),
+                    Linkage::Complete => leaf_pairs.reduce(f64::max).unwrap(),
+                    Linkage::Average => {
+                        let (dxm, dym) = (dist[ix * ids + m], dist[iy * ids + m]);
+                        (sx as f64 * dxm + sy as f64 * dym) / (sx + sy) as f64
+                    }
+                };
+                dist[id * ids + m] = d;
+                dist[m * ids + id] = d;
+            }
+            merges.push(Merge {
+                a,
+                b,
+                distance,
+                size: leaves.len(),
+            });
+            active.push((id, leaves));
+        }
+        merges
+    }
+
+    /// The top-left `m × m` block of `sim`.
+    fn leading(sim: &SimilarityMatrix, m: usize) -> SimilarityMatrix {
+        let mut v = vec![0.0; m * m];
+        for i in 0..m {
+            for j in 0..m {
+                v[i * m + j] = sim.get(i, j);
+            }
+        }
+        SimilarityMatrix::from_raw(m, v).unwrap()
+    }
+
+    fn assert_same_bits(got: &[Merge], want: &[Merge], what: &str) {
+        let bits = |m: &Merge| (m.a, m.b, m.size, m.distance.to_bits());
+        assert_eq!(got.len(), want.len(), "{what}: merge count");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(bits(g), bits(w), "{what}: merge {k} is {g:?}, oracle {w:?}");
+        }
+    }
+
+    /// Φ matrices of `n` observations that stress tie resolution: Φ on a
+    /// 3-value and a 16-value grid, distinct values, one value
+    /// everywhere, and a 16-value grid with NaN cells (as in
+    /// `nan_distances_do_not_panic`).
+    fn tie_inputs(
+        n: usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> Vec<(&'static str, SimilarityMatrix)> {
+        let mut matrix = |cell: &mut dyn FnMut(u64) -> f64| {
+            let mut v = vec![1.0; n * n];
+            for i in 0..n {
+                for j in 0..i {
+                    let phi = cell(next());
+                    v[i * n + j] = phi;
+                    v[j * n + i] = phi;
+                }
+            }
+            SimilarityMatrix::from_raw(n, v).unwrap()
+        };
+        let grid = |r: u64, values: u64| (r % values) as f64 / (values - 1) as f64;
+        vec![
+            ("3-value grid", matrix(&mut |r| grid(r, 3))),
+            ("16-value grid", matrix(&mut |r| grid(r, 16))),
+            (
+                "distinct",
+                matrix(&mut |r| (r >> 11) as f64 / (1u64 << 53) as f64),
+            ),
+            ("all equal", matrix(&mut |_| 0.5)),
+            (
+                "NaN cells",
+                matrix(&mut |r| {
+                    if r % 4 == 0 {
+                        f64::NAN
+                    } else {
+                        grid(r >> 2, 16)
+                    }
+                }),
+            ),
+        ]
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn every_build_matches_the_naive_oracle_bit_for_bit() {
+        for n in 1..=100 {
+            let mut next = xorshift(0x9E37_79B9_7F4A_7C15 ^ n as u64);
+            for (kind, sim) in tie_inputs(n, &mut next) {
+                for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+                    let want = naive_hac(&sim, linkage);
+                    let built = Dendrogram::build(&sim, linkage).unwrap();
+                    let what = format!("n={n} {kind} {linkage:?} build");
+                    assert_same_bits(built.merges(), &want, &what);
+                }
+            }
+        }
+    }
+
+    /// Extends from every shorter prefix cost `n` builds per matrix, cubic
+    /// ones for complete and average linkage, so a debug test run checks
+    /// them up to this many observations.
+    const EXTEND_ORACLE_MAX_N: usize = 40;
+
+    #[test]
+    fn every_extend_matches_the_naive_oracle_bit_for_bit() {
+        for n in 1..=EXTEND_ORACLE_MAX_N {
+            let mut next = xorshift(0x2545_F491_4F6C_DD1D ^ n as u64);
+            for (kind, sim) in tie_inputs(n, &mut next) {
+                for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+                    let want = naive_hac(&sim, linkage);
+                    for m in 1..n {
+                        let mut grown = Dendrogram::build(&leading(&sim, m), linkage).unwrap();
+                        grown.extend(&sim).unwrap();
+                        let what = format!("n={n} {kind} {linkage:?} extend from {m}");
+                        assert_same_bits(grown.merges(), &want, &what);
+                    }
+                }
+            }
+        }
     }
 }

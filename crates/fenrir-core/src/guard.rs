@@ -2,8 +2,10 @@
 //!
 //! The incremental paths (`IncrementalRoutes` in fenrir-netsim,
 //! [`SimilarityMatrix::extend`](crate::similarity::SimilarityMatrix) and
+//! the complete- and average-linkage
 //! [`Dendrogram::extend`](crate::cluster::Dendrogram) here) are required to
-//! reproduce their batch counterparts bit-for-bit. Debug builds cross-check
+//! reproduce their batch counterparts bit-for-bit. Single linkage's extend
+//! is its batch build, so it draws no sample. Debug builds cross-check
 //! every transition; release builds used to run with no net at all. A
 //! [`DivergenceGuard`] closes that gap: it *samples* cross-checks at
 //! runtime, and when a sampled check finds a mismatch it records a typed
@@ -64,7 +66,9 @@ impl SamplingRate {
 
 /// Sampled incremental-vs-batch cross-check state for one incremental
 /// structure (or one family of them, e.g. all per-destination route
-/// tables of a campaign).
+/// tables of a campaign). Two structures extended in the same step need a
+/// guard each: on one shared counter their calls alternate, so with an
+/// even rate the first takes every sample and the second none.
 #[derive(Debug, Clone)]
 pub struct DivergenceGuard {
     rate: SamplingRate,

@@ -7,24 +7,26 @@
 //! vector appends one delta frame carrying the observation, its condensed
 //! similarity row (the only matrix cells a new observation adds — history
 //! rows never change), and its health record; snapshots additionally
-//! persist the dendrogram merge prefix so a restore replays
-//! [`Dendrogram::extend`] from the prefix instead of re-clustering from
-//! zero.
+//! persist the dendrogram merge prefix. Under complete and average linkage
+//! a restore replays [`Dendrogram::extend`] from that prefix instead of
+//! re-clustering from zero; single linkage rebuilds, its `O(T²)` build
+//! being no dearer than a replay.
 //!
 //! Restores are bit-exact: journaled Φ rows are the exact IEEE-754 bits
 //! the pipeline computed, and the incremental extend they feed is the
 //! same code path a straight-through run uses — the kill/resume
 //! equivalence tests assert `D(t)` comes out identical either way.
 //!
-//! Incremental extends run behind the runtime [`DivergenceGuard`]: a
-//! sampled incremental-vs-batch mismatch repairs from the batch result,
-//! quarantines the incremental path, and surfaces through the
-//! observation's [`CampaignHealth::divergences`] counter instead of
-//! aborting the pipeline. Guard sampling counters reset on restore (they
-//! are pacing state, not data), so a resumed run may *check* at different
-//! sweeps than an uninterrupted one — but since checks only repair
-//! already-wrong state, results are unaffected when the incremental path
-//! is healthy.
+//! Incremental extends run behind the runtime [`DivergenceGuard`], one
+//! for the Φ extend and one for the dendrogram extend, so each is sampled
+//! at the configured rate: a sampled incremental-vs-batch mismatch
+//! repairs from the batch result, quarantines the incremental path, and
+//! surfaces through the observation's [`CampaignHealth::divergences`]
+//! counter instead of aborting the pipeline. Guard sampling counters
+//! reset on restore (they are pacing state, not data), so a resumed run
+//! may *check* at different sweeps than an uninterrupted one — but since
+//! checks only repair already-wrong state, results are unaffected when
+//! the incremental path is healthy.
 
 use super::codec::{self, Dec};
 use super::{Backend, Frame, Journal, RecoveryReport};
@@ -194,7 +196,10 @@ pub struct RecoverablePipeline {
     dendro: Option<Dendrogram>,
     health: Vec<CampaignHealth>,
     panels: Vec<Option<LatencyPanel>>,
-    guard: DivergenceGuard,
+    /// Cross-checks of the Φ extend and of the dendrogram extend, each
+    /// sampled on its own counter.
+    phi_guard: DivergenceGuard,
+    dendro_guard: DivergenceGuard,
     deltas: usize,
     report: RecoveryReport,
 }
@@ -362,8 +367,9 @@ impl RecoverablePipeline {
                 actual: cfg.weights.len(),
             });
         }
-        let guard = DivergenceGuard::new(cfg.sampling);
         let mut pipe = RecoverablePipeline {
+            phi_guard: DivergenceGuard::new(cfg.sampling),
+            dendro_guard: DivergenceGuard::new(cfg.sampling),
             journal: Backend::Flat(Journal::in_memory()),
             cfg,
             series: VectorSeries::new(sites, networks),
@@ -371,7 +377,6 @@ impl RecoverablePipeline {
             dendro: None,
             health: Vec::new(),
             panels: Vec::new(),
-            guard,
             deltas: 0,
             report,
         };
@@ -522,9 +527,9 @@ impl RecoverablePipeline {
                 VectorSeries::from_vectors(pipe.series.sites().clone(), networks, vectors)?;
             let condensed: Vec<f64> = rows.into_iter().flatten().collect();
             let matrix = SimilarityMatrix::from_condensed(n, condensed)?;
-            // Replay the dendrogram from the persisted merge prefix where
-            // one exists, then extend over the delta observations — the
-            // same incremental path a live run takes.
+            // Adopt the persisted merge tree where one exists, then extend
+            // it over the delta observations — the same path a live run
+            // takes: a replay of the prefix, or a single-linkage rebuild.
             let mut dendro = match merges {
                 Some((sn, m)) if sn > 0 => Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?,
                 _ => Dendrogram::build(&matrix, pipe.cfg.linkage)?,
@@ -620,16 +625,16 @@ impl RecoverablePipeline {
                 &self.series,
                 &self.cfg.weights,
                 self.cfg.policy,
-                &mut self.guard,
+                &mut self.phi_guard,
             )?,
         }
         let matrix = self.matrix.as_ref().expect("matrix exists after extend");
         match &mut self.dendro {
             None => self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?),
-            Some(dd) => dd.extend_guarded(matrix, &mut self.guard)?,
+            Some(dd) => dd.extend_guarded(matrix, &mut self.dendro_guard)?,
         }
         let mut health = health;
-        health.divergences += self.guard.drain_new();
+        health.divergences += self.phi_guard.drain_new() + self.dendro_guard.drain_new();
         let mut payload = Vec::new();
         let vec = self.series.get(i);
         codec::put_i64(&mut payload, vec.time().as_secs());
@@ -737,11 +742,6 @@ impl RecoverablePipeline {
     /// the journal's meta frame on a read-only open).
     pub fn config(&self) -> &PipelineConfig {
         &self.cfg
-    }
-
-    /// The divergence guard driving the incremental cross-checks.
-    pub fn guard(&self) -> &DivergenceGuard {
-        &self.guard
     }
 
     /// What recovery found when this pipeline opened its journal.
@@ -979,6 +979,55 @@ mod tests {
         assert_eq!(ro.series().len(), 3);
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "file was modified");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn restored_non_canonical_prefix_is_caught_by_the_dendrogram_guard() {
+        // One check in two rows: on a counter shared by the Φ and the
+        // dendrogram extends, every sample would land on the Φ extend.
+        let complete = || PipelineConfig {
+            linkage: Linkage::Complete,
+            sampling: SamplingRate {
+                eventful_every: 2,
+                quiet_every: 0,
+            },
+            ..cfg()
+        };
+        let sites = || SiteTable::from_names(["A", "B"]);
+        let health = |day: i64| CampaignHealth::new(Timestamp::from_days(day), 4);
+        let mut live = RecoverablePipeline::in_memory(sites(), 4, complete()).unwrap();
+        let pairs = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]];
+        for (day, v) in (0..).zip(pairs) {
+            live.observe(vec_at(day, v), health(day)).unwrap();
+        }
+        // Observations {0, 1} and {2, 3} tie at distance 0. Snapshot them
+        // merged (2, 3) before (0, 1): each merge is genuine, so a replay
+        // accepts the prefix, but no batch build records that order.
+        let m = live.matrix().unwrap();
+        let (tie, far) = (m.distance(0, 1), m.distance(0, 2));
+        let merge = |a, b, distance, size| Merge {
+            a,
+            b,
+            distance,
+            size,
+        };
+        let poisoned = vec![
+            merge(2, 3, tie, 2),
+            merge(0, 1, tie, 2),
+            merge(4, 5, far, 4),
+        ];
+        live.dendro = Some(Dendrogram::from_parts(4, Linkage::Complete, poisoned).unwrap());
+        live.compact().unwrap();
+        let mut restored =
+            RecoverablePipeline::from_bytes(live.bytes().to_vec(), sites(), 4, complete()).unwrap();
+        // Observation 4 lies 0.25 from {0, 1}, above the tie, so its
+        // extend replays both poisoned merges.
+        restored
+            .observe(vec_at(4, [0, 0, 1, 0]), health(4))
+            .unwrap();
+        assert_eq!(restored.health().last().unwrap().divergences, 1);
+        let batch = Dendrogram::build(restored.matrix().unwrap(), Linkage::Complete).unwrap();
+        assert_eq!(restored.dendrogram().unwrap().merges(), batch.merges());
     }
 
     #[test]
