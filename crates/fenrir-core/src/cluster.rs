@@ -19,13 +19,15 @@
 //! which tied distances reach — |T| is observation times, a few thousand
 //! even for five years of daily data.
 //!
+//! There is one way to grow a tree: [`Dendrogram::extend`] builds over
+//! the grown matrix, under every linkage.
+//!
 //! The paper's **adaptive distance threshold** rule is implemented by
 //! [`AdaptiveThreshold`]: sweep thresholds from 0 to 1 in steps of 0.01 and
 //! accept the first flat clustering with fewer than 15 clusters, each backed
 //! by at least 2 valid observations.
 
 use crate::error::{Error, Result};
-use crate::guard::DivergenceGuard;
 use crate::similarity::SimilarityMatrix;
 
 /// Linkage criterion for merging clusters.
@@ -71,15 +73,13 @@ pub struct Dendrogram {
 }
 
 /// Working state of the greedy global-minimum agglomeration that
-/// [`Dendrogram::build`] and [`Dendrogram::extend`] run for complete and
-/// average linkage.
+/// [`Dendrogram::build`] runs for complete and average linkage.
 ///
 /// Each *slot* is one leaf index; a merged cluster lives on in the slot of
 /// its smaller member and the other slot retires. Every candidate pair is
 /// ranked by a total-order key (see [`Engine::key`]) so the merge sequence
-/// is a pure function of the distance matrix — independent of discovery
-/// order, which is what lets an incremental resume reproduce the batch
-/// result bit for bit.
+/// is a pure function of the distance matrix, independent of discovery
+/// order.
 struct Engine {
     linkage: Linkage,
     slots: usize,
@@ -218,14 +218,9 @@ impl Engine {
         self.merge_slots(a.min(b), a.max(b))
     }
 
-    /// Run greedy agglomeration until one cluster remains, appending each
-    /// merge to `out`.
-    fn run(&mut self, out: &mut Vec<Merge>) {
-        let mut remaining = self.active.iter().filter(|&&a| a).count();
-        while remaining > 1 {
-            out.push(self.merge_best());
-            remaining -= 1;
-        }
+    /// Run greedy agglomeration until one cluster remains.
+    fn run(mut self) -> Vec<Merge> {
+        (1..self.slots).map(|_| self.merge_best()).collect()
     }
 }
 
@@ -468,10 +463,10 @@ impl Dendrogram {
     ///
     /// The merge sequence is canonical: at every step the pair with the
     /// smallest `(distance, min id, max id)` key merges, so the output is a
-    /// pure function of the matrix and two builds (or a build and an
-    /// incremental [`Dendrogram::extend`]) agree exactly. Single linkage
-    /// builds from a minimum spanning tree in `O(n²)` time; complete and
-    /// average linkage run the greedy engine, `O(n³)` in the worst case.
+    /// pure function of the matrix and two builds agree exactly. Single
+    /// linkage builds from a minimum spanning tree in `O(n²)` time;
+    /// complete and average linkage run the greedy engine, `O(n³)` in the
+    /// worst case.
     ///
     /// Errors if the matrix is empty.
     pub fn build(sim: &SimilarityMatrix, linkage: Linkage) -> Result<Self> {
@@ -482,9 +477,7 @@ impl Dendrogram {
         let merges = if linkage == Linkage::Single {
             single_linkage(sim)
         } else {
-            let mut merges = Vec::with_capacity(n - 1);
-            Engine::from_leaves(sim, linkage).run(&mut merges);
-            merges
+            Engine::from_leaves(sim, linkage).run()
         };
         debug_assert!(
             merges
@@ -498,151 +491,26 @@ impl Dendrogram {
     /// Grow the tree over observations newly appended to `sim` — the
     /// daily-operations path where an operator adds one sweep per day.
     ///
-    /// Single linkage simply builds over the grown matrix: its `O(n²)`
-    /// build costs no more than a replay would, and keeps no dense copy.
-    ///
-    /// Complete and average linkage replay. Let `cutoff` be the smallest
-    /// distance involving any new observation. No cluster containing a
-    /// new observation can take part in a merge below `cutoff`, so the
-    /// existing merges strictly below it are exactly the prefix a batch
-    /// build over the grown matrix would produce. Those are replayed
-    /// (Lance-Williams updates only — no neighbour search), and greedy
-    /// agglomeration resumes from the reconstructed state. The result is
-    /// identical to `Dendrogram::build(sim, linkage)` — bit for bit,
-    /// including tie resolution — which the property tests assert.
-    ///
-    /// The first `self.len()` observations of `sim` must be the ones this
-    /// tree was built from. Errors if the matrix shrank.
+    /// The grown tree is `Dendrogram::build(sim, self.linkage())`: no
+    /// merge of the old tree is reused, so none can make it differ from a
+    /// batch build. A matrix of the same size leaves the tree as it is;
+    /// errors if the matrix shrank.
     pub fn extend(&mut self, sim: &SimilarityMatrix) -> Result<()> {
-        let old_n = self.n;
-        let new_n = sim.len();
-        if new_n < old_n {
+        if sim.len() < self.n {
             return Err(Error::ShapeMismatch {
                 what: "extended similarity matrix",
-                expected: old_n,
-                actual: new_n,
+                expected: self.n,
+                actual: sim.len(),
             });
         }
-        if new_n == old_n {
-            return Ok(());
-        }
-        if self.linkage == Linkage::Single {
-            *self = Dendrogram::build(sim, Linkage::Single)?;
-            return Ok(());
-        }
-        let mut cutoff = f64::INFINITY;
-        for j in old_n..new_n {
-            for i in 0..new_n {
-                if i != j {
-                    let dij = sim.distance(i, j);
-                    if dij.total_cmp(&cutoff).is_lt() {
-                        cutoff = dij;
-                    }
-                }
-            }
-        }
-        // Stable prefix: merges strictly below the cutoff. Internal ids are
-        // rebased from `old_n + p` to `new_n + p`; the remap preserves the
-        // relative order of every id pair that can tie below the cutoff, so
-        // replayed tie-breaks match what the batch build would choose.
-        let keep = self
-            .merges
-            .iter()
-            .take_while(|m| m.distance.total_cmp(&cutoff).is_lt())
-            .count();
-        let remap = |id: usize| if id < old_n { id } else { new_n + (id - old_n) };
-
-        let mut engine = Engine::from_leaves(sim, self.linkage);
-        let mut merges: Vec<Merge> = Vec::with_capacity(new_n - 1);
-        // Slot currently holding each replayed cluster id.
-        let mut slot_of: Vec<usize> = (0..new_n).collect();
-        for m in &self.merges[..keep] {
-            let (a, b) = (remap(m.a), remap(m.b));
-            let (x, y) = (slot_of[a], slot_of[b]);
-            let new_id = engine.next_id;
-            let replayed = engine.merge_slots(x.min(y), x.max(y));
-            debug_assert_eq!(replayed.distance.to_bits(), m.distance.to_bits());
-            debug_assert_eq!((replayed.a, replayed.b), (a.min(b), a.max(b)));
-            slot_of.push(x.min(y));
-            debug_assert_eq!(slot_of.len() - 1, new_id);
-            merges.push(replayed);
-        }
-        engine.run(&mut merges);
-        self.n = new_n;
-        self.merges = merges;
-        Ok(())
-    }
-
-    /// Like [`Dendrogram::extend`], but wrapped in a runtime
-    /// [`DivergenceGuard`]: sampled extends are cross-checked bit-for-bit
-    /// against a batch [`Dendrogram::build`] over the same matrix. On
-    /// mismatch the guard records a typed
-    /// [`Error::IncrementalDivergence`](crate::error::Error), the batch
-    /// tree replaces the diverged one, and the guard's quarantine steers
-    /// every later call straight to the batch path — the campaign
-    /// continues with correct results instead of aborting.
-    ///
-    /// Single linkage draws no sample: its extend is the batch build, so a
-    /// cross-check would compare that build with itself.
-    pub fn extend_guarded(
-        &mut self,
-        sim: &SimilarityMatrix,
-        guard: &mut DivergenceGuard,
-    ) -> Result<()> {
-        if guard.quarantined() {
+        if sim.len() > self.n {
             *self = Dendrogram::build(sim, self.linkage)?;
-            return Ok(());
-        }
-        if self.linkage == Linkage::Single {
-            return self.extend(sim);
-        }
-        let old_n = self.n;
-        self.extend(sim)?;
-        if guard.should_check(self.n > old_n) {
-            let batch = Dendrogram::build(sim, self.linkage)?;
-            let same = |x: &Merge, y: &Merge| {
-                x.a == y.a
-                    && x.b == y.b
-                    && x.size == y.size
-                    && x.distance.to_bits() == y.distance.to_bits()
-            };
-            let mismatch = self.n != batch.n
-                || self.merges.len() != batch.merges.len()
-                || self
-                    .merges
-                    .iter()
-                    .zip(&batch.merges)
-                    .any(|(a, b)| !same(a, b));
-            if mismatch {
-                let step = self
-                    .merges
-                    .iter()
-                    .zip(&batch.merges)
-                    .position(|(a, b)| !same(a, b));
-                guard.record(
-                    "dendrogram",
-                    match step {
-                        Some(k) => format!(
-                            "merge {k} is {:?}, batch built {:?}",
-                            self.merges[k], batch.merges[k]
-                        ),
-                        None => format!(
-                            "{} leaves / {} merges vs batch {} / {}",
-                            self.n,
-                            self.merges.len(),
-                            batch.n,
-                            batch.merges.len()
-                        ),
-                    },
-                );
-                *self = batch;
-            }
         }
         Ok(())
     }
 
     /// Rebuild a tree from previously recorded parts — the journal restore
-    /// path, reusing a persisted merge prefix instead of re-clustering.
+    /// path, reusing a snapshot's persisted merges instead of re-clustering.
     /// Validates the merge count (`n − 1` for a complete tree), ascending
     /// distance order, and the scipy id convention (merge `k` references
     /// only clusters `< n + k` and creates cluster `n + k`).
@@ -1137,8 +1005,8 @@ mod tests {
 
     #[test]
     fn extend_matches_batch_build() {
-        // Grow 5 -> 8 observations; the incrementally extended tree must be
-        // bit-for-bit the batch tree over the full matrix.
+        // Grow 5 -> 8 observations; the extended tree must be bit-for-bit
+        // the batch tree over the full matrix.
         let full = sim_from_dist(8, |i, j| {
             let g = |x: usize| if x >= 6 { 2 } else { usize::from(x >= 3) };
             if g(i) == g(j) {
@@ -1168,8 +1036,7 @@ mod tests {
 
     #[test]
     fn extend_matches_batch_under_ties() {
-        // All-equal distances maximise tie-break pressure on the replayed
-        // prefix; the id rebasing must preserve every tie resolution.
+        // All-equal distances: every merge is decided by the id tie-break.
         let full = sim_from_dist(7, |_, _| 0.5);
         let prefix = sim_from_dist(4, |_, _| 0.5);
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
@@ -1215,82 +1082,6 @@ mod tests {
         bad[0].b = d.len() + 5;
         assert!(Dendrogram::from_parts(d.len(), Linkage::Single, bad).is_err());
         assert!(Dendrogram::from_parts(0, Linkage::Single, vec![]).is_err());
-    }
-
-    #[test]
-    fn extend_guarded_repairs_and_quarantines_on_divergence() {
-        use crate::guard::{DivergenceGuard, SamplingRate};
-        // Two tied pairs {0,1} and {2,3} at 0.1, far apart; a new
-        // observation 4 lands at 0.3 from everyone.
-        let full = sim_from_dist(5, |i, j| match (i / 2, j / 2) {
-            _ if i == 4 || j == 4 => 0.3,
-            (gi, gj) if gi == gj => 0.1,
-            _ => 0.5,
-        });
-        // A *replayable but non-canonical* prefix: the tied 0.1 merges
-        // recorded in the order (2,3) before (0,1). Batch tie-breaking
-        // always picks the smaller id pair first, so no batch build ever
-        // produces this tree — exactly the kind of state an incremental
-        // bug would leave behind, and one the replay path accepts without
-        // noticing (each merge is individually genuine). Average linkage
-        // replays; single linkage rebuilds instead.
-        // Distances must be the bit-exact `1 − Φ` values the replay will
-        // recompute, not decimal literals.
-        let tie = full.distance(0, 1);
-        let far = full.distance(0, 2);
-        let poisoned = vec![
-            Merge {
-                a: 2,
-                b: 3,
-                distance: tie,
-                size: 2,
-            },
-            Merge {
-                a: 0,
-                b: 1,
-                distance: tie,
-                size: 2,
-            },
-            Merge {
-                a: 4,
-                b: 5,
-                distance: far,
-                size: 4,
-            },
-        ];
-        let mut d = Dendrogram::from_parts(4, Linkage::Average, poisoned.clone()).unwrap();
-        let mut guard = DivergenceGuard::new(SamplingRate::always());
-        d.extend_guarded(&full, &mut guard).unwrap();
-        let batch = Dendrogram::build(&full, Linkage::Average).unwrap();
-        assert_eq!(d.merges(), batch.merges());
-        assert!(guard.quarantined());
-        assert_eq!(guard.drain_new(), 1);
-        // Quarantined extends keep producing the batch tree.
-        d.extend_guarded(&full, &mut guard).unwrap();
-        assert_eq!(d.merges(), batch.merges());
-
-        // Single linkage's extend is the batch build: the poisoned prefix
-        // is dropped, and there is nothing for the guard to find.
-        let mut single = Dendrogram::from_parts(4, Linkage::Single, poisoned).unwrap();
-        let mut guard = DivergenceGuard::new(SamplingRate::always());
-        single.extend_guarded(&full, &mut guard).unwrap();
-        let batch = Dendrogram::build(&full, Linkage::Single).unwrap();
-        assert_eq!(single.merges(), batch.merges());
-        assert!(!guard.quarantined());
-        assert_eq!(guard.drain_new(), 0);
-    }
-
-    #[test]
-    fn extend_guarded_clean_path_matches_batch() {
-        use crate::guard::{DivergenceGuard, SamplingRate};
-        let full = two_blobs();
-        let prefix = sim_from_dist(3, |i, j| if i == j { 0.0 } else { 0.1 });
-        let mut guard = DivergenceGuard::new(SamplingRate::always());
-        let mut d = Dendrogram::build(&prefix, Linkage::Single).unwrap();
-        d.extend_guarded(&full, &mut guard).unwrap();
-        let batch = Dendrogram::build(&full, Linkage::Single).unwrap();
-        assert_eq!(d.merges(), batch.merges());
-        assert!(!guard.quarantined());
     }
 
     #[test]
@@ -1372,17 +1163,6 @@ mod tests {
         merges
     }
 
-    /// The top-left `m × m` block of `sim`.
-    fn leading(sim: &SimilarityMatrix, m: usize) -> SimilarityMatrix {
-        let mut v = vec![0.0; m * m];
-        for i in 0..m {
-            for j in 0..m {
-                v[i * m + j] = sim.get(i, j);
-            }
-        }
-        SimilarityMatrix::from_raw(m, v).unwrap()
-    }
-
     fn assert_same_bits(got: &[Merge], want: &[Merge], what: &str) {
         let bits = |m: &Merge| (m.a, m.b, m.size, m.distance.to_bits());
         assert_eq!(got.len(), want.len(), "{what}: merge count");
@@ -1451,29 +1231,6 @@ mod tests {
                     let built = Dendrogram::build(&sim, linkage).unwrap();
                     let what = format!("n={n} {kind} {linkage:?} build");
                     assert_same_bits(built.merges(), &want, &what);
-                }
-            }
-        }
-    }
-
-    /// Extends from every shorter prefix cost `n` builds per matrix, cubic
-    /// ones for complete and average linkage, so a debug test run checks
-    /// them up to this many observations.
-    const EXTEND_ORACLE_MAX_N: usize = 40;
-
-    #[test]
-    fn every_extend_matches_the_naive_oracle_bit_for_bit() {
-        for n in 1..=EXTEND_ORACLE_MAX_N {
-            let mut next = xorshift(0x2545_F491_4F6C_DD1D ^ n as u64);
-            for (kind, sim) in tie_inputs(n, &mut next) {
-                for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-                    let want = naive_hac(&sim, linkage);
-                    for m in 1..n {
-                        let mut grown = Dendrogram::build(&leading(&sim, m), linkage).unwrap();
-                        grown.extend(&sim).unwrap();
-                        let what = format!("n={n} {kind} {linkage:?} extend from {m}");
-                        assert_same_bits(grown.merges(), &want, &what);
-                    }
                 }
             }
         }

@@ -1,13 +1,13 @@
 //! Runtime divergence guard for incremental recomputation.
 //!
-//! The incremental paths (`IncrementalRoutes` in fenrir-netsim,
-//! [`SimilarityMatrix::extend`](crate::similarity::SimilarityMatrix) and
-//! the complete- and average-linkage
-//! [`Dendrogram::extend`](crate::cluster::Dendrogram) here) are required to
-//! reproduce their batch counterparts bit-for-bit. Single linkage's extend
-//! is its batch build, so it draws no sample. Debug builds cross-check
-//! every transition; release builds used to run with no net at all. A
-//! [`DivergenceGuard`] closes that gap: it *samples* cross-checks at
+//! The incremental paths (`IncrementalRoutes` in fenrir-netsim and
+//! [`SimilarityMatrix::extend`](crate::similarity::SimilarityMatrix) here)
+//! are required to reproduce their batch counterparts bit-for-bit. A
+//! dendrogram has no incremental path to guard: its
+//! [`extend`](crate::cluster::Dendrogram::extend) is a batch build. Debug
+//! builds cross-check every transition; release builds used to run with
+//! no net at all.
+//! A [`DivergenceGuard`] closes that gap: it *samples* cross-checks at
 //! runtime, and when a sampled check finds a mismatch it records a typed
 //! [`Error::IncrementalDivergence`], lets the caller fall back to the batch
 //! result, and **quarantines** the incremental state — every subsequent

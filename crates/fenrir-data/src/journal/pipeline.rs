@@ -7,24 +7,22 @@
 //! vector appends one delta frame carrying the observation, its condensed
 //! similarity row (the only matrix cells a new observation adds — history
 //! rows never change), and its health record; snapshots additionally
-//! persist the dendrogram merge prefix. Under complete and average linkage
-//! a restore replays [`Dendrogram::extend`] from that prefix instead of
-//! re-clustering from zero; single linkage rebuilds, its `O(T²)` build
-//! being no dearer than a replay.
+//! persist the dendrogram merges. Every observation builds the tree over
+//! the grown matrix, and so does a restore, unless no delta follows the
+//! snapshot: then the snapshot's merges are the tree.
 //!
 //! Restores are bit-exact: journaled Φ rows are the exact IEEE-754 bits
-//! the pipeline computed, and the incremental extend they feed is the
-//! same code path a straight-through run uses — the kill/resume
-//! equivalence tests assert `D(t)` comes out identical either way.
+//! the pipeline computed, and the tree is a pure function of them — the
+//! kill/resume equivalence tests assert `D(t)` comes out identical either
+//! way.
 //!
-//! Incremental extends run behind the runtime [`DivergenceGuard`], one
-//! for the Φ extend and one for the dendrogram extend, so each is sampled
-//! at the configured rate: a sampled incremental-vs-batch mismatch
-//! repairs from the batch result, quarantines the incremental path, and
-//! surfaces through the observation's [`CampaignHealth::divergences`]
-//! counter instead of aborting the pipeline. Guard sampling counters
-//! reset on restore (they are pacing state, not data), so a resumed run
-//! may *check* at different sweeps than an uninterrupted one — but since
+//! The Φ extend runs behind the runtime [`DivergenceGuard`], sampled at
+//! the configured rate: a sampled incremental-vs-batch mismatch repairs
+//! from the batch result, quarantines the incremental path, and surfaces
+//! through the observation's [`CampaignHealth::divergences`] counter
+//! instead of aborting the pipeline. Guard sampling counters reset on
+//! restore (they are pacing state, not data), so a resumed run may
+//! *check* at different sweeps than an uninterrupted one — but since
 //! checks only repair already-wrong state, results are unaffected when
 //! the incremental path is healthy.
 
@@ -50,7 +48,7 @@ use std::sync::Arc;
 pub const KIND_PIPELINE_META: u16 = 0x20;
 /// Frame kind: one observation delta (vector + Φ row + health).
 pub const KIND_OBSERVATION: u16 = 0x21;
-/// Frame kind: folded snapshot (series + matrix + merge prefix + health).
+/// Frame kind: folded snapshot (series + matrix + merge tree + health).
 pub const KIND_PIPELINE_SNAPSHOT: u16 = 0x22;
 /// Frame kind: latency panel for one already-journaled observation.
 pub const KIND_OBS_LATENCY: u16 = 0x23;
@@ -66,7 +64,7 @@ pub struct PipelineConfig {
     pub policy: UnknownPolicy,
     /// HAC linkage.
     pub linkage: Linkage,
-    /// Divergence-guard sampling rate for the incremental extends.
+    /// Divergence-guard sampling rate for the Φ extend.
     pub sampling: SamplingRate,
     /// Compact once this many observation deltas accumulate after the
     /// last snapshot (`None` = never compact automatically).
@@ -196,10 +194,8 @@ pub struct RecoverablePipeline {
     dendro: Option<Dendrogram>,
     health: Vec<CampaignHealth>,
     panels: Vec<Option<LatencyPanel>>,
-    /// Cross-checks of the Φ extend and of the dendrogram extend, each
-    /// sampled on its own counter.
+    /// Cross-checks of the Φ extend.
     phi_guard: DivergenceGuard,
-    dendro_guard: DivergenceGuard,
     deltas: usize,
     report: RecoveryReport,
 }
@@ -369,7 +365,6 @@ impl RecoverablePipeline {
         }
         let mut pipe = RecoverablePipeline {
             phi_guard: DivergenceGuard::new(cfg.sampling),
-            dendro_guard: DivergenceGuard::new(cfg.sampling),
             journal: Backend::Flat(Journal::in_memory()),
             cfg,
             series: VectorSeries::new(sites, networks),
@@ -527,14 +522,12 @@ impl RecoverablePipeline {
                 VectorSeries::from_vectors(pipe.series.sites().clone(), networks, vectors)?;
             let condensed: Vec<f64> = rows.into_iter().flatten().collect();
             let matrix = SimilarityMatrix::from_condensed(n, condensed)?;
-            // Adopt the persisted merge tree where one exists, then extend
-            // it over the delta observations — the same path a live run
-            // takes: a replay of the prefix, or a single-linkage rebuild.
-            let mut dendro = match merges {
-                Some((sn, m)) if sn > 0 => Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?,
+            // The snapshot's merges are the tree when no delta follows it;
+            // otherwise build, as `observe` does.
+            let dendro = match merges {
+                Some((sn, m)) if sn == n => Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?,
                 _ => Dendrogram::build(&matrix, pipe.cfg.linkage)?,
             };
-            dendro.extend(&matrix)?;
             pipe.matrix = Some(matrix);
             pipe.dendro = Some(dendro);
         }
@@ -581,8 +574,9 @@ impl RecoverablePipeline {
     }
 
     /// Ingest one observation: push it into the series, extend the matrix
-    /// and dendrogram behind the divergence guard, fold any divergence
-    /// events into the health record, and journal the delta durably.
+    /// behind the divergence guard, build the dendrogram over it, fold any
+    /// divergence events into the health record, and journal the delta
+    /// durably.
     pub fn observe(&mut self, v: RoutingVector, health: CampaignHealth) -> Result<()> {
         self.observe_with_latency(v, None, health)
     }
@@ -629,12 +623,9 @@ impl RecoverablePipeline {
             )?,
         }
         let matrix = self.matrix.as_ref().expect("matrix exists after extend");
-        match &mut self.dendro {
-            None => self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?),
-            Some(dd) => dd.extend_guarded(matrix, &mut self.dendro_guard)?,
-        }
+        self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?);
         let mut health = health;
-        health.divergences += self.phi_guard.drain_new() + self.dendro_guard.drain_new();
+        health.divergences += self.phi_guard.drain_new();
         let mut payload = Vec::new();
         let vec = self.series.get(i);
         codec::put_i64(&mut payload, vec.time().as_secs());
@@ -982,15 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn restored_non_canonical_prefix_is_caught_by_the_dendrogram_guard() {
-        // One check in two rows: on a counter shared by the Φ and the
-        // dendrogram extends, every sample would land on the Φ extend.
+    fn restored_non_canonical_tree_is_replaced_on_the_next_observe() {
         let complete = || PipelineConfig {
             linkage: Linkage::Complete,
-            sampling: SamplingRate {
-                eventful_every: 2,
-                quiet_every: 0,
-            },
+            sampling: SamplingRate::always(),
             ..cfg()
         };
         let sites = || SiteTable::from_names(["A", "B"]);
@@ -1001,8 +987,8 @@ mod tests {
             live.observe(vec_at(day, v), health(day)).unwrap();
         }
         // Observations {0, 1} and {2, 3} tie at distance 0. Snapshot them
-        // merged (2, 3) before (0, 1): each merge is genuine, so a replay
-        // accepts the prefix, but no batch build records that order.
+        // merged (2, 3) before (0, 1): each merge is genuine, but no batch
+        // build records that order.
         let m = live.matrix().unwrap();
         let (tie, far) = (m.distance(0, 1), m.distance(0, 2));
         let merge = |a, b, distance, size| Merge {
@@ -1016,18 +1002,25 @@ mod tests {
             merge(0, 1, tie, 2),
             merge(4, 5, far, 4),
         ];
-        live.dendro = Some(Dendrogram::from_parts(4, Linkage::Complete, poisoned).unwrap());
+        live.dendro = Some(Dendrogram::from_parts(4, Linkage::Complete, poisoned.clone()).unwrap());
         live.compact().unwrap();
+        // No delta follows the snapshot, so the restore adopts its merges.
         let mut restored =
             RecoverablePipeline::from_bytes(live.bytes().to_vec(), sites(), 4, complete()).unwrap();
-        // Observation 4 lies 0.25 from {0, 1}, above the tie, so its
-        // extend replays both poisoned merges.
+        assert_eq!(restored.dendrogram().unwrap().merges(), &poisoned[..]);
+        // The next observation builds the tree over the grown matrix: the
+        // poisoned merges are gone, and no guard had anything to repair.
         restored
             .observe(vec_at(4, [0, 0, 1, 0]), health(4))
             .unwrap();
-        assert_eq!(restored.health().last().unwrap().divergences, 1);
+        assert_eq!(restored.health().last().unwrap().divergences, 0);
         let batch = Dendrogram::build(restored.matrix().unwrap(), Linkage::Complete).unwrap();
         assert_eq!(restored.dendrogram().unwrap().merges(), batch.merges());
+        // With a delta after the snapshot, a restore builds as well.
+        let again =
+            RecoverablePipeline::from_bytes(restored.bytes().to_vec(), sites(), 4, complete())
+                .unwrap();
+        assert_eq!(again.dendrogram().unwrap().merges(), batch.merges());
     }
 
     #[test]

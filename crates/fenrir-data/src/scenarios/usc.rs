@@ -141,7 +141,9 @@ pub fn usc(scale: Scale) -> UscStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fenrir_core::similarity::{phi, UnknownPolicy};
+    use fenrir_core::cluster::{AdaptiveThreshold, Linkage};
+    use fenrir_core::modes::ModeAnalysis;
+    use fenrir_core::similarity::{phi, SimilarityMatrix, UnknownPolicy};
     use fenrir_core::vector::Catchment;
     use fenrir_core::weight::Weights;
 
@@ -194,6 +196,31 @@ mod tests {
             across < within_before - 0.1,
             "across-change Φ {across:.3} vs stable Φ {within_before:.3}"
         );
+    }
+
+    /// Fig. 2 through the chain `repro --exp fig2` runs: hop-3 Φ under the
+    /// known-only policy, then average-linkage modes at the paper's
+    /// adaptive threshold. The figures are the ones EXPERIMENTS.md reports.
+    #[test]
+    fn fig2_finds_two_modes_split_on_2025_01_16() {
+        let s = usc(Scale::Test);
+        let hop3 = s.result.hop(3);
+        let w = Weights::uniform(hop3.networks());
+        let sim = SimilarityMatrix::compute(hop3, &w, UnknownPolicy::KnownOnly).unwrap();
+        let modes = ModeAnalysis::discover(
+            &sim,
+            &s.times,
+            Linkage::Average,
+            AdaptiveThreshold::default(),
+        )
+        .unwrap();
+        let sizes: Vec<usize> = modes.modes.iter().map(|m| m.len()).collect();
+        assert_eq!(sizes, [21, 10]);
+        assert!(modes.modes.iter().all(|m| !m.recurs()));
+        let opens = s.times[modes.modes[1].members[0]];
+        assert_eq!(opens, Timestamp::from_ymd(2025, 1, 16));
+        let (lo, hi) = modes.inter_phi(&sim, 0, 1).unwrap();
+        assert_eq!(format!("[{lo:.2}, {hi:.2}]"), "[0.42, 0.46]");
     }
 
     #[test]

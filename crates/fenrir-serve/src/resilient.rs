@@ -1,7 +1,7 @@
 //! A resilient, replica-aware query client.
 //!
-//! [`ResilientClient`] wraps the blocking [`Client`](crate::Client)
-//! with the serving-side half of the graceful-degradation playbook:
+//! [`ResilientClient`] wraps the blocking [`Client`] with the
+//! serving-side half of the graceful-degradation playbook:
 //!
 //! * **connect/read timeouts** — every attempt is bounded; a stuck
 //!   socket costs one attempt, never the caller's whole deadline;

@@ -221,21 +221,26 @@ struct SubscriberHub {
 impl SubscriberHub {
     #[cfg(test)]
     fn add(&self, tx: SyncSender<StreamEvent>, lagged: Arc<AtomicU64>) -> u64 {
-        self.add_with_replay(tx, lagged, Vec::new())
+        self.add_with_replay(tx, lagged, Vec::new)
     }
 
-    /// Register a subscriber, first seeding its queue with `replay`
-    /// events (a reconnect's missed transitions). Replay and
-    /// registration happen under the subscriber lock so a concurrent
-    /// broadcast can never interleave a live event *between* replayed
-    /// ones. An event announced just before the lock was taken may
-    /// still arrive twice — once replayed, once broadcast — which is
-    /// the protocol's at-least-once contract; clients deduplicate.
+    /// Register a subscriber, first seeding its queue with the events
+    /// `replay` returns (a reconnect's missed transitions).
+    ///
+    /// `replay` runs under the lock [`Self::broadcast`] takes, and the
+    /// subscriber is registered before it is released. So a transition
+    /// announced before `replay` reads the history is replayed, and one
+    /// announced later is broadcast to the registered subscriber: none is
+    /// lost, and no live event lands *between* replayed ones. One
+    /// announced before `replay` but broadcast after the lock is released
+    /// arrives twice — the protocol's at-least-once contract; clients
+    /// deduplicate. The lock adds no lock order: no caller holds a
+    /// handler's lock while broadcasting.
     fn add_with_replay(
         &self,
         tx: SyncSender<StreamEvent>,
         lagged: Arc<AtomicU64>,
-        replay: Vec<StreamEvent>,
+        replay: impl FnOnce() -> Vec<StreamEvent>,
     ) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let handle = BroadcastHandle {
@@ -246,7 +251,7 @@ impl SubscriberHub {
             dropped: AtomicU64::new(0),
         };
         let mut subs = self.subs.lock();
-        for event in replay {
+        for event in replay() {
             self.deliver(&handle, event);
         }
         subs.push(handle);
@@ -1023,8 +1028,10 @@ fn handle_subscribe(
                     // A resuming client gets the transitions it missed
                     // replayed into its queue before it goes live;
                     // `events_since` starts with a `Lagged` marker when
-                    // the cursor predates retained history.
-                    let replay = match (resume_from, &shared.stream) {
+                    // the cursor predates retained history. The hub
+                    // reads the history under its lock, so no transition
+                    // slips between the replay and the live stream.
+                    let replay = || match (resume_from, &shared.stream) {
                         (Some(from), Some(handler)) => handler.events_since(from),
                         _ => Vec::new(),
                     };
@@ -1278,6 +1285,12 @@ fn cached_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::protocol::SubmitOutcome;
+    use crate::store::StoreOptions;
+    use fenrir_core::ids::SiteTable;
+    use fenrir_core::time::Timestamp;
+    use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1332,11 +1345,9 @@ mod tests {
     fn replay_precedes_live_events_and_stats_count_per_subscriber() {
         let hub = SubscriberHub::default();
         let (tx, rx) = sync_channel(8);
-        let id = hub.add_with_replay(
-            tx,
-            Arc::new(AtomicU64::new(0)),
-            vec![transition(3), transition(4)],
-        );
+        let id = hub.add_with_replay(tx, Arc::new(AtomicU64::new(0)), || {
+            vec![transition(3), transition(4)]
+        });
 
         // Replayed history lands ahead of anything broadcast later.
         hub.broadcast(&[transition(5)]);
@@ -1354,6 +1365,92 @@ mod tests {
                 lagged_drops: 0,
             }]
         );
+    }
+
+    /// A handler whose `events_since`, between reading the announce
+    /// history and returning it, has another connection submit one more
+    /// transition and waits (at most a second) for its ack: the window in
+    /// which a resuming subscriber could miss a transition.
+    struct SubmitDuringReplay {
+        announced: Mutex<Vec<StreamEvent>>,
+        addr: std::sync::OnceLock<SocketAddr>,
+    }
+
+    impl StreamHandler for SubmitDuringReplay {
+        fn submit(
+            &self,
+            seq: u64,
+            _time: i64,
+            _codes: &[u16],
+            _health: CampaignHealth,
+        ) -> (Reply, Vec<StreamEvent>) {
+            self.announced.lock().push(transition(seq));
+            let outcome = SubmitOutcome::Accepted {
+                observations: seq + 1,
+                transitions: 1,
+            };
+            (Reply::SubmitAck { seq, outcome }, vec![transition(seq)])
+        }
+
+        fn events_since(&self, from: u64) -> Vec<StreamEvent> {
+            let replay = self.announced.lock()[from as usize..].to_vec();
+            let addr = *self.addr.get().expect("server address");
+            let (acked, ack) = sync_channel(1);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let submit = Request::Submit {
+                    seq: 1,
+                    time: 86_400,
+                    codes: vec![0],
+                    health: CampaignHealth::new(Timestamp::from_secs(86_400), 1),
+                };
+                let _ = client.request(&submit);
+                let _ = acked.send(());
+            });
+            let _ = ack.recv_timeout(Duration::from_secs(1));
+            replay
+        }
+    }
+
+    #[test]
+    fn transition_announced_while_a_subscriber_resumes_is_delivered() {
+        let pipe =
+            RecoverablePipeline::in_memory(SiteTable::from_names(["A"]), 1, PipelineConfig::new(1))
+                .unwrap();
+        let opts = StoreOptions {
+            allow_empty: true,
+            ..StoreOptions::default()
+        };
+        let store = Arc::new(ModeStore::from_pipeline(&pipe, opts).unwrap());
+        let handler = Arc::new(SubmitDuringReplay {
+            announced: Mutex::new(vec![transition(0)]),
+            addr: std::sync::OnceLock::new(),
+        });
+        let server =
+            Server::start_with_stream(store, handler.clone(), ServeConfig::default()).unwrap();
+        handler.addr.set(server.addr()).unwrap();
+
+        let mut sub = Client::connect(server.addr()).unwrap();
+        sub.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sub.send(&Request::Subscribe {
+            enable: true,
+            resume_from: Some(0),
+        })
+        .unwrap();
+        sub.flush().unwrap();
+        // The reply and the pushed events share the socket in any order.
+        let mut events = Vec::new();
+        while events.len() < 2 {
+            match sub.recv() {
+                Ok(Reply::Event(e)) => events.push(e),
+                Ok(Reply::Subscribed { .. }) => {}
+                other => panic!("after {events:?}: {other:?}"),
+            }
+        }
+        // Transition 0 is replayed; transition 1, submitted while the
+        // replay was being read, arrives live instead of being lost.
+        assert_eq!(events, [transition(0), transition(1)]);
+        server.shutdown();
     }
 
     #[test]

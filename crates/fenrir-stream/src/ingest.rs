@@ -4,13 +4,13 @@
 //! [`StreamIngestor`] is the serve fleet's write path. Each accepted
 //! `Submit` frame is appended to a [`RecoverablePipeline`] journal —
 //! `fsync`ed *before* the ack leaves the server — and folded into the
-//! live analysis state through the exact incremental entry points the
-//! batch pipeline uses ([`SimilarityMatrix::extend`],
-//! [`Dendrogram::extend`] behind the divergence guard,
-//! [`AdaptiveThreshold::choose`]), so after any prefix of submissions
-//! the streamed matrix, merge tree, threshold and mode labels are
-//! bit-identical to a batch recomputation over the same observations —
-//! including across a kill/restart at any frame boundary.
+//! live analysis state through the exact entry points the batch
+//! pipeline uses ([`SimilarityMatrix::extend`] behind the divergence
+//! guard, [`Dendrogram::build`], [`AdaptiveThreshold::choose`]), so
+//! after any prefix of submissions the streamed matrix, merge tree,
+//! threshold and mode labels are bit-identical to a batch
+//! recomputation over the same observations — including across a
+//! kill/restart at any frame boundary.
 //!
 //! ## Sequencing
 //!
