@@ -47,7 +47,7 @@ fn epoch_frames(rng: &mut ChaCha8Rng) -> Vec<(u16, Vec<u8>)> {
             let payload: Vec<u8> = (0..FRAME_PAYLOAD / 8)
                 .flat_map(|_| rng.gen::<u64>().to_le_bytes())
                 .collect();
-            (0x22u16, payload)
+            (0x12u16, payload)
         })
         .collect()
 }

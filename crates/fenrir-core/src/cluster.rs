@@ -509,42 +509,6 @@ impl Dendrogram {
         Ok(())
     }
 
-    /// Rebuild a tree from previously recorded parts — the journal restore
-    /// path, reusing a snapshot's persisted merges instead of re-clustering.
-    /// Validates the merge count (`n − 1` for a complete tree), ascending
-    /// distance order, and the scipy id convention (merge `k` references
-    /// only clusters `< n + k` and creates cluster `n + k`).
-    pub fn from_parts(n: usize, linkage: Linkage, merges: Vec<Merge>) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::EmptyInput("dendrogram leaves"));
-        }
-        if merges.len() != n - 1 {
-            return Err(Error::ShapeMismatch {
-                what: "dendrogram merges",
-                expected: n - 1,
-                actual: merges.len(),
-            });
-        }
-        for (k, m) in merges.iter().enumerate() {
-            if m.a >= m.b || m.b >= n + k || m.size < 2 || m.size > n {
-                return Err(Error::InvalidParameter {
-                    name: "merges",
-                    message: format!("merge {k} ({m:?}) violates the id/size convention"),
-                });
-            }
-        }
-        if merges
-            .windows(2)
-            .any(|w| w[0].distance.total_cmp(&w[1].distance).is_gt())
-        {
-            return Err(Error::InvalidParameter {
-                name: "merges",
-                message: "merge distances are not ascending".into(),
-            });
-        }
-        Ok(Dendrogram { n, linkage, merges })
-    }
-
     /// The linkage this tree was built with.
     pub fn linkage(&self) -> Linkage {
         self.linkage
@@ -1056,32 +1020,6 @@ mod tests {
         assert_eq!(d.merges(), &before[..]);
         let small = sim_from_dist(2, |_, _| 0.5);
         assert!(d.extend(&small).is_err());
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let d = Dendrogram::build(&two_blobs(), Linkage::Average).unwrap();
-        let back = Dendrogram::from_parts(d.len(), d.linkage(), d.merges().to_vec()).unwrap();
-        assert_eq!(back.merges(), d.merges());
-        assert_eq!(back.len(), d.len());
-        assert_eq!(back.linkage(), d.linkage());
-    }
-
-    #[test]
-    fn from_parts_rejects_malformed_trees() {
-        let d = Dendrogram::build(&two_blobs(), Linkage::Single).unwrap();
-        let merges = d.merges().to_vec();
-        // Wrong merge count.
-        assert!(Dendrogram::from_parts(d.len(), Linkage::Single, merges[..2].to_vec()).is_err());
-        // Descending distances.
-        let mut reversed = merges.clone();
-        reversed.reverse();
-        assert!(Dendrogram::from_parts(d.len(), Linkage::Single, reversed).is_err());
-        // Id out of the scipy range for its position.
-        let mut bad = merges.clone();
-        bad[0].b = d.len() + 5;
-        assert!(Dendrogram::from_parts(d.len(), Linkage::Single, bad).is_err());
-        assert!(Dendrogram::from_parts(0, Linkage::Single, vec![]).is_err());
     }
 
     #[test]

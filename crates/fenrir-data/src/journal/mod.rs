@@ -13,8 +13,11 @@
 //!   drops it, reports it in a [`RecoveryReport`], and resumes from the
 //!   clean prefix instead of poisoning the load.
 //! * **Unbounded growth.** Append-only journals grow forever; snapshot
-//!   frames let a sink periodically rewrite the journal as one folded
-//!   snapshot plus subsequent deltas (see [`sink`] and [`pipeline`]).
+//!   frames let a campaign sink periodically rewrite its journal as one
+//!   folded snapshot plus subsequent deltas ([`sink`]), and a tiered
+//!   journal moves sealed history to an object tier
+//!   ([`crate::storage::tiered`]). A pipeline journal holds each
+//!   observation once and only grows ([`pipeline`]).
 //! * **Version drift.** The header carries a format version; a journal
 //!   from an incompatible future version is refused with a typed error
 //!   rather than misread.
@@ -43,7 +46,7 @@ use fenrir_core::error::{Error, Result};
 use fenrir_wire::checksum::internet_checksum;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// First four bytes of every journal file.
@@ -137,7 +140,7 @@ fn io_err(what: &'static str, e: std::io::Error) -> Error {
 
 /// Encode `frames` as complete journal bytes (header included) — the
 /// shared serializer behind [`Journal::rewrite`] and the tiered
-/// storage layer's sealed snapshot segments.
+/// storage layer's sealed epoch segments.
 pub(crate) fn encode_frames(frames: &[(u16, Vec<u8>)]) -> Result<Vec<u8>> {
     let mut buf = header_bytes().to_vec();
     for (kind, payload) in frames {
@@ -349,8 +352,9 @@ impl Journal {
     }
 
     /// Open (or create) a file-backed journal, recovering the clean
-    /// prefix. A torn tail is truncated off the file on open, so a second
-    /// crash cannot re-discover the same garbage. A leftover
+    /// prefix. The file is never rewritten: a torn tail is cut off on
+    /// open, so a second crash cannot re-discover the same garbage; an
+    /// empty file gets its header; and appends go to its end. A leftover
     /// `.compact.tmp` from a crash mid-compaction is removed — whatever
     /// it holds, the named journal file is the authority, and keeping
     /// the staging file around would leak it indefinitely.
@@ -360,26 +364,27 @@ impl Journal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("journal tmp cleanup", e)),
         }
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("journal read", e)),
-        };
-        let (frames, report) = Self::decode(&bytes)?;
-        let mut buf = bytes;
-        buf.truncate(report.clean_bytes);
-        if buf.is_empty() {
-            buf = header_bytes().to_vec();
-        }
         let mut file = OpenOptions::new()
             .create(true)
-            .write(true)
-            .truncate(true)
+            .read(true)
+            .append(true)
             .open(path)
             .map_err(|e| io_err("journal open", e))?;
-        file.write_all(&buf)
-            .map_err(|e| io_err("journal write", e))?;
-        file.sync_data().map_err(|e| io_err("journal sync", e))?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)
+            .map_err(|e| io_err("journal read", e))?;
+        let (frames, report) = Self::decode(&buf)?;
+        if buf.is_empty() {
+            buf = header_bytes().to_vec();
+            file.write_all(&buf)
+                .map_err(|e| io_err("journal write", e))?;
+            file.sync_data().map_err(|e| io_err("journal sync", e))?;
+        } else if report.dropped_bytes > 0 {
+            buf.truncate(report.clean_bytes);
+            file.set_len(report.clean_bytes as u64)
+                .map_err(|e| io_err("journal truncate", e))?;
+            file.sync_data().map_err(|e| io_err("journal sync", e))?;
+        }
         Ok((
             Journal {
                 buf,
@@ -534,6 +539,33 @@ mod tests {
         let (_, frames, report) = Journal::open(&path).unwrap();
         assert_eq!(frames.len(), 1);
         assert!(report.is_clean());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Bytes this thread has written through system calls so far.
+    #[cfg(target_os = "linux")]
+    fn thread_wchar() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+        let line = io.lines().find_map(|l| l.strip_prefix("wchar: "));
+        line.unwrap().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn opening_a_clean_journal_writes_nothing() {
+        let path = std::env::temp_dir().join(format!("fenrir-open-{}.fnrj", std::process::id()));
+        let mut j = Journal::in_memory();
+        for kind in 0..16u16 {
+            j.append(kind, &vec![kind as u8; 64 * 1024]).unwrap();
+        }
+        std::fs::write(&path, j.bytes()).unwrap();
+        let before = thread_wchar();
+        let (_, frames, report) = Journal::open(&path).unwrap();
+        let written = thread_wchar() - before;
+        assert!(report.is_clean());
+        assert_eq!(frames.len(), 16);
+        assert!(written < HEADER_LEN as u64, "wrote {written}");
+        assert_eq!(std::fs::read(&path).unwrap(), j.bytes());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -4,12 +4,14 @@
 //! The measurement side checkpoints raw sweeps ([`super::sink`]); this
 //! module journals the *derived* state so a crash does not force the
 //! O(T²) similarity matrix to be recomputed from scratch. Each observed
-//! vector appends one delta frame carrying the observation, its condensed
-//! similarity row (the only matrix cells a new observation adds — history
-//! rows never change), and its health record; snapshots additionally
-//! persist the dendrogram merges. Every observation builds the tree over
-//! the grown matrix, and so does a restore, unless no delta follows the
-//! snapshot: then the snapshot's merges are the tree.
+//! vector appends one [`KIND_OBSERVATION`] frame carrying the observation,
+//! its condensed similarity row (the only matrix cells a new observation
+//! adds — history rows never change) and its health record, followed by a
+//! [`KIND_OBS_LATENCY`] frame when it carries a latency panel. A journal
+//! holds each observation exactly once: a flat journal only ever grows,
+//! and a tiered journal's seal writes the same frames, after the meta
+//! frame, into the object tier. Every observation builds the tree over the
+//! grown matrix, and so does a restore.
 //!
 //! Restores are bit-exact: journaled Φ rows are the exact IEEE-754 bits
 //! the pipeline computed, and the tree is a pure function of them — the
@@ -30,7 +32,7 @@ use super::codec::{self, Dec};
 use super::{Backend, Frame, Journal, RecoveryReport};
 use crate::storage::tiered::hydrate_latest;
 use crate::storage::{RetryPolicy, Storage, TieredJournal};
-use fenrir_core::cluster::{Dendrogram, Linkage, Merge};
+use fenrir_core::cluster::{Dendrogram, Linkage};
 use fenrir_core::error::{Error, Result};
 use fenrir_core::guard::{DivergenceGuard, SamplingRate};
 use fenrir_core::health::CampaignHealth;
@@ -48,8 +50,7 @@ use std::sync::Arc;
 pub const KIND_PIPELINE_META: u16 = 0x20;
 /// Frame kind: one observation delta (vector + Φ row + health).
 pub const KIND_OBSERVATION: u16 = 0x21;
-/// Frame kind: folded snapshot (series + matrix + merge tree + health).
-pub const KIND_PIPELINE_SNAPSHOT: u16 = 0x22;
+// Kind 0x22 held a folded snapshot in older builds and stays reserved.
 /// Frame kind: latency panel for one already-journaled observation.
 pub const KIND_OBS_LATENCY: u16 = 0x23;
 
@@ -66,14 +67,15 @@ pub struct PipelineConfig {
     pub linkage: Linkage,
     /// Divergence-guard sampling rate for the Φ extend.
     pub sampling: SamplingRate,
-    /// Compact once this many observation deltas accumulate after the
-    /// last snapshot (`None` = never compact automatically).
+    /// On a tiered journal, seal once this many observations accumulate
+    /// in the hot tail (`None` = never seal automatically). A flat
+    /// journal only grows, so it ignores the cadence.
     pub compact_every: Option<usize>,
 }
 
 impl PipelineConfig {
     /// Uniform weights, paper-default policy and linkage, build-default
-    /// guard sampling, compaction every 64 observations.
+    /// guard sampling, a seal every 64 observations.
     pub fn new(networks: usize) -> Self {
         PipelineConfig {
             weights: Weights::uniform(networks),
@@ -227,10 +229,10 @@ impl RecoverablePipeline {
 
     /// Open (or create) a tiered pipeline journal: the hot tail lives at
     /// `hot_path`, sealed epochs live under `prefix` in the object tier,
-    /// and [`Self::compact`] seals into the tier instead of rewriting
-    /// the local file. Recovery restores the current epoch's snapshot
-    /// plus the hot deltas, finishing any seal that crashed after its
-    /// commit point (see [`TieredJournal`]).
+    /// and [`Self::compact`] seals every observation into the tier.
+    /// Recovery replays the current epoch's observations plus the hot
+    /// tail's, finishing any seal that crashed after its commit point
+    /// (see [`TieredJournal`]).
     pub fn open_tiered(
         hot_path: &Path,
         store: Arc<dyn Storage>,
@@ -390,10 +392,8 @@ impl RecoverablePipeline {
         }
         pipe.check_meta(&first.payload)?;
         // Collect the clean prefix, then rebuild the derived state once.
-        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut condensed: Vec<f64> = Vec::new();
         let mut vectors: Vec<RoutingVector> = Vec::new();
-        let mut panels: Vec<Option<LatencyPanel>> = Vec::new();
-        let mut merges: Option<(usize, Vec<Merge>)> = None;
         for frame in &frames[1..] {
             match frame.kind {
                 KIND_OBSERVATION => {
@@ -424,8 +424,8 @@ impl RecoverablePipeline {
                         });
                     }
                     vectors.push(RoutingVector::from_codes(Timestamp::from_secs(t), codes));
-                    rows.push(row);
-                    panels.push(None);
+                    condensed.extend(row);
+                    pipe.panels.push(None);
                     pipe.health.push(health);
                 }
                 KIND_OBS_LATENCY => {
@@ -448,62 +448,7 @@ impl RecoverablePipeline {
                             ),
                         });
                     }
-                    panels[idx] = Some(LatencyPanel::new(Timestamp::from_secs(t), samples));
-                }
-                KIND_PIPELINE_SNAPSHOT => {
-                    let mut d = Dec::new(&frame.payload, "pipeline snapshot");
-                    let n = d.seq_len(8)?;
-                    let mut snap_vectors = Vec::with_capacity(n);
-                    let mut snap_rows = Vec::with_capacity(n);
-                    for i in 0..n {
-                        let t = d.i64()?;
-                        let ncodes = d.seq_len(2)?;
-                        let codes = (0..ncodes).map(|_| d.u16()).collect::<Result<Vec<_>>>()?;
-                        let nr = d.seq_len(8)?;
-                        let row = (0..nr).map(|_| d.f64()).collect::<Result<Vec<_>>>()?;
-                        if codes.len() != networks || row.len() != i + 1 {
-                            return Err(Error::Corrupted {
-                                what: "pipeline snapshot",
-                                offset: 0,
-                                message: format!("malformed observation {i}"),
-                            });
-                        }
-                        snap_vectors
-                            .push(RoutingVector::from_codes(Timestamp::from_secs(t), codes));
-                        snap_rows.push(row);
-                    }
-                    let nm = d.seq_len(8)?;
-                    let snap_merges = (0..nm)
-                        .map(|_| {
-                            Ok(Merge {
-                                a: d.usize()?,
-                                b: d.usize()?,
-                                distance: d.f64()?,
-                                size: d.usize()?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    let nh = d.seq_len(8)?;
-                    let snap_health = (0..nh)
-                        .map(|_| codec::read_health(&mut d))
-                        .collect::<Result<Vec<_>>>()?;
-                    d.finish()?;
-                    if snap_health.len() != n || (n > 0 && snap_merges.len() != n - 1) {
-                        return Err(Error::Corrupted {
-                            what: "pipeline snapshot",
-                            offset: 0,
-                            message: format!(
-                                "{n} observations with {} merges / {} health records",
-                                snap_merges.len(),
-                                snap_health.len()
-                            ),
-                        });
-                    }
-                    vectors = snap_vectors;
-                    rows = snap_rows;
-                    panels = vec![None; n];
-                    merges = Some((n, snap_merges));
-                    pipe.health = snap_health;
+                    pipe.panels[idx] = Some(LatencyPanel::new(Timestamp::from_secs(t), samples));
                 }
                 kind => {
                     return Err(Error::Corrupted {
@@ -514,22 +459,23 @@ impl RecoverablePipeline {
                 }
             }
         }
-        pipe.deltas = vectors.len() - merges.as_ref().map_or(0, |(n, _)| *n);
-        pipe.panels = panels;
+        // Observations past the sealed epoch count toward the next seal.
+        let sealed = journal
+            .tier()
+            .and_then(|t| t.manifest().entry(t.base_gen()))
+            .map_or(0, |e| e.frames as usize);
+        pipe.deltas = frames
+            .iter()
+            .skip(sealed)
+            .filter(|f| f.kind == KIND_OBSERVATION)
+            .count();
         if !vectors.is_empty() {
             let n = vectors.len();
             pipe.series =
                 VectorSeries::from_vectors(pipe.series.sites().clone(), networks, vectors)?;
-            let condensed: Vec<f64> = rows.into_iter().flatten().collect();
             let matrix = SimilarityMatrix::from_condensed(n, condensed)?;
-            // The snapshot's merges are the tree when no delta follows it;
-            // otherwise build, as `observe` does.
-            let dendro = match merges {
-                Some((sn, m)) if sn == n => Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?,
-                _ => Dendrogram::build(&matrix, pipe.cfg.linkage)?,
-            };
+            pipe.dendro = Some(Dendrogram::build(&matrix, pipe.cfg.linkage)?);
             pipe.matrix = Some(matrix);
-            pipe.dendro = Some(dendro);
         }
         pipe.journal = journal;
         Ok(pipe)
@@ -574,16 +520,21 @@ impl RecoverablePipeline {
     }
 
     /// Ingest one observation: push it into the series, extend the matrix
-    /// behind the divergence guard, build the dendrogram over it, fold any
-    /// divergence events into the health record, and journal the delta
-    /// durably.
+    /// behind the divergence guard, fold any divergence events into the
+    /// health record, journal the delta durably, and build the dendrogram
+    /// over the grown matrix.
+    ///
+    /// Durable first: when the append fails, the series, matrix, tree,
+    /// health and panels stay as they were before the call.
     pub fn observe(&mut self, v: RoutingVector, health: CampaignHealth) -> Result<()> {
         self.observe_with_latency(v, None, health)
     }
 
     /// [`Self::observe`] plus an optional aligned latency panel, journaled
     /// durably in its own frame so read-only consumers can serve
-    /// per-catchment latency summaries for this observation.
+    /// per-catchment latency summaries for this observation. When only
+    /// the panel's append fails, the observation stays, durable and
+    /// without a panel, and the error is returned.
     pub fn observe_with_latency(
         &mut self,
         v: RoutingVector,
@@ -622,70 +573,83 @@ impl RecoverablePipeline {
                 &mut self.phi_guard,
             )?,
         }
-        let matrix = self.matrix.as_ref().expect("matrix exists after extend");
-        self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?);
         let mut health = health;
         health.divergences += self.phi_guard.drain_new();
-        let mut payload = Vec::new();
-        let vec = self.series.get(i);
-        codec::put_i64(&mut payload, vec.time().as_secs());
-        codec::put_seq(&mut payload, vec.codes(), |o, &c| codec::put_u16(o, c));
-        codec::put_seq(&mut payload, matrix.condensed_row(i), |o, &p| {
-            codec::put_f64(o, p)
-        });
-        codec::put_health(&mut payload, &health);
-        self.journal.append(KIND_OBSERVATION, &payload)?;
         self.health.push(health);
+        if let Err(e) = self
+            .journal
+            .append(KIND_OBSERVATION, &self.delta_payload(i))
+        {
+            self.health.pop();
+            self.truncate(i)?;
+            return Err(e);
+        }
+        let matrix = self.matrix.as_ref().expect("matrix exists after extend");
+        self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?);
+        self.panels.push(None);
+        self.deltas += 1;
         if let Some(p) = panel {
             self.journal
                 .append(KIND_OBS_LATENCY, &latency_payload(i, &p))?;
-            self.panels.push(Some(p));
-        } else {
-            self.panels.push(None);
+            self.panels[i] = Some(p);
         }
-        self.deltas += 1;
         if self.cfg.compact_every.is_some_and(|n| self.deltas >= n) {
             self.compact()?;
         }
         Ok(())
     }
 
-    /// Fold everything into one snapshot frame (meta ‖ snapshot) — the
-    /// compaction that bounds journal growth and restore replay cost.
-    /// On a tiered pipeline this *seals* the folded state as a new epoch
-    /// in the object tier and resets the hot tail; on error (including
-    /// retry exhaustion against a throttling tier) the previous epoch,
-    /// the hot deltas, and the delta counter are all untouched, so the
-    /// next compaction attempt simply retries the seal.
-    pub fn compact(&mut self) -> Result<()> {
-        let mut snap = Vec::new();
-        codec::put_usize(&mut snap, self.series.len());
-        for (i, v) in self.series.vectors().iter().enumerate() {
-            codec::put_i64(&mut snap, v.time().as_secs());
-            codec::put_seq(&mut snap, v.codes(), |o, &c| codec::put_u16(o, c));
-            let row = self.matrix.as_ref().map_or(&[][..], |m| m.condensed_row(i));
-            codec::put_seq(&mut snap, row, |o, &p| codec::put_f64(o, p));
-        }
-        let merges = self.dendro.as_ref().map_or(&[][..], |d| d.merges());
-        codec::put_seq(&mut snap, merges, |o, m| {
-            codec::put_usize(o, m.a);
-            codec::put_usize(o, m.b);
-            codec::put_f64(o, m.distance);
-            codec::put_usize(o, m.size);
+    /// The [`KIND_OBSERVATION`] payload of observation `i`: its time and
+    /// codes, its condensed Φ row and its health record.
+    fn delta_payload(&self, i: usize) -> Vec<u8> {
+        let v = self.series.get(i);
+        let matrix = self.matrix.as_ref().expect("an observed series has Φ");
+        let mut out = Vec::new();
+        codec::put_i64(&mut out, v.time().as_secs());
+        codec::put_seq(&mut out, v.codes(), |o, &c| codec::put_u16(o, c));
+        codec::put_seq(&mut out, matrix.condensed_row(i), |o, &p| {
+            codec::put_f64(o, p)
         });
-        codec::put_seq(&mut snap, &self.health, codec::put_health);
-        let mut frames = vec![
-            (KIND_PIPELINE_META, self.meta_payload()),
-            (KIND_PIPELINE_SNAPSHOT, snap),
-        ];
-        // Latency panels survive compaction as their own frames after the
-        // snapshot (the snapshot layout itself is unchanged).
-        for (i, panel) in self.panels.iter().enumerate() {
-            if let Some(p) = panel {
-                frames.push((KIND_OBS_LATENCY, latency_payload(i, p)));
+        codec::put_health(&mut out, &self.health[i]);
+        out
+    }
+
+    /// Cut the series and matrix back to their first `n` observations,
+    /// rebuilt through their constructors: the undo of an observation
+    /// whose append failed.
+    fn truncate(&mut self, n: usize) -> Result<()> {
+        let sites = self.series.sites().clone();
+        let vectors = self.series.vectors()[..n].to_vec();
+        self.series = VectorSeries::from_vectors(sites, self.series.networks(), vectors)?;
+        self.matrix = match self.matrix.take() {
+            Some(m) if n > 0 => Some(SimilarityMatrix::from_condensed(
+                n,
+                m.raw()[..n * (n + 1) / 2].to_vec(),
+            )?),
+            _ => None,
+        };
+        Ok(())
+    }
+
+    /// Seal the pipeline into the object tier when it is tiered: the next
+    /// epoch holds the meta frame and then each observation's frames in
+    /// order — the frames a flat journal of the same observations holds —
+    /// and the hot tail resets. On error (including retry exhaustion
+    /// against a throttling tier) the previous epoch, the hot tail and
+    /// the seal counter are all untouched, so the next attempt simply
+    /// retries the seal. A flat journal holds each observation once
+    /// already and only grows, so this returns without I/O.
+    pub fn compact(&mut self) -> Result<()> {
+        if self.journal.tier().is_some() {
+            let mut frames = vec![(KIND_PIPELINE_META, self.meta_payload())];
+            for (i, panel) in self.panels.iter().enumerate() {
+                frames.push((KIND_OBSERVATION, self.delta_payload(i)));
+                if let Some(p) = panel {
+                    frames.push((KIND_OBS_LATENCY, latency_payload(i, p)));
+                }
             }
+            self.journal.replace_all(&frames)?;
         }
-        self.journal.replace_all(&frames)?;
         self.deltas = 0;
         Ok(())
     }
@@ -809,11 +773,13 @@ mod tests {
     }
 
     #[test]
-    fn restore_through_snapshot_and_further_deltas_is_bit_identical() {
+    fn flat_compaction_writes_nothing_and_restores_bit_identical() {
         let mut live =
             RecoverablePipeline::in_memory(SiteTable::from_names(["A", "B"]), 4, cfg()).unwrap();
         feed(&mut live, 0..6);
+        let before = live.bytes().to_vec();
         live.compact().unwrap();
+        assert_eq!(live.bytes(), &before[..], "a flat journal only grows");
         feed(&mut live, 6..11);
         let restored = RecoverablePipeline::from_bytes(
             live.bytes().to_vec(),
@@ -972,55 +938,88 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn set_file(pipe: &mut RecoverablePipeline, file: std::fs::File) {
+        let Backend::Flat(journal) = &mut pipe.journal else {
+            panic!("a file-backed pipeline is flat");
+        };
+        journal.file = Some(file);
+    }
+
     #[test]
-    fn restored_non_canonical_tree_is_replaced_on_the_next_observe() {
-        let complete = || PipelineConfig {
-            linkage: Linkage::Complete,
-            sampling: SamplingRate::always(),
-            ..cfg()
-        };
+    fn failed_append_leaves_no_ghost_observation() {
+        let path = std::env::temp_dir().join(format!("fenrir-ghost-{}.fnrj", std::process::id()));
+        let _ = std::fs::remove_file(&path);
         let sites = || SiteTable::from_names(["A", "B"]);
-        let health = |day: i64| CampaignHealth::new(Timestamp::from_days(day), 4);
-        let mut live = RecoverablePipeline::in_memory(sites(), 4, complete()).unwrap();
-        let pairs = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]];
-        for (day, v) in (0..).zip(pairs) {
-            live.observe(vec_at(day, v), health(day)).unwrap();
-        }
-        // Observations {0, 1} and {2, 3} tie at distance 0. Snapshot them
-        // merged (2, 3) before (0, 1): each merge is genuine, but no batch
-        // build records that order.
-        let m = live.matrix().unwrap();
-        let (tie, far) = (m.distance(0, 1), m.distance(0, 2));
-        let merge = |a, b, distance, size| Merge {
-            a,
-            b,
-            distance,
-            size,
+        let mut live = RecoverablePipeline::open(&path, sites(), 4, cfg()).unwrap();
+        feed(&mut live, 0..3);
+        let before = RecoverablePipeline::open_read_only(&path).unwrap();
+        let (v, panel) = (vec_at(3, [1, 1, 0, 0]), Some(panel_at(3)));
+        let health = CampaignHealth::new(Timestamp::from_days(3), 4);
+        // A read-only handle fails the append as a full disk would.
+        set_file(&mut live, std::fs::File::open(&path).unwrap());
+        let failed = live.observe_with_latency(v.clone(), panel.clone(), health.clone());
+        assert!(failed.is_err());
+        // Series, Φ, tree, health and panels keep their 3 observations.
+        assert_same(&live, &before);
+        assert_eq!(live.panels(), before.panels());
+        // The retry of the same row is accepted and restores bit for bit.
+        let writable = std::fs::OpenOptions::new().append(true).open(&path);
+        set_file(&mut live, writable.unwrap());
+        live.observe_with_latency(v, panel, health).unwrap();
+        let restored = RecoverablePipeline::open(&path, sites(), 4, cfg()).unwrap();
+        assert!(restored.recovery_report().is_clean());
+        assert_same(&live, &restored);
+        assert_eq!(restored.panels(), live.panels());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_sealed_epoch_holds_the_frames_of_a_flat_journal() {
+        let hot = std::env::temp_dir().join(format!("fenrir-sealed-{}.fnrj", std::process::id()));
+        let _ = std::fs::remove_file(&hot);
+        let store = crate::storage::ObjectSim::new(crate::storage::ObjectChaos::none(5));
+        let store: Arc<dyn Storage> = Arc::new(store.unwrap());
+        let open = || {
+            let mut cfg = cfg();
+            cfg.compact_every = Some(4);
+            let (retry, sites) = (RetryPolicy::once(), SiteTable::from_names(["A", "B"]));
+            RecoverablePipeline::open_tiered(&hot, store.clone(), "tier", retry, sites, 4, cfg)
+                .unwrap()
         };
-        let poisoned = vec![
-            merge(2, 3, tie, 2),
-            merge(0, 1, tie, 2),
-            merge(4, 5, far, 4),
-        ];
-        live.dendro = Some(Dendrogram::from_parts(4, Linkage::Complete, poisoned.clone()).unwrap());
-        live.compact().unwrap();
-        // No delta follows the snapshot, so the restore adopts its merges.
-        let mut restored =
-            RecoverablePipeline::from_bytes(live.bytes().to_vec(), sites(), 4, complete()).unwrap();
-        assert_eq!(restored.dendrogram().unwrap().merges(), &poisoned[..]);
-        // The next observation builds the tree over the grown matrix: the
-        // poisoned merges are gone, and no guard had anything to repair.
-        restored
-            .observe(vec_at(4, [0, 0, 1, 0]), health(4))
-            .unwrap();
-        assert_eq!(restored.health().last().unwrap().divergences, 0);
-        let batch = Dendrogram::build(restored.matrix().unwrap(), Linkage::Complete).unwrap();
-        assert_eq!(restored.dendrogram().unwrap().merges(), batch.merges());
-        // With a delta after the snapshot, a restore builds as well.
-        let again =
-            RecoverablePipeline::from_bytes(restored.bytes().to_vec(), sites(), 4, complete())
-                .unwrap();
-        assert_eq!(again.dendrogram().unwrap().merges(), batch.merges());
+        let mut flat =
+            RecoverablePipeline::in_memory(SiteTable::from_names(["A", "B"]), 4, cfg()).unwrap();
+        let mut tiered = open();
+        let observe = |pipe: &mut RecoverablePipeline, days: std::ops::Range<i64>| {
+            for day in days {
+                let v = vec_at(day, [0, (day % 3 == 0) as u16, 1, 1]);
+                let health = CampaignHealth::new(Timestamp::from_days(day), 4);
+                let panel = (day % 2 == 0).then(|| panel_at(day));
+                pipe.observe_with_latency(v, panel, health).unwrap();
+            }
+        };
+        let sealed = |pipe: &RecoverablePipeline| {
+            let tier = pipe.tier().unwrap();
+            let gen = tier.base_gen();
+            (gen, tier.hydrate_epoch(gen).unwrap())
+        };
+        let frames = |pipe: &RecoverablePipeline| Journal::decode(pipe.bytes()).unwrap().0;
+        observe(&mut flat, 0..6);
+        observe(&mut tiered, 0..6);
+        assert_eq!(sealed(&tiered).0, 1, "the fourth observation seals");
+        tiered.compact().unwrap();
+        assert_eq!(sealed(&tiered), (2, frames(&flat)));
+        // After a restart the hot tail's two observations still count:
+        // the second observation after it seals.
+        observe(&mut flat, 6..10);
+        observe(&mut tiered, 6..8);
+        drop(tiered);
+        let mut tiered = open();
+        observe(&mut tiered, 8..9);
+        assert_eq!(sealed(&tiered).0, 2);
+        observe(&mut tiered, 9..10);
+        assert_eq!(sealed(&tiered), (3, frames(&flat)));
+        assert_same(&flat, &tiered);
+        let _ = std::fs::remove_file(&hot);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   attempt budget and an overall deadline; exhaustion surfaces as a
 //!   typed [`Error::Exhausted`], never a hang.
 //! * [`tiered::TieredJournal`] — the composite tier: hot journal tail on
-//!   local disk, sealed snapshot segments pushed to the object tier
+//!   local disk, sealed epoch segments pushed to the object tier
 //!   under a checksummed manifest, cold epochs hydrated on demand.
 //! * [`lease::Lease`] — lease-based leadership over the tier: one
 //!   conditional-put-guarded record whose monotonically increasing

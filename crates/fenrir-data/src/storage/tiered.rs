@@ -1,13 +1,14 @@
 //! The tiered journal: hot tail on local disk, sealed epochs in the
 //! object tier, cold epochs hydrated on demand.
 //!
-//! A long-running campaign's journal grows without bound; compaction
-//! folds history into a snapshot, but the snapshot itself still lives on
-//! one disk. The tiered journal pushes each sealed snapshot — an
-//! **epoch** — to an object store as an immutable, checksummed FNRJ
-//! segment, recorded in a checksummed [`Manifest`], and keeps only a
-//! tiny hot tail locally: one [`KIND_TIER_BASE`] frame naming the epoch
-//! the tail extends, plus the deltas appended since that seal.
+//! A long-running campaign's journal grows without bound, and all of it
+//! lives on one disk. The tiered journal pushes the full logical state
+//! at each seal — an **epoch**: a campaign sink's folded snapshot, or a
+//! pipeline's meta frame and every observation's frames — to an object
+//! store as an immutable, checksummed FNRJ segment, recorded in a
+//! checksummed [`Manifest`], and keeps only a tiny hot tail locally: one
+//! [`KIND_TIER_BASE`] frame naming the epoch the tail extends, plus the
+//! deltas appended since that seal.
 //!
 //! ## The seal protocol and its crash points
 //!
@@ -27,7 +28,7 @@
 //!   [`TieredJournal::gc_orphans`] can reclaim it.
 //! * after 2, before 3 — the manifest's latest generation is *ahead* of
 //!   the hot tail's base. The deltas still sitting in the tail are by
-//!   construction folded into that newer epoch (a seal always seals the
+//!   construction already in that newer epoch (a seal always seals the
 //!   full logical state), so `open` finishes the interrupted step 3:
 //!   it resets the tail and serves the new epoch.
 //!
@@ -427,8 +428,8 @@ impl TieredJournal {
             })?;
         if manifest.latest_gen() > base_gen {
             // A seal committed its manifest but crashed before resetting
-            // the tail. The deltas here were folded into that newer
-            // epoch, so finishing the reset discards nothing.
+            // the tail. The deltas here are already in that newer epoch,
+            // so finishing the reset discards nothing.
             let gen = manifest.latest_gen();
             hot.rewrite(&[(KIND_TIER_BASE, gen.to_le_bytes().to_vec())])?;
             base_gen = gen;
@@ -543,8 +544,9 @@ impl TieredJournal {
         self.hot.append(kind, payload)
     }
 
-    /// Seal `frames` — the **full logical state**, e.g. a compaction's
-    /// folded snapshot — as the next epoch, then reset the hot tail.
+    /// Seal `frames` — the **full logical state**, e.g. a campaign
+    /// sink's folded snapshot or a pipeline's observations — as the next
+    /// epoch, then reset the hot tail.
     /// On success the logical journal content is exactly `frames`.
     ///
     /// Every storage failure path leaves the journal consistent: retry
@@ -825,7 +827,7 @@ mod tests {
                 .unwrap();
         old_leader.set_fence_epoch(1).unwrap();
         assert_eq!(old_leader.fence(), Some(1));
-        old_leader.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
+        old_leader.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         assert_eq!(old_leader.manifest().fence, 1);
 
         // A new leader takes over from its own hot tail under a higher
@@ -835,11 +837,11 @@ mod tests {
                 .unwrap();
         assert_eq!(frames[0].payload, b"epoch-1");
         new_leader.set_fence_epoch(2).unwrap();
-        new_leader.seal(&[(0x22, b"epoch-2".to_vec())]).unwrap();
+        new_leader.seal(&[(0x12, b"epoch-2".to_vec())]).unwrap();
 
         // The deposed leader's next seal must be refused, not
         // interleaved — and must not touch the committed manifest.
-        let err = old_leader.seal(&[(0x22, b"stale".to_vec())]).unwrap_err();
+        let err = old_leader.seal(&[(0x12, b"stale".to_vec())]).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -896,7 +898,7 @@ mod tests {
             assert!(frames.is_empty());
             tj.append(0x21, b"delta-1").unwrap();
             tj.append(0x21, b"delta-2").unwrap();
-            let gen = tj.seal(&[(0x22, b"snapshot-of-1-and-2".to_vec())]).unwrap();
+            let gen = tj.seal(&[(0x12, b"snapshot-of-1-and-2".to_vec())]).unwrap();
             assert_eq!(gen, 1);
             tj.append(0x21, b"delta-3").unwrap();
         }
@@ -911,7 +913,7 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (0x22, b"snapshot-of-1-and-2".as_slice()),
+                (0x12, b"snapshot-of-1-and-2".as_slice()),
                 (0x21, b"delta-3".as_slice()),
             ]
         );
@@ -925,9 +927,9 @@ mod tests {
         let store: Arc<dyn Storage> = Arc::new(ObjectSim::new(ObjectChaos::none(5)).unwrap());
         let (mut tj, _, _) =
             TieredJournal::open(&hot, store.clone(), "tier", quick_retry()).unwrap();
-        tj.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
-        tj.seal(&[(0x22, b"epoch-2".to_vec())]).unwrap();
-        tj.seal(&[(0x22, b"epoch-3".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-2".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-3".to_vec())]).unwrap();
         assert_eq!(tj.manifest().entries.len(), 3);
         let old = tj.hydrate_epoch(1).unwrap();
         assert_eq!(old[0].payload, b"epoch-1");
@@ -943,7 +945,7 @@ mod tests {
         let dyn_store: Arc<dyn Storage> = store.clone();
         let (mut tj, _, _) =
             TieredJournal::open(&hot, dyn_store.clone(), "tier", quick_retry()).unwrap();
-        tj.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         // Flip a byte inside the stored segment behind the tier's back.
         let key = segment_key("tier", 1);
         let mut bytes = store.get(&key).unwrap().unwrap();
@@ -971,8 +973,8 @@ mod tests {
         );
         let (mut tj, _, _) =
             TieredJournal::open(&hot, store.clone(), "tier", quick_retry()).unwrap();
-        tj.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
-        tj.seal(&[(0x22, b"epoch-2".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-2".to_vec())]).unwrap();
         let (gen, frames) = hydrate_latest(store.as_ref(), "tier", &quick_retry())
             .unwrap()
             .unwrap();
@@ -988,7 +990,7 @@ mod tests {
         let store = Arc::new(ObjectSim::new(ObjectChaos::none(13)).unwrap());
         let dyn_store: Arc<dyn Storage> = store.clone();
         let (mut tj, _, _) = TieredJournal::open(&hot, dyn_store, "tier", quick_retry()).unwrap();
-        tj.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
+        tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         // Fake the orphan a crashed seal would leave.
         store.put(&segment_key("tier", 2), b"half-sealed").unwrap();
         let gone = tj.gc_orphans().unwrap();

@@ -462,9 +462,14 @@ fn drain_and_stop_reaches_zero_inflight_before_stopping() {
     // Keep one slot-holding connection busy, then drain-and-stop
     // underneath it: the call must wait for the slot to empty (the
     // holder's connection closes after its burst) and only then stop.
+    // The drain starts only once the holder has its first answer, so
+    // it always has a slot to wait for.
     let addr = set.addrs()[1];
+    let (answered, first_answer) = std::sync::mpsc::channel();
     let busy = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
+        client.request(&Request::Mode { t: 0 }).unwrap();
+        answered.send(()).unwrap();
         // Each request is its own burst; the drain closes the
         // connection between bursts, surfacing as a typed error here.
         loop {
@@ -475,6 +480,7 @@ fn drain_and_stop_reaches_zero_inflight_before_stopping() {
         }
     });
 
+    first_answer.recv().unwrap();
     set.drain_and_stop(1, Duration::from_secs(5)).unwrap();
     assert!(!set.is_running(1), "replica stopped after the drain");
     busy.join().unwrap();

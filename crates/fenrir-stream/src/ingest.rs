@@ -82,7 +82,7 @@ fn vp_known(c: u16) -> bool {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Analysis parameters the journal is bound to (weights, unknown
-    /// policy, linkage, guard sampling, compaction cadence).
+    /// policy, linkage, guard sampling, seal cadence).
     pub pipeline: PipelineConfig,
     /// The adaptive threshold rule used to re-derive modes after each
     /// accepted fold.
@@ -345,8 +345,9 @@ impl StreamIngestor {
         state_bits(&self.inner.lock().pipe, &self.adaptive)
     }
 
-    /// Seal the journal's delta tail into a snapshot (or the object
-    /// tier for a tiered journal).
+    /// Seal a tiered journal's observations into the object tier. A
+    /// flat journal holds each observation once and only grows, so
+    /// there this does nothing.
     pub fn compact(&self) -> Result<()> {
         self.inner.lock().pipe.compact()
     }

@@ -155,7 +155,7 @@ fn compaction_between_restarts_preserves_the_state() {
     assert_eq!(
         ing.state_bits().expect("state"),
         expected[5],
-        "sealed snapshot restores the same bits as replaying deltas"
+        "a compaction leaves the restored bits as they were"
     );
     for row in &rows[6..] {
         accept(&ing, row);
