@@ -60,6 +60,14 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Append a UTF-8 string behind a `u16` length, for short names such
+/// as storage keys and lease holders. Callers keep such names under
+/// `u16::MAX` bytes: a longer one's length prefix would wrap.
+pub fn put_short_str(out: &mut Vec<u8>, s: &str) {
+    put_u16(out, s.len() as u16);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Append a length-prefixed sequence, one element at a time.
 pub fn put_seq<T>(out: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
     put_usize(out, items.len());
@@ -85,7 +93,8 @@ impl<'a> Dec<'a> {
         Dec { data, pos: 0, what }
     }
 
-    fn corrupt(&self, message: String) -> Error {
+    /// A typed [`Error::Corrupted`] at the current offset.
+    pub fn corrupt(&self, message: String) -> Error {
         Error::Corrupted {
             what: self.what,
             offset: self.pos,
@@ -173,11 +182,21 @@ impl<'a> Dec<'a> {
         }
     }
 
+    fn utf8(&mut self, n: usize) -> Result<String> {
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| self.corrupt(format!("invalid UTF-8: {e}")))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
         let n = self.seq_len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| self.corrupt(format!("invalid UTF-8: {e}")))
+        self.utf8(n)
+    }
+
+    /// Read a UTF-8 string behind a `u16` length ([`put_short_str`]).
+    pub fn short_str(&mut self) -> Result<String> {
+        let n = self.u16()?;
+        self.utf8(n.into())
     }
 
     /// Error unless the payload was consumed exactly.
@@ -396,12 +415,14 @@ mod tests {
         put_i64(&mut out, -5);
         put_f64(&mut out, 0.1 + 0.2);
         put_str(&mut out, "Φ-journal");
+        put_short_str(&mut out, "tier/manifest");
         put_bool(&mut out, true);
         let mut d = Dec::new(&out, "test");
         assert_eq!(d.u16().unwrap(), 0xBEEF);
         assert_eq!(d.i64().unwrap(), -5);
         assert_eq!(d.f64().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
         assert_eq!(d.str().unwrap(), "Φ-journal");
+        assert_eq!(d.short_str().unwrap(), "tier/manifest");
         assert!(d.bool().unwrap());
         d.finish().unwrap();
     }

@@ -46,7 +46,7 @@ use fenrir_core::error::{Error, Result};
 use fenrir_wire::checksum::internet_checksum;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// First four bytes of every journal file.
@@ -354,7 +354,8 @@ impl Journal {
     /// Open (or create) a file-backed journal, recovering the clean
     /// prefix. The file is never rewritten: a torn tail is cut off on
     /// open, so a second crash cannot re-discover the same garbage; an
-    /// empty file gets its header; and appends go to its end. A leftover
+    /// empty file gets its header; and appends go to the end of the
+    /// clean prefix (see [`Journal::append`]). A leftover
     /// `.compact.tmp` from a crash mid-compaction is removed — whatever
     /// it holds, the named journal file is the authority, and keeping
     /// the staging file around would leak it indefinitely.
@@ -367,7 +368,8 @@ impl Journal {
         let mut file = OpenOptions::new()
             .create(true)
             .read(true)
-            .append(true)
+            .write(true)
+            .truncate(false)
             .open(path)
             .map_err(|e| io_err("journal open", e))?;
         let mut buf = Vec::new();
@@ -397,7 +399,10 @@ impl Journal {
     }
 
     /// Append one frame. File-backed journals flush before returning:
-    /// success means the frame is durable.
+    /// success means the frame is durable. The frame is written at the
+    /// journal's logical end ([`Journal::bytes`]), not at the file's
+    /// end, so whatever a failed append left there — a torn frame, or a
+    /// whole frame whose sync failed — is overwritten, never followed.
     pub fn append(&mut self, kind: u16, payload: &[u8]) -> Result<()> {
         if payload.len() > u32::MAX as usize {
             return Err(Error::InvalidParameter {
@@ -411,7 +416,8 @@ impl Journal {
         frame.extend_from_slice(&frame_checksum(kind, payload).to_le_bytes());
         frame.extend_from_slice(payload);
         if let Some(file) = &mut self.file {
-            file.write_all(&frame)
+            file.seek(SeekFrom::Start(self.buf.len() as u64))
+                .and_then(|_| file.write_all(&frame))
                 .map_err(|e| io_err("journal append", e))?;
             file.sync_data().map_err(|e| io_err("journal sync", e))?;
         }
@@ -432,7 +438,7 @@ impl Journal {
             crate::storage::local::durable_replace_via(path, &compact_tmp(path), &buf)
                 .map_err(|e| io_err("journal compact", e))?;
             let file = OpenOptions::new()
-                .append(true)
+                .write(true)
                 .open(path)
                 .map_err(|e| io_err("journal open", e))?;
             self.file = Some(file);
@@ -540,6 +546,41 @@ mod tests {
         assert_eq!(frames.len(), 1);
         assert!(report.is_clean());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Append a frame, leave `stray` bytes at the file's end behind the
+    /// open journal — what a failed append leaves there — append a
+    /// second frame, and reopen.
+    fn append_after_stray_bytes(tag: &str, stray: &[u8]) -> (Vec<(u16, Vec<u8>)>, RecoveryReport) {
+        let path = std::env::temp_dir().join(format!("fenrir-{tag}-{}.fnrj", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (mut j, _, _) = Journal::open(&path).unwrap();
+        j.append(1, b"first").unwrap();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(stray).unwrap();
+        j.append(2, b"second").unwrap();
+        let (_, frames, report) = Journal::open(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let frames = frames.into_iter().map(|f| (f.kind, f.payload));
+        (frames.collect(), report)
+    }
+
+    #[test]
+    fn append_overwrites_a_torn_write() {
+        let (frames, report) = append_after_stray_bytes("torn-write", &[0xAB; 3]);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(frames, [(1, b"first".to_vec()), (2, b"second".to_vec())]);
+    }
+
+    #[test]
+    fn append_overwrites_a_frame_whose_sync_failed() {
+        let mut unsynced = Journal::in_memory();
+        unsynced.append(2, b"second").unwrap();
+        let frame = &unsynced.bytes()[HEADER_LEN..];
+        let (frames, report) = append_after_stray_bytes("failed-sync", frame);
+        assert!(report.is_clean(), "{report}");
+        let once = [(1, b"first".to_vec()), (2, b"second".to_vec())];
+        assert_eq!(frames, once, "the retried frame appears exactly once");
     }
 
     /// Bytes this thread has written through system calls so far.

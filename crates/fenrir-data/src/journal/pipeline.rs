@@ -963,7 +963,7 @@ mod tests {
         assert_same(&live, &before);
         assert_eq!(live.panels(), before.panels());
         // The retry of the same row is accepted and restores bit for bit.
-        let writable = std::fs::OpenOptions::new().append(true).open(&path);
+        let writable = std::fs::OpenOptions::new().write(true).open(&path);
         set_file(&mut live, writable.unwrap());
         live.observe_with_latency(v, panel, health).unwrap();
         let restored = RecoverablePipeline::open(&path, sites(), 4, cfg()).unwrap();

@@ -21,9 +21,9 @@
 //! a seeded stream: a failover chaos test must be able to replay a
 //! lease expiry at an exact, reproducible instant.
 
-use super::{CasOutcome, RetryPolicy, Storage};
-use fenrir_core::error::{Error, Result};
-use fenrir_wire::checksum::internet_checksum;
+use super::{open_record, seal_record, CasOutcome, RetryPolicy, Storage};
+use crate::journal::codec;
+use fenrir_core::error::Result;
 use std::sync::Arc;
 
 /// First four bytes of an encoded lease record.
@@ -42,10 +42,12 @@ pub fn lease_key(prefix: &str) -> String {
 ///          | holder_len u16 LE | holder (UTF-8) | sum u16 LE
 /// ```
 ///
-/// `sum` is the internet checksum over every preceding byte. Decoding
-/// is hostile-input safe: truncation, bad magic, a checksum mismatch,
-/// non-UTF-8 holder bytes and trailing garbage all surface as typed
-/// [`Error::Corrupted`], never a panic.
+/// `sum` is the internet checksum over every preceding byte, as in
+/// every [tier record](super#record-envelope): truncation, bad magic,
+/// a checksum mismatch, non-UTF-8 holder bytes and trailing garbage
+/// all surface as typed
+/// [`Error::Corrupted`](fenrir_core::error::Error::Corrupted), never a
+/// panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseRecord {
     /// Fencing epoch: increases by exactly one per change of holder.
@@ -61,61 +63,23 @@ pub struct LeaseRecord {
 impl LeaseRecord {
     /// Serialize with the trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = LEASE_MAGIC.to_vec();
-        buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.extend_from_slice(&self.expires_at_ms.to_le_bytes());
-        buf.extend_from_slice(&(self.holder.len() as u16).to_le_bytes());
-        buf.extend_from_slice(self.holder.as_bytes());
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, self.epoch);
+        codec::put_u64(&mut body, self.expires_at_ms);
+        codec::put_short_str(&mut body, &self.holder);
+        seal_record(LEASE_MAGIC, &body)
     }
 
     /// Decode and verify a lease object.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "lease record",
-            offset,
-            message,
+        let mut d = open_record(bytes, LEASE_MAGIC, "lease record")?;
+        let record = LeaseRecord {
+            epoch: d.u64()?,
+            expires_at_ms: d.u64()?,
+            holder: d.short_str()?,
         };
-        if bytes.len() < 24 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("lease truncated to {} bytes", bytes.len()),
-            ));
-        }
-        if bytes[..4] != LEASE_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let body_len = bytes.len() - 2;
-        let stored = u16::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..body_len]);
-        if stored != computed {
-            return Err(corrupt(
-                body_len,
-                format!("lease checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"),
-            ));
-        }
-        let epoch = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let expires_at_ms = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let holder_len = u16::from_le_bytes(bytes[20..22].try_into().unwrap()) as usize;
-        if body_len - 22 != holder_len {
-            return Err(corrupt(
-                22,
-                format!(
-                    "holder length {holder_len} does not match {} holder bytes present",
-                    body_len - 22
-                ),
-            ));
-        }
-        let holder = std::str::from_utf8(&bytes[22..22 + holder_len])
-            .map_err(|e| corrupt(22, format!("holder is not UTF-8: {e}")))?
-            .to_string();
-        Ok(LeaseRecord {
-            epoch,
-            expires_at_ms,
-            holder,
-        })
+        d.finish()?;
+        Ok(record)
     }
 
     /// Whether this lease still excludes other claimants at `now_ms`.

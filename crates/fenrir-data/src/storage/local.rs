@@ -207,32 +207,6 @@ impl Storage for LocalDisk {
         }
     }
 
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        validate_key("rename", from)?;
-        validate_key("rename", to)?;
-        let src = self.path_of(from);
-        if !src.exists() {
-            return Err(storage_err(
-                "rename",
-                from,
-                false,
-                "source object does not exist",
-            ));
-        }
-        let dst = self.path_of(to);
-        if let Some(parent) = dst.parent() {
-            fs::create_dir_all(parent).map_err(|e| Self::io("rename", to, e))?;
-        }
-        fs::rename(&src, &dst).map_err(|e| Self::io("rename", from, e))?;
-        if let Some(parent) = dst.parent() {
-            let _ = fsync_dir(parent);
-        }
-        if let Some(parent) = src.parent() {
-            let _ = fsync_dir(parent);
-        }
-        Ok(())
-    }
-
     fn put_if(&self, key: &str, expected: Option<&[u8]>, bytes: &[u8]) -> Result<CasOutcome> {
         validate_key("put_if", key)?;
         let _guard = self.cas.lock().unwrap();
@@ -265,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn put_get_list_delete_rename_roundtrip() {
+    fn put_get_list_delete_roundtrip() {
         let root = scratch("roundtrip");
         let disk = LocalDisk::open(&root).unwrap();
         disk.put("segments/seg-00000001", b"alpha").unwrap();
@@ -280,9 +254,6 @@ mod tests {
             disk.list("segments/").unwrap(),
             vec!["segments/seg-00000001", "segments/seg-00000002"]
         );
-        disk.rename("manifest", "manifest.old").unwrap();
-        assert_eq!(disk.get("manifest").unwrap(), None);
-        assert_eq!(disk.get("manifest.old").unwrap().unwrap(), b"m1");
         disk.delete("segments/seg-00000001").unwrap();
         disk.delete("segments/seg-00000001").unwrap(); // idempotent
         assert_eq!(
@@ -347,20 +318,6 @@ mod tests {
             disk.put_if("ghost", Some(b"x"), b"y").unwrap(),
             CasOutcome::Conflict { actual: None }
         );
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn rename_of_missing_source_is_permanent() {
-        let root = scratch("rename-missing");
-        let disk = LocalDisk::open(&root).unwrap();
-        assert!(matches!(
-            disk.rename("ghost", "elsewhere"),
-            Err(fenrir_core::error::Error::Storage {
-                retryable: false,
-                ..
-            })
-        ));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -9,7 +9,7 @@
 //! themselves.
 //!
 //! * [`Storage`] — the backend contract: `put`/`get`/`list`/`delete`/
-//!   `rename` over named segments, every failure a typed
+//!   `put_if` over named segments, every failure a typed
 //!   [`Error::Storage`] carrying the backend's retryable/permanent
 //!   verdict.
 //! * [`local::LocalDisk`] — segment files under a root directory, with
@@ -40,6 +40,20 @@
 //! trailing `/`, no empty / `.` / `..` components (so a hostile key can
 //! never escape a [`local::LocalDisk`] root). [`validate_key`] is the
 //! single checkpoint every backend routes through.
+//!
+//! ## Record envelope
+//!
+//! The tier's own records — the lease, the WAL head, each WAL record
+//! and the manifest — share one envelope:
+//!
+//! ```text
+//! record := magic (4 bytes) | body | sum u16 LE
+//! ```
+//!
+//! `sum` is the internet checksum over every preceding byte. Each body
+//! is written with the journal codec and read back through one
+//! bounds-checked [`Dec`], so a truncated, bit-flipped, misdirected or
+//! over-long record is a typed [`Error::Corrupted`], never a panic.
 
 pub mod lease;
 pub mod local;
@@ -55,7 +69,9 @@ pub use retry::{RetryPolicy, RetryStats};
 pub use tiered::{Manifest, SegmentEntry, TieredJournal};
 pub use wal::{FencedWal, ObsRecord, WalAppend};
 
+use crate::journal::codec::{self, Dec};
 use fenrir_core::error::{Error, Result};
+use fenrir_wire::checksum::internet_checksum;
 
 /// Outcome of a [`Storage::put_if`] conditional put.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +100,6 @@ pub enum CasOutcome {
 ///   backend answered and the key has no (visible) object; `Err` means
 ///   the operation itself failed.
 /// * **`delete` is idempotent**: deleting a missing key succeeds.
-/// * **`rename` atomically replaces the destination** and fails with a
-///   permanent error if the source does not exist.
 /// * **Errors are typed**: every failure is [`Error::Storage`] with an
 ///   honest `retryable` flag (see [`retry::RetryPolicy`]).
 ///
@@ -104,8 +118,6 @@ pub trait Storage: Send + Sync {
     fn list(&self, prefix: &str) -> Result<Vec<String>>;
     /// Remove the object at `key` (succeeds when already absent).
     fn delete(&self, key: &str) -> Result<()>;
-    /// Atomically move `from` to `to`, replacing any existing `to`.
-    fn rename(&self, from: &str, to: &str) -> Result<()>;
     /// Conditionally store `bytes` under `key`: commit only if the
     /// object's current bytes equal `expected` (`None` = the key must
     /// not exist — create-only). The compare and the write are one
@@ -143,6 +155,53 @@ pub fn is_retryable(e: &Error) -> bool {
             ..
         }
     )
+}
+
+/// Seal a tier record: `magic | body | sum u16 LE` (module docs).
+pub(crate) fn seal_record(magic: [u8; 4], body: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(magic.len() + body.len() + 2);
+    buf.extend_from_slice(&magic);
+    buf.extend_from_slice(body);
+    let sum = internet_checksum(&buf);
+    codec::put_u16(&mut buf, sum);
+    buf
+}
+
+/// Open a sealed tier record: check its length, magic and checksum,
+/// then return a decoder over its body. Error offsets count from the
+/// record's first byte; the caller reads every field and ends with
+/// [`Dec::finish`], so trailing bytes are corruption too.
+pub(crate) fn open_record<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    what: &'static str,
+) -> Result<Dec<'a>> {
+    let corrupt = |offset: usize, message: String| Error::Corrupted {
+        what,
+        offset,
+        message,
+    };
+    if bytes.len() < magic.len() + 2 {
+        return Err(corrupt(
+            bytes.len(),
+            format!("truncated to {} bytes", bytes.len()),
+        ));
+    }
+    if bytes[..4] != magic {
+        return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
+    }
+    let (body, sum) = bytes.split_at(bytes.len() - 2);
+    let stored = u16::from_le_bytes([sum[0], sum[1]]);
+    let computed = internet_checksum(body);
+    if stored != computed {
+        return Err(corrupt(
+            body.len(),
+            format!("checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"),
+        ));
+    }
+    let mut d = Dec::new(body, what);
+    d.u32()?; // the magic, checked above
+    Ok(d)
 }
 
 /// Reject keys that are empty, absolute, or contain empty/`.`/`..`

@@ -273,38 +273,6 @@ impl Storage for ObjectSim {
         Ok(())
     }
 
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        validate_key("rename", from)?;
-        validate_key("rename", to)?;
-        let ordinal = self.admit("rename", from, true)?;
-        let mut s = self.state.lock().unwrap();
-        let Some(obj) = s.objects.remove(from) else {
-            return Err(storage_err(
-                "rename",
-                from,
-                false,
-                "source object does not exist",
-            ));
-        };
-        let visible_at = ordinal + s.chaos.visibility_lag;
-        let prior = s.objects.get(to).map(|o| {
-            if ordinal >= o.visible_at {
-                Some(o.current.clone())
-            } else {
-                o.prior.clone()
-            }
-        });
-        s.objects.insert(
-            to.to_owned(),
-            StoredObject {
-                current: obj.current,
-                prior: prior.flatten(),
-                visible_at,
-            },
-        );
-        Ok(())
-    }
-
     fn put_if(&self, key: &str, expected: Option<&[u8]>, bytes: &[u8]) -> Result<CasOutcome> {
         validate_key("put_if", key)?;
         let ordinal = self.admit("put_if", key, true)?;
@@ -358,12 +326,9 @@ mod tests {
         assert_eq!(sim.get("a/1").unwrap().unwrap(), b"x");
         assert_eq!(sim.get("nope").unwrap(), None);
         assert_eq!(sim.list("a/").unwrap(), vec!["a/1", "a/2"]);
-        sim.rename("b/1", "a/3").unwrap();
-        assert_eq!(sim.get("b/1").unwrap(), None);
-        assert_eq!(sim.get("a/3").unwrap().unwrap(), b"z");
         sim.delete("a/1").unwrap();
         sim.delete("a/1").unwrap();
-        assert_eq!(sim.list("a/").unwrap(), vec!["a/2", "a/3"]);
+        assert_eq!(sim.list("a/").unwrap(), vec!["a/2"]);
     }
 
     #[test]

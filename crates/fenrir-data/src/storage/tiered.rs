@@ -38,8 +38,10 @@
 //! older than the tail's promise as a retryable condition and leans on
 //! [`RetryPolicy`] until the committed manifest becomes visible.
 
-use super::{storage_err, validate_key, CasOutcome, RetryPolicy, Storage};
-use crate::journal::{self, Frame, Journal, RecoveryReport};
+use super::{
+    open_record, seal_record, storage_err, validate_key, CasOutcome, RetryPolicy, Storage,
+};
+use crate::journal::{self, codec, Frame, Journal, RecoveryReport};
 use fenrir_core::error::{Error, Result};
 use fenrir_wire::checksum::internet_checksum;
 use std::path::{Path, PathBuf};
@@ -134,97 +136,41 @@ impl Manifest {
 
     /// Serialize with the trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = MANIFEST_MAGIC.to_vec();
-        buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.fence.to_le_bytes());
-        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut body = Vec::new();
+        codec::put_u16(&mut body, MANIFEST_VERSION);
+        codec::put_u64(&mut body, self.fence);
+        codec::put_u32(&mut body, self.entries.len() as u32);
         for e in &self.entries {
-            buf.extend_from_slice(&e.gen.to_le_bytes());
-            buf.extend_from_slice(&e.len.to_le_bytes());
-            buf.extend_from_slice(&e.frames.to_le_bytes());
-            buf.extend_from_slice(&e.sum.to_le_bytes());
-            buf.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-            buf.extend_from_slice(e.key.as_bytes());
+            codec::put_u64(&mut body, e.gen);
+            codec::put_u64(&mut body, e.len);
+            codec::put_u32(&mut body, e.frames);
+            codec::put_u16(&mut body, e.sum);
+            codec::put_short_str(&mut body, &e.key);
         }
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        seal_record(MANIFEST_MAGIC, &body)
     }
 
     /// Decode and verify a manifest object; any structural or checksum
     /// failure is [`Error::Corrupted`] — a manifest is never partially
     /// trusted.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "tier manifest",
-            offset,
-            message,
-        };
-        if bytes.len() < 12 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("manifest truncated to {} bytes", bytes.len()),
-            ));
-        }
-        if bytes[..4] != MANIFEST_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-        if version != 1 && version != MANIFEST_VERSION {
-            return Err(corrupt(
-                4,
-                format!("unsupported version {version} (this build reads 1..={MANIFEST_VERSION})"),
-            ));
-        }
-        let body_len = bytes.len() - 2;
-        let stored = u16::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..body_len]);
-        if stored != computed {
-            return Err(corrupt(
-                body_len,
-                format!(
-                    "manifest checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"
-                ),
-            ));
-        }
-        // Version 1 had no fence word: count starts at byte 6.
-        let (fence, count_at) = if version == 1 {
-            (0, 6)
-        } else {
-            if body_len < 14 {
-                return Err(corrupt(6, "manifest fence truncated".into()));
+        let mut d = open_record(bytes, MANIFEST_MAGIC, "tier manifest")?;
+        let fence = match d.u16()? {
+            1 => 0, // version 1 had no fence word
+            MANIFEST_VERSION => d.u64()?,
+            version => {
+                return Err(d.corrupt(format!(
+                    "unsupported version {version} (this build reads 1..={MANIFEST_VERSION})"
+                )))
             }
-            (u64::from_le_bytes(bytes[6..14].try_into().unwrap()), 14)
         };
-        if body_len < count_at + 4 {
-            return Err(corrupt(count_at, "manifest count truncated".into()));
-        }
-        let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(count.min(1024));
-        let mut pos = count_at + 4;
+        let count = d.u32()?;
+        let mut entries: Vec<SegmentEntry> = Vec::new();
         for _ in 0..count {
-            if body_len - pos < 24 {
-                return Err(corrupt(pos, "manifest entry truncated".into()));
-            }
-            let gen = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap());
-            let frames = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().unwrap());
-            let sum = u16::from_le_bytes(bytes[pos + 20..pos + 22].try_into().unwrap());
-            let key_len =
-                u16::from_le_bytes(bytes[pos + 22..pos + 24].try_into().unwrap()) as usize;
-            pos += 24;
-            if body_len - pos < key_len {
-                return Err(corrupt(pos, "manifest key truncated".into()));
-            }
-            let key = std::str::from_utf8(&bytes[pos..pos + key_len])
-                .map_err(|e| corrupt(pos, format!("manifest key is not UTF-8: {e}")))?
-                .to_string();
-            pos += key_len;
-            if entries.last().is_some_and(|p: &SegmentEntry| p.gen >= gen) {
-                return Err(corrupt(
-                    pos,
-                    format!("generation {gen} out of order in manifest"),
-                ));
+            let (gen, len, frames, sum) = (d.u64()?, d.u64()?, d.u32()?, d.u16()?);
+            let key = d.short_str()?;
+            if entries.last().is_some_and(|p| p.gen >= gen) {
+                return Err(d.corrupt(format!("generation {gen} out of order in manifest")));
             }
             entries.push(SegmentEntry {
                 gen,
@@ -234,12 +180,7 @@ impl Manifest {
                 sum,
             });
         }
-        if pos != body_len {
-            return Err(corrupt(
-                pos,
-                format!("{} trailing bytes after last entry", body_len - pos),
-            ));
-        }
+        d.finish()?;
         Ok(Manifest { fence, entries })
     }
 }
@@ -799,11 +740,9 @@ mod tests {
             }],
         };
         let v2 = m.encode();
-        let mut v1 = MANIFEST_MAGIC.to_vec();
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        v1.extend_from_slice(&v2[14..v2.len() - 2]); // count + entries
-        let sum = internet_checksum(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
+        let mut body = 1u16.to_le_bytes().to_vec();
+        body.extend_from_slice(&v2[14..v2.len() - 2]); // count + entries
+        let v1 = seal_record(MANIFEST_MAGIC, &body);
         let decoded = Manifest::decode(&v1).unwrap();
         assert_eq!(decoded, m);
         // Unknown future versions stay hard errors.

@@ -39,11 +39,12 @@
 //! trustworthy despite the backend's eventually consistent plain
 //! reads.
 
-use super::{storage_err, validate_key, CasOutcome, RetryPolicy, Storage};
-use crate::journal::codec::{self, Dec};
+use super::{
+    open_record, seal_record, storage_err, validate_key, CasOutcome, RetryPolicy, Storage,
+};
+use crate::journal::codec;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
-use fenrir_wire::checksum::internet_checksum;
 use std::sync::Arc;
 
 /// First four bytes of an encoded WAL head.
@@ -83,56 +84,24 @@ impl ObsRecord {
     /// Serialize under fencing epoch `fence`, with the trailing
     /// checksum.
     pub fn encode(&self, fence: u64) -> Vec<u8> {
-        let mut buf = WAL_RECORD_MAGIC.to_vec();
-        codec::put_u64(&mut buf, fence);
-        codec::put_i64(&mut buf, self.time);
-        codec::put_seq(&mut buf, &self.codes, |out, c| codec::put_u16(out, *c));
-        codec::put_health(&mut buf, &self.health);
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, fence);
+        codec::put_i64(&mut body, self.time);
+        codec::put_seq(&mut body, &self.codes, |out, c| codec::put_u16(out, *c));
+        codec::put_health(&mut body, &self.health);
+        seal_record(WAL_RECORD_MAGIC, &body)
     }
 
     /// Decode a record object, returning it with the fencing epoch it
     /// was written under.
     pub fn decode(bytes: &[u8]) -> Result<(Self, u64)> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "wal record",
-            offset,
-            message,
-        };
-        if bytes.len() < 6 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("record truncated to {} bytes", bytes.len()),
-            ));
-        }
-        if bytes[..4] != WAL_RECORD_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let body_len = bytes.len() - 2;
-        let stored = u16::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..body_len]);
-        if stored != computed {
-            return Err(corrupt(
-                body_len,
-                format!(
-                    "record checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"
-                ),
-            ));
-        }
-        let mut d = Dec::new(&bytes[4..body_len], "wal record");
+        let mut d = open_record(bytes, WAL_RECORD_MAGIC, "wal record")?;
         let fence = d.u64()?;
         let time = d.i64()?;
         let n = d.seq_len(2)?;
         let codes = (0..n).map(|_| d.u16()).collect::<Result<Vec<_>>>()?;
         let health = codec::read_health(&mut d)?;
-        if d.remaining() != 0 {
-            return Err(corrupt(
-                body_len - d.remaining(),
-                format!("{} trailing bytes after health record", d.remaining()),
-            ));
-        }
+        d.finish()?;
         Ok((
             ObsRecord {
                 time,
@@ -164,49 +133,24 @@ pub struct WalHead {
 impl WalHead {
     /// Serialize with the trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = WAL_HEAD_MAGIC.to_vec();
-        buf.extend_from_slice(&self.fence.to_le_bytes());
-        buf.extend_from_slice(&self.len.to_le_bytes());
-        buf.extend_from_slice(&self.floor.to_le_bytes());
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        let mut body = Vec::with_capacity(24);
+        codec::put_u64(&mut body, self.fence);
+        codec::put_u64(&mut body, self.len);
+        codec::put_u64(&mut body, self.floor);
+        seal_record(WAL_HEAD_MAGIC, &body)
     }
 
     /// Decode and verify a head object.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "wal head",
-            offset,
-            message,
-        };
-        if bytes.len() != 30 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("head is {} bytes, expected 30", bytes.len()),
-            ));
-        }
-        if bytes[..4] != WAL_HEAD_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let stored = u16::from_le_bytes(bytes[28..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..28]);
-        if stored != computed {
-            return Err(corrupt(
-                28,
-                format!("head checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"),
-            ));
-        }
+        let mut d = open_record(bytes, WAL_HEAD_MAGIC, "wal head")?;
         let head = WalHead {
-            fence: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
-            len: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-            floor: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+            fence: d.u64()?,
+            len: d.u64()?,
+            floor: d.u64()?,
         };
+        d.finish()?;
         if head.floor > head.len {
-            return Err(corrupt(
-                20,
-                format!("floor {} above len {}", head.floor, head.len),
-            ));
+            return Err(d.corrupt(format!("floor {} above len {}", head.floor, head.len)));
         }
         Ok(head)
     }

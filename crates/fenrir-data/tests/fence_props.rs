@@ -1,11 +1,11 @@
-//! Hostile-payload properties for the replication wire records — the
-//! lease, the WAL head, and the WAL observation record — plus the CAS
-//! boundaries that consume them. For small but realistic objects,
-//! every possible truncation point and every possible single-bit flip
-//! is tried, not a random sample. The contract: damage surfaces as a
-//! typed [`Error::Corrupted`], never a panic and never a silently
-//! wrong record; and every stale-fence write is refused at the
-//! conditional put, whichever of the three objects it targets.
+//! Hostile-payload properties for the tier's records — the lease, the
+//! WAL head, the WAL observation record and the manifest, each with its
+//! byte layout pinned — plus the CAS boundaries that consume them. For
+//! small but realistic objects, every possible truncation point and
+//! every possible single-bit flip is tried, not a random sample. The
+//! contract: damage surfaces as a typed [`Error::Corrupted`], never a
+//! panic and never a silently wrong record; and every stale-fence write
+//! to the lease or the WAL is refused at the conditional put.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,8 +16,8 @@ use fenrir_core::time::Timestamp;
 use fenrir_data::storage::lease::LEASE_MAGIC;
 use fenrir_data::storage::wal::{record_key, WalHead};
 use fenrir_data::storage::{
-    CasOutcome, FencedWal, Lease, LeaseRecord, ObjectChaos, ObjectSim, ObsRecord, RetryPolicy,
-    Storage,
+    CasOutcome, FencedWal, Lease, LeaseRecord, Manifest, ObjectChaos, ObjectSim, ObsRecord,
+    RetryPolicy, SegmentEntry, Storage,
 };
 
 const PREFIX: &str = "fence/tier";
@@ -62,6 +62,26 @@ fn obs_record() -> ObsRecord {
         codes: vec![0, 0, 1, 1, 2, 2],
         health,
     }
+}
+
+/// A fenced manifest naming two sealed epochs.
+fn manifest() -> Manifest {
+    let entry = |gen: u64, len: u64, sum: u16, frames: u32| SegmentEntry {
+        gen,
+        key: format!("{PREFIX}/segments/seg-{gen:08}.00000009"),
+        len,
+        sum,
+        frames,
+    };
+    Manifest {
+        fence: 9,
+        entries: vec![entry(1, 123, 0xBEEF, 4), entry(2, 456, 0xCAFE, 9)],
+    }
+}
+
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Flip every bit of `bytes` in turn and require the decoder to refuse
@@ -307,4 +327,58 @@ fn lease_epoch_increments_exactly_once_per_holder_change() {
     .unwrap();
     assert_eq!(rec.epoch, 3);
     assert_eq!(rec.holder, "node-a");
+}
+
+#[test]
+fn manifest_rejects_every_bit_flip_and_truncation() {
+    let bytes = manifest().encode();
+    assert_eq!(Manifest::decode(&bytes).unwrap(), manifest());
+    assert_every_bit_flip_rejected("manifest", &bytes, Manifest::decode);
+    assert_every_truncation_rejected("manifest", &bytes, Manifest::decode);
+}
+
+/// The byte layout of each tier record, pinned: a fixed record encodes
+/// to exactly these bytes and decodes back to itself. A tier outlives
+/// the build that wrote it, so a layout change must fail here first.
+#[test]
+fn record_encodings_are_pinned() {
+    let lease = lease_record().encode();
+    assert_eq!(
+        hex(&lease),
+        "464e524c070000000000000015cd5b07000000000d0031302e302e302e373a343437375d81"
+    );
+    assert_eq!(LeaseRecord::decode(&lease).unwrap(), lease_record());
+
+    let head = wal_head().encode();
+    assert_eq!(
+        hex(&head),
+        "464e52570300000000000000290000000000000011000000000000005a2a"
+    );
+    assert_eq!(WalHead::decode(&head).unwrap(), wal_head());
+
+    let rec = obs_record().encode(5);
+    assert_eq!(
+        hex(&rec),
+        concat!(
+            "464e5252050000000000000000d20f0000000000060000000000000000000000",
+            "010001000200020000d20f000000000006000000000000000500000000000000",
+            "0900000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000bb22",
+        )
+    );
+    assert_eq!(ObsRecord::decode(&rec).unwrap(), (obs_record(), 5));
+
+    let man = manifest().encode();
+    assert_eq!(
+        hex(&man),
+        concat!(
+            "464e524d020009000000000000000200000001000000000000007b0000000000",
+            "000004000000efbe290066656e63652f746965722f7365676d656e74732f7365",
+            "672d30303030303030312e30303030303030390200000000000000c801000000",
+            "00000009000000feca290066656e63652f746965722f7365676d656e74732f73",
+            "65672d30303030303030322e3030303030303039519b",
+        )
+    );
+    assert_eq!(Manifest::decode(&man).unwrap(), manifest());
 }

@@ -149,10 +149,6 @@ impl Storage for KillSwitch {
         self.spend("delete", key)?;
         self.inner.delete(key)
     }
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.spend("rename", from)?;
-        self.inner.rename(from, to)
-    }
     fn put_if(
         &self,
         key: &str,

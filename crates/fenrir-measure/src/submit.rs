@@ -21,7 +21,7 @@ use fenrir_core::series::VectorSeries;
 use crate::ednscs::EdnsCsResult;
 use crate::verfploeter::SweepResult;
 
-/// One observation ready to submit: the payload of a protocol-v4
+/// One observation ready to submit: the payload of a protocol-v5
 /// `Submit` frame, minus the wire encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitRow {

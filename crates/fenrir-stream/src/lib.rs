@@ -3,7 +3,7 @@
 //!
 //! The batch pipeline answers "what were the modes?" after a campaign
 //! is sealed. This crate answers it *while the campaign runs*: each
-//! observation arrives over the serve path as a protocol-v4 `Submit`
+//! observation arrives over the serve path as a protocol-v5 `Submit`
 //! frame, is made durable before its ack, folds into the incremental
 //! analysis state, and — whenever the re-derived clustering
 //! reveals a mode boundary the previous step's did not — pushes a `ModeTransition` event to

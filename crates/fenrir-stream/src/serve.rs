@@ -38,7 +38,7 @@ impl std::fmt::Debug for StreamServer {
 }
 
 impl StreamServer {
-    /// Open (or create) the journal at `path`, start a protocol-v4
+    /// Open (or create) the journal at `path`, start a protocol-v5
     /// server over it, and export the ingestor's metric families into
     /// the server's registry. `serve_cfg.follow` defaults to 25 ms when
     /// unset so the query side actually tracks submissions.
