@@ -211,36 +211,59 @@ impl ChangeDetector {
         health: &[CampaignHealth],
         floor: f64,
     ) -> Result<GatedDetection> {
-        if !(0.0..=1.0).contains(&floor) {
-            return Err(Error::InvalidParameter {
-                name: "coverage_floor",
-                message: format!("must lie in [0, 1], got {floor}"),
-            });
-        }
-        if health.len() != series.len() {
-            return Err(Error::ShapeMismatch {
-                what: "health series",
-                expected: series.len(),
-                actual: health.len(),
-            });
-        }
-        let mut gated = GatedDetection::default();
-        for event in self.detect(series, w) {
-            // `detect` never fires at index 0, so `index - 1` is in range.
-            let before = health[event.index - 1].coverage();
-            let at = health[event.index].coverage();
-            let coverage = before.min(at);
-            if coverage < floor {
-                gated.suppressed.push(SuppressedEvent {
-                    event,
-                    reason: SuppressReason::LowCoverage { coverage, floor },
-                });
-            } else {
-                gated.events.push(event);
-            }
-        }
+        let detect = || Ok((self.detect(series, w), ()));
+        let (gated, ()) = gate(series.len(), health, floor, detect, |_, _| None)?;
         Ok(gated)
     }
+}
+
+/// The data-quality gate of [`ChangeDetector::detect_gated`] and
+/// [`detect_trusted`](crate::trust::detect_trusted).
+///
+/// Checks `floor` and that `health` aligns one-to-one with the series'
+/// `observations`, and only then runs `detect`, which returns the
+/// detections and whatever else its caller needs. A detection where the
+/// lower of its two bracketing coverages is below `floor` is suppressed
+/// for [`SuppressReason::LowCoverage`]; otherwise `untrusted` may
+/// suppress it with its own reason, and if it does not, it is reported.
+pub(crate) fn gate<T>(
+    observations: usize,
+    health: &[CampaignHealth],
+    floor: f64,
+    detect: impl FnOnce() -> Result<(Vec<DetectedEvent>, T)>,
+    untrusted: impl Fn(&T, &DetectedEvent) -> Option<SuppressReason>,
+) -> Result<(GatedDetection, T)> {
+    if !(0.0..=1.0).contains(&floor) {
+        return Err(Error::InvalidParameter {
+            name: "coverage_floor",
+            message: format!("must lie in [0, 1], got {floor}"),
+        });
+    }
+    if health.len() != observations {
+        return Err(Error::ShapeMismatch {
+            what: "health series",
+            expected: observations,
+            actual: health.len(),
+        });
+    }
+    let (events, extra) = detect()?;
+    let mut gated = GatedDetection::default();
+    for event in events {
+        // Detection never fires at index 0, so `index - 1` is in range.
+        let before = health[event.index - 1].coverage();
+        let at = health[event.index].coverage();
+        let coverage = before.min(at);
+        let reason = if coverage < floor {
+            Some(SuppressReason::LowCoverage { coverage, floor })
+        } else {
+            untrusted(&extra, &event)
+        };
+        match reason {
+            Some(reason) => gated.suppressed.push(SuppressedEvent { event, reason }),
+            None => gated.events.push(event),
+        }
+    }
+    Ok((gated, extra))
 }
 
 fn median(xs: &[f64]) -> f64 {

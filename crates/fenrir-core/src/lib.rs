@@ -62,7 +62,6 @@ pub mod heatmap;
 pub mod ids;
 pub mod latency;
 pub mod modes;
-pub mod report;
 pub mod series;
 pub mod similarity;
 pub mod time;
@@ -85,7 +84,6 @@ pub mod prelude {
     pub use crate::ids::{NetworkId, SiteId, SiteTable};
     pub use crate::latency::{LatencyPanel, LatencySummary};
     pub use crate::modes::{Mode, ModeAnalysis};
-    pub use crate::report::{OperatorReport, ReportConfig};
     pub use crate::series::VectorSeries;
     pub use crate::similarity::{SimilarityMatrix, UnknownPolicy};
     pub use crate::time::Timestamp;

@@ -32,27 +32,24 @@
 //!   included in Φ but still charged a disagreement, and the rule only
 //!   applies if its *previous* step was trusted — so a fabricate-then-
 //!   "return" ping-pong stays excluded and walks into quarantine.
-//! * **Quarantine.** Disagreements accumulate in a sliding window
-//!   ([`TrustModel::suspicion`]); persistent disagreement earns strikes
-//!   and then quarantine (weight 0 everywhere, no vote). Quarantined VPs
-//!   that behave consistently for a probation period are re-admitted.
+//! * **Quarantine.** Each VP keeps its last `window` verdicts as one
+//!   disagreement bit per sweep in a `u64`, newest in bit 0
+//!   ([`TrustModel::suspicion`] counts them); persistent disagreement
+//!   earns strikes and then quarantine (weight 0 everywhere, no vote).
+//!   Quarantined VPs that behave consistently for a probation period are
+//!   re-admitted.
 //! * **Identity caps.** When the caller knows VP identities (an AS, a
 //!   /24, an account), the *voting* weight of each identity is split
 //!   among its VPs, so a sybil bloc votes once no matter how many clones
 //!   it registers. Caps apply to voting only — Φ weights are untouched,
 //!   so a clean population produces bit-identical detection results.
 //!
-//! Robust aggregation primitives ([`trimmed_mean`], [`median_of_means`])
-//! are exported on their own: the same seam that rejects lying vantage
-//! points rejects poisoned gradients, so [`TrustModel`] is generic over
-//! the observation value type (`u16` catchment codes by default).
-//!
 //! [`detect_trusted`] wires it all together: trust-weighted per-step Φ
 //! fed through [`ChangeDetector::detect_from_steps`], gated by both
 //! measurement coverage and the surviving trusted fraction, with
 //! exclusions surfaced in [`CampaignHealth::distrusted`].
 
-use crate::detect::{ChangeDetector, GatedDetection, SuppressReason, SuppressedEvent};
+use crate::detect::{gate, ChangeDetector, GatedDetection, SuppressReason};
 use crate::error::{Error, Result};
 use crate::health::CampaignHealth;
 use crate::series::VectorSeries;
@@ -60,16 +57,16 @@ use crate::similarity::phi;
 use crate::vector::{CODE_ERR, CODE_UNKNOWN};
 use crate::weight::Weights;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Tuning for [`TrustModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrustConfig {
-    /// Sliding-window length (in observations) over which disagreements
-    /// are remembered, and for how long an owed catch-up flip is tracked.
+    /// Sliding-window length (in observations, 1..=64: one bit each in a
+    /// `u64`) over which disagreements are remembered, and for how long
+    /// an owed catch-up flip is tracked.
     pub window: usize,
-    /// Fraction trimmed from each tail when robustly aggregating
-    /// per-group movement rates (see [`trimmed_mean`]).
+    /// Fraction trimmed from each tail of the per-VP flip indicators
+    /// when robustly estimating the population-wide movement rate.
     pub trim_frac: f64,
     /// A VP whose windowed disagreement rate reaches this threshold earns
     /// a strike. The rate is normalised by `window` capacity, so a single
@@ -108,10 +105,10 @@ impl Default for TrustConfig {
 impl TrustConfig {
     /// Reject configurations outside their documented domains.
     pub fn validate(&self) -> Result<()> {
-        if self.window == 0 {
+        if !(1..=64).contains(&self.window) {
             return Err(Error::Config {
                 name: "window",
-                message: "must be at least 1".into(),
+                message: format!("must lie in [1, 64], got {}", self.window),
             });
         }
         if !(0.0..0.5).contains(&self.trim_frac) {
@@ -154,30 +151,12 @@ impl TrustConfig {
     }
 }
 
-/// Mean of `xs` after dropping the `trim_frac` smallest and largest
-/// fractions — the classic robust location estimator: up to `trim_frac`
-/// of arbitrarily-corrupted values cannot move it past the clean range.
-/// Returns the median when trimming would drop everything, 0 for empty
-/// input.
-pub fn trimmed_mean(xs: &[f64], trim_frac: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let k = (v.len() as f64 * trim_frac.clamp(0.0, 0.5)).floor() as usize;
-    let kept = &v[k..v.len() - k];
-    if kept.is_empty() {
-        v[v.len() / 2]
-    } else {
-        kept.iter().sum::<f64>() / kept.len() as f64
-    }
-}
-
-/// [`trimmed_mean`] specialised to a multiset of `zeros` 0.0s and
-/// `ones` 1.0s: sorted, the ones occupy the tail, so the trimmed sum is
-/// an interval-overlap count and no sort is needed. Bit-identical to
-/// the general form.
+/// The mean of a multiset of `zeros` 0.0s and `ones` 1.0s after
+/// dropping the `trim_frac` smallest and largest fractions — the classic
+/// robust location estimator. Sorted, the ones occupy the tail, so the
+/// trimmed sum is an interval-overlap count and no sort is needed; the
+/// tests' general `trimmed_mean` matches it bit for bit. Over-trimming
+/// returns the median, and empty input 0.
 fn trimmed_indicator_mean(zeros: usize, ones: usize, trim_frac: f64) -> f64 {
     let len = zeros + ones;
     if len == 0 {
@@ -193,37 +172,6 @@ fn trimmed_indicator_mean(zeros: usize, ones: usize, trim_frac: f64) -> f64 {
     ones_kept as f64 / kept as f64
 }
 
-/// Median of `groups` interleaved group means — the other standard robust
-/// aggregator: a minority of corrupted values can poison at most a
-/// minority of groups, and the median ignores those. Returns 0 for empty
-/// input; `groups` is clamped to `[1, xs.len()]`.
-pub fn median_of_means(xs: &[f64], groups: usize) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let g = groups.clamp(1, xs.len());
-    let mut means: Vec<f64> = (0..g)
-        .map(|i| {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            let mut j = i;
-            while j < xs.len() {
-                sum += xs[j];
-                n += 1;
-                j += g;
-            }
-            sum / n as f64
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mid = means.len() / 2;
-    if means.len() % 2 == 1 {
-        means[mid]
-    } else {
-        (means[mid - 1] + means[mid]) / 2.0
-    }
-}
-
 /// Per-VP trust status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -233,38 +181,30 @@ enum Status {
 
 /// Per-sweep movement tally of one previous-value group.
 #[derive(Debug, Clone)]
-struct Group<T> {
+struct Group {
     total: f64,
     moved: f64,
     // Destination tallies of the group's movers, and the running
     // heaviest one. Updated in VP index order with a strictly-greater
     // test, so the winner is deterministic.
-    dest: Vec<(T, f64)>,
-    best_dest: Option<(T, f64)>,
+    dest: Vec<(u16, f64)>,
+    best_dest: Option<(u16, f64)>,
 }
 
 /// Cross-VP agreement scoring over a sliding window.
 ///
-/// Generic over the observation value type: `u16` catchment codes by
-/// default, but any `Copy + Eq + Hash` value works (a quantized latency
-/// band, a gradient sign, …). Feed one observation row per sweep via
+/// Feed one row of catchment codes per sweep via
 /// [`observe`](Self::observe); read back per-step exclusions, quarantine
 /// state, and weight vectors.
 #[derive(Debug, Clone)]
-pub struct TrustModel<T: Copy + Eq + Hash = u16> {
+pub struct TrustModel {
     cfg: TrustConfig,
     /// Identity-capped voting weights (never used for Φ).
     vote_w: Vec<f64>,
-    prev: Option<Vec<T>>,
-    /// Recent disagreement indicators per VP (1.0 = disagreed): one flat
-    /// `n × window` block of fixed rings — contiguous, so the per-VP
-    /// sweep loop streams instead of chasing one heap pointer per VP —
-    /// with a running sum per VP (indicators are 0/1, so the incremental
-    /// sum is exact).
-    win: Vec<f64>,
-    win_len: Vec<u32>,
-    win_pos: Vec<u32>,
-    win_sum: Vec<f64>,
+    prev: Option<Vec<u16>>,
+    /// Each VP's last `window` verdicts, one bit each (1 = disagreed),
+    /// newest in bit 0; bits at and above `window` are always clear.
+    win: Vec<u64>,
     strikes: Vec<usize>,
     status: Vec<Status>,
     clean_streak: Vec<usize>,
@@ -276,23 +216,23 @@ pub struct TrustModel<T: Copy + Eq + Hash = u16> {
     gidx: Vec<u32>,
     /// Scratch: the per-sweep group tallies, retained so steady-state
     /// sweeps reuse its allocation.
-    groups_scratch: Vec<(T, Group<T>)>,
+    groups_scratch: Vec<(u16, Group)>,
     /// `suspicion_threshold * window`, precomputed: the strike test
-    /// compares the windowed disagreement *sum* against this once per VP
-    /// per sweep, avoiding a division on the hot path.
+    /// compares the windowed disagreement *count* against this once per
+    /// VP per sweep, avoiding a division on the hot path.
     strike_bar: f64,
     /// Recent values each VP reported while trusted, for the recurrence
-    /// rule: flat `n × window` rings like `win` (slots past `hist_len`
-    /// are uninitialised fill and never read). Allocated lazily on the
-    /// first observed row, since `new` has no `T` value to fill with.
-    hist: Vec<T>,
+    /// rule: one flat `n × window` block of rings — contiguous, so the
+    /// per-VP sweep loop streams instead of chasing one heap pointer per
+    /// VP (slots past `hist_len` are stale and never read).
+    hist: Vec<u16>,
     hist_len: Vec<u32>,
     hist_pos: Vec<u32>,
     /// The value of each VP's most recent hist push, and how many
     /// consecutive pushes held it: once a ring is uniformly one value,
     /// pushing that value again is a no-op, which is every VP on every
     /// stable sweep.
-    hist_last: Vec<T>,
+    hist_last: Vec<u16>,
     hist_run: Vec<u32>,
     /// How many trusted VPs the current step excluded for uncorroborated
     /// flips — the contested-step signal.
@@ -305,19 +245,19 @@ pub struct TrustModel<T: Copy + Eq + Hash = u16> {
     /// destination of the VP's group when it failed to move). Only a
     /// late flip to this value is an echo; a corroborated flip anywhere
     /// else is a genuine new transition.
-    pending_to: Vec<Option<T>>,
+    pending_to: Vec<Option<u16>>,
     /// Sweep index until which an owed catch-up flip is tracked (0 =
     /// none owed).
     pending_until: Vec<usize>,
     sweep: usize,
     /// True when the previous sweep left every VP trusted, unexcluded,
-    /// with saturated all-zero disagreement rings, saturated single-value
-    /// hist rings, and no pending catch-up — the precondition for the
+    /// with clear disagreement windows, saturated single-value hist
+    /// rings, and no pending catch-up — the precondition for the
     /// steady-state shortcut in [`observe`](Self::observe).
     steady: bool,
 }
 
-impl<T: Copy + Eq + Hash> TrustModel<T> {
+impl TrustModel {
     /// Build a model for the population described by `base` weights.
     ///
     /// `identities`, when given (one per VP), caps each identity's total
@@ -347,10 +287,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
             cfg,
             vote_w,
             prev: None,
-            win: vec![0.0; n * cfg.window],
-            win_len: vec![0; n],
-            win_pos: vec![0; n],
-            win_sum: vec![0.0; n],
+            win: vec![0; n],
             strikes: vec![0; n],
             status: vec![Status::Trusted; n],
             clean_streak: vec![0; n],
@@ -359,10 +296,10 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
             groups_scratch: Vec::new(),
             excluded_now: 0,
             strike_bar: cfg.suspicion_threshold * cfg.window as f64,
-            hist: Vec::new(),
+            hist: vec![0; n * cfg.window],
             hist_len: vec![0; n],
             hist_pos: vec![0; n],
-            hist_last: Vec::new(),
+            hist_last: vec![0; n],
             hist_run: vec![0; n],
             fabricated: 0,
             pending_to: vec![None; n],
@@ -385,7 +322,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
     /// Feed one observation row. `known` says whether a value is a real
     /// observation (unknown values carry no agreement evidence either
     /// way). Updates per-step exclusions, suspicion, and quarantine.
-    pub fn observe(&mut self, row: &[T], known: impl Fn(T) -> bool) -> Result<()> {
+    pub fn observe(&mut self, row: &[u16], known: impl Fn(u16) -> bool) -> Result<()> {
         let n = self.len();
         if row.len() != n {
             return Err(Error::ShapeMismatch {
@@ -395,12 +332,6 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
             });
         }
         self.fabricated = 0;
-        if self.hist.is_empty() && n > 0 {
-            // Lazy fill: any value works, slots past `hist_len` are
-            // never read.
-            self.hist = vec![row[0]; n * self.cfg.window];
-            self.hist_last = vec![row[0]; n];
-        }
         let Some(mut prev) = self.prev.take() else {
             for (v, &c) in row.iter().enumerate() {
                 if known(c) {
@@ -414,15 +345,15 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
 
         if self.steady {
             // Steady-state shortcut. Every VP is trusted and unexcluded,
-            // its disagreement ring is a full window of zeros (pushing
-            // another zero is a no-op), its hist ring is uniformly its
-            // settled value `hist_last` (pushing that value again is a
-            // no-op), and no catch-up flip is owed. A known previous
-            // value therefore equals `hist_last`, so if every known cell
-            // of this row also matches `hist_last` no VP flipped, no
-            // group vote can exclude anyone, and not one piece of state
-            // changes: the whole update is this read-only scan. This is
-            // the overwhelmingly common sweep of a healthy campaign.
+            // its disagreement window is clear (pushing another agreement
+            // is a no-op), its hist ring is uniformly its settled value
+            // `hist_last` (pushing that value again is a no-op), and no
+            // catch-up flip is owed. A known previous value therefore
+            // equals `hist_last`, so if every known cell of this row also
+            // matches `hist_last` no VP flipped, no group vote can
+            // exclude anyone, and not one piece of state changes: the
+            // whole update is this read-only scan. This is the
+            // overwhelmingly common sweep of a healthy campaign.
             let unchanged = (0..n).all(|v| !known(row[v]) || row[v] == self.hist_last[v]);
             if unchanged {
                 prev.clear();
@@ -440,7 +371,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
         // entries is several times cheaper than hashing every key. The
         // list itself is a reusable scratch so steady-state sweeps
         // allocate nothing.
-        let mut groups: Vec<(T, Group<T>)> = std::mem::take(&mut self.groups_scratch);
+        let mut groups: Vec<(u16, Group)> = std::mem::take(&mut self.groups_scratch);
         groups.clear();
         let mut stayed = 0usize;
         let mut moved_count = 0usize;
@@ -505,7 +436,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
             if !known(prev[v]) || !known(row[v]) {
                 // Absent either side: no agreement evidence.
                 if !quarantined {
-                    self.push_disagreement(v, 0.0);
+                    self.push_disagreement(v, false);
                 }
                 continue;
             }
@@ -556,7 +487,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
                             self.fabricated += 1;
                         }
                     }
-                    1.0
+                    true
                 }
                 // The catchment moved and this VP claims it did not:
                 // stale or constant. It now owes a catch-up flip to
@@ -568,7 +499,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
                         .iter()
                         .find(|(k, _)| *k == prev[v])
                         .and_then(|(_, g)| g.best_dest.map(|(t, _)| t));
-                    1.0
+                    true
                 }
                 // A flip while a catch-up is owed. Landing on the value
                 // the group moved to is the owed flip arriving late — an
@@ -580,24 +511,22 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
                     if self.pending_to[v] == Some(row[v]) {
                         self.excluded[v] = true;
                         self.pending_until[v] = 0;
-                        1.0
+                        true
                     } else {
                         self.pending_until[v] = 0;
-                        0.0
+                        false
                     }
                 }
-                _ => 0.0,
+                _ => false,
             };
             if quarantined {
                 // Probation: consistent behaviour earns re-admission.
-                if disagree == 0.0 {
+                if !disagree {
                     self.clean_streak[v] += 1;
                     if self.clean_streak[v] >= self.cfg.probation {
                         self.status[v] = Status::Trusted;
                         self.strikes[v] = 0;
-                        self.win_len[v] = 0;
-                        self.win_pos[v] = 0;
-                        self.win_sum[v] = 0.0;
+                        self.win[v] = 0;
                         self.hist_len[v] = 0;
                         self.hist_pos[v] = 0;
                         self.hist_run[v] = 0;
@@ -623,8 +552,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
                 && self.status[v] == Status::Trusted
                 && !self.excluded[v]
                 && self.pending_until[v] <= self.sweep
-                && self.win_sum[v] == 0.0
-                && self.win_len[v] as usize == w
+                && self.win[v] == 0
                 && self.hist_run[v] as usize >= w;
         }
         self.excluded_now = excluded_now;
@@ -638,14 +566,14 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
     }
 
     /// Whether VP `v`'s recurrence ring holds `val`.
-    fn hist_contains(&self, v: usize, val: T) -> bool {
+    fn hist_contains(&self, v: usize, val: u16) -> bool {
         let base = v * self.cfg.window;
         self.hist[base..base + self.hist_len[v] as usize].contains(&val)
     }
 
     /// Record a trusted value in VP `v`'s recurrence ring (overwriting
     /// the oldest once `cfg.window` entries are held).
-    fn push_hist(&mut self, v: usize, val: T) {
+    fn push_hist(&mut self, v: usize, val: u16) {
         let w = self.cfg.window;
         if self.hist_run[v] as usize >= w && val == self.hist_last[v] {
             // The ring is already uniformly `val`: another push moves
@@ -667,27 +595,18 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
         }
     }
 
-    fn push_disagreement(&mut self, v: usize, d: f64) {
-        let w = self.cfg.window;
-        if d == 0.0 && self.win_sum[v] == 0.0 && self.win_len[v] as usize == w {
-            // A full ring of zeros absorbing another zero: nothing can
-            // change — not the slots, not the sum, not the strike state
-            // (the sum is below the bar, so strikes would reset, and a
-            // zero sum implies they already are). The steady-state VP
-            // costs two loads here and no stores.
+    fn push_disagreement(&mut self, v: usize, disagreed: bool) {
+        if !disagreed && self.win[v] == 0 {
+            // A clear window absorbing another agreement: nothing can
+            // change — not the bits, not the strike state (a zero count
+            // is below the bar, so strikes would reset, and a clear
+            // window implies they already are). The steady-state VP costs
+            // one load here and no stores.
             return;
         }
-        let pos = self.win_pos[v] as usize;
-        let slot = v * w + pos;
-        if self.win_len[v] as usize == w {
-            self.win_sum[v] -= self.win[slot];
-        } else {
-            self.win_len[v] += 1;
-        }
-        self.win[slot] = d;
-        self.win_sum[v] += d;
-        self.win_pos[v] = ((pos + 1) % w) as u32;
-        if self.win_sum[v] >= self.strike_bar {
+        let mask = u64::MAX >> (64 - self.cfg.window);
+        self.win[v] = ((self.win[v] << 1) | u64::from(disagreed)) & mask;
+        if f64::from(self.win[v].count_ones()) >= self.strike_bar {
             self.strikes[v] += 1;
             if self.strikes[v] >= self.cfg.quarantine_strikes {
                 self.status[v] = Status::Quarantined;
@@ -703,7 +622,7 @@ impl<T: Copy + Eq + Hash> TrustModel<T> {
     /// Windowed disagreement rate of VP `v`, normalised by window
     /// *capacity* so early observations cannot dominate.
     pub fn suspicion(&self, v: usize) -> f64 {
-        self.win_sum[v] / self.cfg.window as f64
+        f64::from(self.win[v].count_ones()) / self.cfg.window as f64
     }
 
     /// Whether VP `v` is currently quarantined.
@@ -812,12 +731,12 @@ pub struct TrustedDetection {
 ///
 /// Per step, VPs excluded by the [`TrustModel`] get weight zero in that
 /// step's Φ; the resulting step series feeds
-/// [`ChangeDetector::detect_from_steps`]. Detections are then gated
-/// twice: by measurement coverage (as in
-/// [`ChangeDetector::detect_gated`], floor `coverage_floor`) and by the
-/// trusted fraction of the population around the step
-/// (`cfg.min_trusted_frac`). On a clean substrate no VP is ever excluded
-/// and the result is identical to ungated detection.
+/// [`ChangeDetector::detect_from_steps`]. Detections then go through
+/// the gate of [`ChangeDetector::detect_gated`], which checks
+/// measurement coverage (floor `coverage_floor`) first and the trusted
+/// fraction of the population around the step (`cfg.min_trusted_frac`)
+/// second. On a clean substrate no VP is ever excluded and the result is
+/// identical to ungated detection.
 ///
 /// `identities`, when given, caps sybil voting weight — see
 /// [`TrustModel::new`].
@@ -830,122 +749,103 @@ pub fn detect_trusted(
     cfg: TrustConfig,
     identities: Option<&[u64]>,
 ) -> Result<TrustedDetection> {
-    if !(0.0..=1.0).contains(&coverage_floor) {
-        return Err(Error::InvalidParameter {
-            name: "coverage_floor",
-            message: format!("must lie in [0, 1], got {coverage_floor}"),
-        });
-    }
-    if health.len() != series.len() {
-        return Err(Error::ShapeMismatch {
-            what: "health series",
-            expected: series.len(),
-            actual: health.len(),
-        });
-    }
-    if base.len() != series.networks() {
-        return Err(Error::ShapeMismatch {
-            what: "weights",
-            expected: series.networks(),
-            actual: base.len(),
-        });
-    }
-    let known = |c: u16| c != CODE_UNKNOWN && c != CODE_ERR;
-    let mut model: TrustModel<u16> = TrustModel::new(cfg, base, identities)?;
-    let mut health_out = health.to_vec();
-    let mut steps: Vec<f64> = Vec::with_capacity(series.len().saturating_sub(1));
-    let mut step_trusted: Vec<f64> = Vec::with_capacity(steps.capacity());
-    if !series.is_empty() {
-        model.observe(series.get(0).codes(), known)?;
-    }
-    let mut contested: Vec<ContestedStep> = Vec::new();
-    for (i, step_health) in health_out.iter_mut().enumerate().skip(1) {
-        model.observe(series.get(i).codes(), known)?;
-        let fabricated = model.step_fabricated() as f64 / model.len().max(1) as f64;
-        if fabricated >= cfg.contested_frac {
-            contested.push(ContestedStep {
-                index: i,
-                excluded_fraction: fabricated,
+    // The trust-weighted pass: the ungated detections, and the result
+    // around them with each step's trusted fraction for the gate.
+    let pass = || {
+        if base.len() != series.networks() {
+            return Err(Error::ShapeMismatch {
+                what: "weights",
+                expected: series.networks(),
+                actual: base.len(),
             });
         }
-        let distrusted = model.step_excluded_count();
-        step_health.distrusted = distrusted;
-        let (p, trusted) = if distrusted == 0 {
-            // Nobody excluded — the overwhelmingly common step on a
-            // healthy substrate: Φ under the base weights, no per-step
-            // weight vector to build and re-validate.
-            (
-                phi(series.get(i - 1), series.get(i), base, detector.policy),
-                1.0,
-            )
-        } else {
-            let step_w = model.step_weights(base);
-            let trusted = step_w.iter().sum::<f64>() / base.total();
-            let p = match Weights::from_values(step_w) {
-                Ok(w) => phi(series.get(i - 1), series.get(i), &w, detector.policy),
-                // Nobody trustworthy observed the step: no similarity
-                // evidence at all. Record a full drop so the step
-                // surfaces as a detection — which the trust gate below
-                // then suppresses explicitly instead of silently
-                // skipping.
-                Err(Error::ZeroWeight) => 0.0,
-                Err(e) => return Err(e),
+        let known = |c: u16| c != CODE_UNKNOWN && c != CODE_ERR;
+        let mut model = TrustModel::new(cfg, base, identities)?;
+        let mut health_out = health.to_vec();
+        let mut steps: Vec<f64> = Vec::with_capacity(series.len().saturating_sub(1));
+        let mut step_trusted: Vec<f64> = Vec::with_capacity(steps.capacity());
+        if !series.is_empty() {
+            model.observe(series.get(0).codes(), known)?;
+        }
+        let mut contested: Vec<ContestedStep> = Vec::new();
+        for (i, step_health) in health_out.iter_mut().enumerate().skip(1) {
+            model.observe(series.get(i).codes(), known)?;
+            let fabricated = model.step_fabricated() as f64 / model.len().max(1) as f64;
+            if fabricated >= cfg.contested_frac {
+                contested.push(ContestedStep {
+                    index: i,
+                    excluded_fraction: fabricated,
+                });
+            }
+            let distrusted = model.step_excluded_count();
+            step_health.distrusted = distrusted;
+            let (p, trusted) = if distrusted == 0 {
+                // Nobody excluded — the overwhelmingly common step on a
+                // healthy substrate: Φ under the base weights, no
+                // per-step weight vector to build and re-validate.
+                (
+                    phi(series.get(i - 1), series.get(i), base, detector.policy),
+                    1.0,
+                )
+            } else {
+                let step_w = model.step_weights(base);
+                let trusted = step_w.iter().sum::<f64>() / base.total();
+                let p = match Weights::from_values(step_w) {
+                    Ok(w) => phi(series.get(i - 1), series.get(i), &w, detector.policy),
+                    // Nobody trustworthy observed the step: no similarity
+                    // evidence at all. Record a full drop so the step
+                    // surfaces as a detection — which the trust gate then
+                    // suppresses explicitly instead of silently skipping.
+                    Err(Error::ZeroWeight) => 0.0,
+                    Err(e) => return Err(e),
+                };
+                (p, trusted)
             };
-            (p, trusted)
-        };
-        steps.push(p);
-        step_trusted.push(trusted);
-    }
-    let times = series.times();
-    let trusted_fraction = model.trusted_fraction(base);
-    let degraded = trusted_fraction < cfg.min_trusted_frac;
-    let mut gated = GatedDetection::default();
-    let untrusted_steps = step_trusted
-        .iter()
-        .filter(|&&t| t < cfg.min_trusted_frac)
-        .count();
-    for event in detector.detect_from_steps(&steps, &times) {
-        let before = health_out[event.index - 1].coverage();
-        let at = health_out[event.index].coverage();
-        let coverage = before.min(at);
-        let trusted_here = step_trusted[event.index - 1];
-        if coverage < coverage_floor {
-            gated.suppressed.push(SuppressedEvent {
-                event,
-                reason: SuppressReason::LowCoverage {
-                    coverage,
-                    floor: coverage_floor,
-                },
-            });
-        } else if degraded || trusted_here < cfg.min_trusted_frac {
-            gated.suppressed.push(SuppressedEvent {
-                event,
-                reason: SuppressReason::UntrustedPopulation {
-                    trusted_fraction: if degraded {
-                        trusted_fraction
-                    } else {
-                        trusted_here
-                    },
-                    floor: cfg.min_trusted_frac,
-                },
-            });
-        } else {
-            gated.events.push(event);
+            steps.push(p);
+            step_trusted.push(trusted);
         }
-    }
-    let trust = TrustReport {
-        suspicion: (0..model.len()).map(|v| model.suspicion(v)).collect(),
-        quarantined: (0..model.len()).map(|v| model.is_quarantined(v)).collect(),
-        trusted_fraction,
-        untrusted_steps,
+        let trusted_fraction = model.trusted_fraction(base);
+        let trust = TrustReport {
+            suspicion: (0..model.len()).map(|v| model.suspicion(v)).collect(),
+            quarantined: (0..model.len()).map(|v| model.is_quarantined(v)).collect(),
+            trusted_fraction,
+            untrusted_steps: step_trusted
+                .iter()
+                .filter(|&&t| t < cfg.min_trusted_frac)
+                .count(),
+        };
+        let out = TrustedDetection {
+            gated: GatedDetection::default(),
+            trust,
+            health: health_out,
+            degraded: trusted_fraction < cfg.min_trusted_frac,
+            contested,
+        };
+        let events = detector.detect_from_steps(&steps, &series.times());
+        Ok((events, (out, step_trusted)))
     };
-    Ok(TrustedDetection {
-        gated,
-        trust,
-        health: health_out,
-        degraded,
-        contested,
-    })
+    let floor = cfg.min_trusted_frac;
+    let (gated, (mut out, _)) = gate(
+        series.len(),
+        health,
+        coverage_floor,
+        pass,
+        |(out, step_trusted), event| {
+            // A degraded run answers for every step with its final
+            // trusted fraction.
+            let trusted_fraction = if out.degraded {
+                out.trust.trusted_fraction
+            } else {
+                step_trusted[event.index - 1]
+            };
+            (trusted_fraction < floor).then_some(SuppressReason::UntrustedPopulation {
+                trusted_fraction,
+                floor,
+            })
+        },
+    )?;
+    out.gated = gated;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -987,6 +887,25 @@ mod tests {
             .collect()
     }
 
+    /// The general trimmed mean, the oracle for `trimmed_indicator_mean`:
+    /// up to `trim_frac` of arbitrarily-corrupted values cannot move it past
+    /// the clean range. Returns the median when trimming would drop
+    /// everything, 0 for empty input.
+    fn trimmed_mean(xs: &[f64], trim_frac: f64) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        let mut v = xs.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let k = (v.len() as f64 * trim_frac.clamp(0.0, 0.5)).floor() as usize;
+        let kept = &v[k..v.len() - k];
+        if kept.is_empty() {
+            v[v.len() / 2]
+        } else {
+            kept.iter().sum::<f64>() / kept.len() as f64
+        }
+    }
+
     #[test]
     fn trimmed_mean_resists_outliers() {
         let clean = [0.5, 0.5, 0.5, 0.5];
@@ -1017,20 +936,18 @@ mod tests {
     }
 
     #[test]
-    fn median_of_means_resists_outliers() {
-        let poisoned = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1000.0];
-        let m = median_of_means(&poisoned, 4);
-        assert!(m < 2.0, "{m}");
-        assert_eq!(median_of_means(&[], 3), 0.0);
-        assert_eq!(median_of_means(&[7.0], 3), 7.0);
-    }
-
-    #[test]
     fn config_validation_rejects_out_of_domain() {
         let mut c = TrustConfig::default();
         assert!(c.validate().is_ok());
-        c.window = 0;
-        assert!(c.validate().is_err());
+        c.window = 64;
+        assert!(c.validate().is_ok());
+        for window in [0, 65] {
+            c.window = window;
+            assert!(matches!(
+                c.validate(),
+                Err(Error::Config { name: "window", .. })
+            ));
+        }
         c = TrustConfig {
             trim_frac: 0.5,
             ..TrustConfig::default()
@@ -1381,38 +1298,33 @@ mod tests {
     fn detect_trusted_rejects_shape_mismatches() {
         let rows = shift_rows(4, 4);
         let series = series_from(&rows);
-        let base = Weights::uniform(10);
         let det = ChangeDetector::default();
-        assert!(detect_trusted(
-            &det,
-            &series,
-            &base,
-            &full_health(7, 10),
-            0.2,
-            TrustConfig::default(),
-            None
-        )
-        .is_err());
-        assert!(detect_trusted(
-            &det,
-            &series,
-            &Weights::uniform(9),
-            &full_health(8, 10),
-            0.2,
-            TrustConfig::default(),
-            None
-        )
-        .is_err());
-        assert!(detect_trusted(
-            &det,
-            &series,
-            &base,
-            &full_health(8, 10),
-            1.5,
-            TrustConfig::default(),
-            None
-        )
-        .is_err());
+        let run = |networks: usize, observations: usize, floor: f64| {
+            let base = Weights::uniform(networks);
+            let health = full_health(observations, 10);
+            detect_trusted(
+                &det,
+                &series,
+                &base,
+                &health,
+                floor,
+                TrustConfig::default(),
+                None,
+            )
+            .unwrap_err()
+        };
+        let what = |e: Error| match e {
+            Error::ShapeMismatch { what, .. } => what,
+            Error::InvalidParameter { name, .. } => name,
+            other => panic!("unexpected {other}"),
+        };
+        assert_eq!(what(run(10, 7, 0.2)), "health series");
+        assert_eq!(what(run(9, 8, 0.2)), "weights");
+        assert_eq!(what(run(10, 8, 1.5)), "coverage_floor");
+        // The gate checks the floor, then the health length, and only
+        // then the trust pass checks the weights.
+        assert_eq!(what(run(9, 7, 1.5)), "coverage_floor");
+        assert_eq!(what(run(9, 7, 0.2)), "health series");
     }
 
     #[test]
@@ -1460,13 +1372,189 @@ mod tests {
         );
     }
 
+    /// SplitMix64: the seeded draws of [`adversarial_rows`].
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// FNV-1a over little-endian words: the same value on every
+    /// toolchain, so the golden literals stay put.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// `steps` rows over `n` VPs on four sites. Each VP reports the site
+    /// of its home group (`v % 4`); now and then a whole group moves, or
+    /// a few VPs flap for one sweep. During sweeps 80..220 every twelfth
+    /// VP from 0, 1 and 2 lies: at random, constantly, and five sweeps
+    /// stale. Unknown and err cells fall anywhere.
+    fn adversarial_rows(seed: u64, n: usize, steps: usize) -> Vec<Vec<u16>> {
+        let mut rng = Draws(seed);
+        let mut site_of = [0u16, 1, 2, 3];
+        let mut truth: Vec<Vec<u16>> = Vec::with_capacity(steps);
+        let mut rows = Vec::with_capacity(steps);
+        for step in 0..steps {
+            if rng.below(15) == 0 {
+                site_of[rng.below(4) as usize] = rng.below(4) as u16;
+            }
+            truth.push((0..n).map(|v| site_of[v % 4]).collect());
+            let mut row = truth[step].clone();
+            let attack = (80..220).contains(&step);
+            if rng.below(10) == 0 {
+                let to = rng.below(4) as u16;
+                for _ in 0..3 {
+                    row[rng.below(n as u64) as usize] = to;
+                }
+            }
+            for (v, cell) in row.iter_mut().enumerate() {
+                if attack {
+                    match v % 12 {
+                        0 if rng.below(2) == 0 => *cell = rng.below(4) as u16,
+                        1 => *cell = 3,
+                        2 => *cell = truth[step.saturating_sub(5)][v],
+                        _ => {}
+                    }
+                }
+                match rng.below(60) {
+                    0 => *cell = CODE_UNKNOWN,
+                    1 => *cell = CODE_ERR,
+                    _ => {}
+                }
+            }
+            rows.push(row);
+        }
+        rows
+    }
+
     #[test]
-    fn trust_model_is_generic_over_observation_type() {
-        // The poisoned-gradient seam: observations are sign bits.
-        let base = Weights::uniform(4);
-        let mut m: TrustModel<i8> = TrustModel::new(TrustConfig::default(), &base, None).unwrap();
-        m.observe(&[1i8, 1, 1, 1], |_| true).unwrap();
-        m.observe(&[1i8, 1, 1, -1], |_| true).unwrap();
-        assert!(m.step_excluded()[3], "lone sign flip excluded");
+    fn trust_state_per_step_is_pinned() {
+        // Hashes of the model's state after every step and of
+        // `detect_trusted`'s result, per config. A change that means to
+        // alter trust behaviour regenerates them: run this test, and
+        // copy the `got` array from its failure message.
+        let (n, steps) = (60usize, 300usize);
+        let base = Weights::from_values((0..n).map(|v| 1.0 + (v % 3) as f64).collect()).unwrap();
+        // Constant liars share one sybil identity; the rest come in pairs.
+        let ids: Vec<u64> = (0..n)
+            .map(|v| if v % 12 == 1 { 1_000 } else { v as u64 / 2 })
+            .collect();
+        // (window, probation, quarantine_strikes, suspicion_threshold,
+        // min_trusted_frac, identities); the first is the default.
+        let configs = [
+            (8, 3, 2, 0.3, 0.5, false),
+            (1, 3, 2, 0.3, 0.95, false),
+            (4, 2, 2, 0.3, 0.5, true),
+            (6, 3, 1, 0.3, 0.9, true),
+            (12, 3, 2, 0.25, 0.5, false),
+            (64, 3, 2, 0.3, 0.5, true),
+        ];
+        let known = |c: u16| c != CODE_UNKNOWN && c != CODE_ERR;
+        let mut got = Vec::new();
+        for (seed, &(window, probation, strikes, threshold, floor, with_ids)) in
+            configs.iter().enumerate()
+        {
+            let cfg = TrustConfig {
+                window,
+                probation,
+                quarantine_strikes: strikes,
+                suspicion_threshold: threshold,
+                min_trusted_frac: floor,
+                ..TrustConfig::default()
+            };
+            let rows = adversarial_rows(seed as u64, n, steps);
+            let ids = with_ids.then_some(&ids[..]);
+            let mut m: TrustModel = TrustModel::new(cfg, &base, ids).unwrap();
+            let mut h = Fnv::new();
+            for row in &rows {
+                m.observe(row, known).unwrap();
+                for v in 0..n {
+                    h.word(u64::from(m.step_excluded()[v]));
+                    h.word(m.suspicion(v).to_bits());
+                    h.word(u64::from(m.is_quarantined(v)));
+                }
+                h.word(m.step_fabricated() as u64);
+                h.word(m.step_excluded_count() as u64);
+                h.word(m.quarantined_count() as u64);
+                h.word(m.trusted_fraction(&base).to_bits());
+            }
+
+            let mut health = full_health(steps, 100);
+            for hl in health.iter_mut().skip(3).step_by(7) {
+                hl.responses = 10;
+            }
+            let r = detect_trusted(
+                &ChangeDetector::default(),
+                &series_from(&rows),
+                &base,
+                &health,
+                0.2,
+                cfg,
+                ids,
+            )
+            .unwrap();
+            let mut g = Fnv::new();
+            let suppressed = r.gated.suppressed.iter();
+            let events = r.gated.events.iter();
+            for e in events.chain(suppressed.clone().map(|s| &s.event)) {
+                g.word(e.index as u64);
+                for x in [e.phi, e.baseline, e.magnitude] {
+                    g.word(x.to_bits());
+                }
+            }
+            for s in suppressed {
+                let (kind, value, floor) = match s.reason {
+                    SuppressReason::LowCoverage { coverage, floor } => (0, coverage, floor),
+                    SuppressReason::UntrustedPopulation {
+                        trusted_fraction,
+                        floor,
+                    } => (1, trusted_fraction, floor),
+                };
+                for x in [kind, value.to_bits(), floor.to_bits()] {
+                    g.word(x);
+                }
+            }
+            for v in 0..n {
+                g.word(r.trust.suspicion[v].to_bits());
+                g.word(u64::from(r.trust.quarantined[v]));
+            }
+            g.word(r.trust.trusted_fraction.to_bits());
+            g.word(r.trust.untrusted_steps as u64);
+            for hl in &r.health {
+                g.word(hl.distrusted as u64);
+            }
+            g.word(u64::from(r.degraded));
+            for c in &r.contested {
+                g.word(c.index as u64);
+                g.word(c.excluded_fraction.to_bits());
+            }
+            got.push((h.0, g.0));
+        }
+        let expected: [(u64, u64); 6] = [
+            (0xe8dd_1747_5f6b_28f5, 0xfda9_182b_91bd_1345),
+            (0xa477_13c5_e8fd_200e, 0xaee4_986f_9c84_4d0a),
+            (0xc3b1_2862_2fe5_149f, 0x583c_3c92_6eb3_dd55),
+            (0xf3f3_129a_c323_9cec, 0x1bb9_de0c_91e9_4f39),
+            (0x730b_b2e9_f953_a11d, 0x7666_8577_6a37_7d84),
+            (0xc9ce_13e6_c89d_1725, 0xf112_5d6c_28ae_5984),
+        ];
+        assert_eq!(got, expected, "got {got:#x?}");
     }
 }

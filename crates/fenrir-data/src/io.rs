@@ -1,160 +1,14 @@
-//! Serialization of routing-vector series: long-form CSV and JSONL.
-//!
-//! Two formats, both self-describing and diff-friendly:
-//!
-//! * **CSV** (long form): `time,network,catchment` rows, one per *known*
-//!   observation — the shape measurement pipelines and spreadsheet tools
-//!   expect. Unknowns are implicit (absent rows), which keeps multi-year
-//!   sparse datasets small.
-//! * **JSONL**: one JSON object per observation time with the full dense
-//!   code vector — lossless, including unknowns, for exact round-trips.
+//! Serialization of routing-vector series as JSONL: a header line naming
+//! the sites and networks, then one JSON object per observation time with
+//! the full dense code vector — lossless, including unknowns, for exact
+//! round trips, and diff-friendly.
 
 use crate::json::{self, Json};
 use fenrir_core::error::{Error, Result};
 use fenrir_core::ids::SiteTable;
 use fenrir_core::series::VectorSeries;
 use fenrir_core::time::Timestamp;
-use fenrir_core::vector::{Catchment, RoutingVector};
-use std::collections::{HashMap, HashSet};
-
-/// Export a series as long-form CSV. `network_labels` names each vector
-/// position (block or VP id); unknown cells are omitted.
-pub fn to_csv(series: &VectorSeries, network_labels: &[String]) -> Result<String> {
-    if network_labels.len() != series.networks() {
-        return Err(Error::ShapeMismatch {
-            what: "network labels",
-            expected: series.networks(),
-            actual: network_labels.len(),
-        });
-    }
-    let sites = series.sites();
-    // The format has no quoting: a comma or newline inside a label or site
-    // name would corrupt the row structure, so reject them up front.
-    let clean = |s: &str| !s.contains(',') && !s.contains('\n') && !s.contains('\r');
-    if let Some(bad) = network_labels.iter().find(|l| !clean(l)) {
-        return Err(Error::InvalidParameter {
-            name: "network label",
-            message: format!("{bad:?} contains a comma or newline"),
-        });
-    }
-    if let Some((_, bad)) = sites.iter().find(|(_, n)| !clean(n)) {
-        return Err(Error::InvalidParameter {
-            name: "site name",
-            message: format!("{bad:?} contains a comma or newline"),
-        });
-    }
-    let mut out = String::from("time,network,catchment\n");
-    for v in series.vectors() {
-        for (n, label) in network_labels.iter().enumerate() {
-            let c = v.get(n);
-            if c.is_known() {
-                out.push_str(&format!(
-                    "{},{},{}\n",
-                    v.time().as_secs(),
-                    label,
-                    c.display(sites)
-                ));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Import a long-form CSV produced by [`to_csv`].
-///
-/// The network population and site table are reconstructed from the rows
-/// (networks ordered by first appearance); cells absent from the file are
-/// `Unknown`.
-///
-/// The importer is strict about hostile or corrupted input: ragged rows
-/// (not exactly 3 fields), empty fields, unparseable timestamps, times
-/// that go backwards (a sweep reappearing after a later one), and
-/// duplicate `(time, network)` cells are all typed errors — silently
-/// reordering or last-wins overwriting would let a mangled file load as
-/// plausible data.
-pub fn from_csv(csv: &str) -> Result<(VectorSeries, Vec<String>)> {
-    let mut lines = csv.lines();
-    let header = lines.next().ok_or(Error::EmptyInput("csv"))?;
-    if header.trim() != "time,network,catchment" {
-        return Err(Error::InvalidParameter {
-            name: "csv header",
-            message: format!("unexpected header {header:?}"),
-        });
-    }
-    let mut sites = SiteTable::new();
-    let mut net_index: HashMap<String, usize> = HashMap::new();
-    let mut net_labels: Vec<String> = Vec::new();
-    // (time, network, catchment) triples with catchments resolved late so
-    // the site table fills in file order.
-    let mut rows: Vec<(i64, usize, Catchment)> = Vec::new();
-    let mut seen_cells: HashSet<(i64, usize)> = HashSet::new();
-    let mut last_time: Option<i64> = None;
-    for (lineno, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parts: Vec<&str> = line.split(',').collect();
-        let [t, net, catch] = parts[..] else {
-            return Err(Error::InvalidParameter {
-                name: "csv row",
-                message: format!(
-                    "line {}: expected 3 fields, got {}",
-                    lineno + 2,
-                    parts.len()
-                ),
-            });
-        };
-        if net.is_empty() || catch.is_empty() {
-            return Err(Error::InvalidParameter {
-                name: "csv row",
-                message: format!("line {}: empty field", lineno + 2),
-            });
-        }
-        let t: i64 = t.parse().map_err(|_| Error::InvalidParameter {
-            name: "csv time",
-            message: format!("line {}: bad timestamp {t:?}", lineno + 2),
-        })?;
-        if last_time.is_some_and(|last| t < last) {
-            return Err(Error::InvalidParameter {
-                name: "csv time",
-                message: format!("line {}: time {t} goes backwards", lineno + 2),
-            });
-        }
-        last_time = Some(t);
-        let n = *net_index.entry(net.to_owned()).or_insert_with(|| {
-            net_labels.push(net.to_owned());
-            net_labels.len() - 1
-        });
-        if !seen_cells.insert((t, n)) {
-            return Err(Error::InvalidParameter {
-                name: "csv row",
-                message: format!(
-                    "line {}: duplicate cell for {net:?} at time {t}",
-                    lineno + 2
-                ),
-            });
-        }
-        let c = match catch {
-            "err" => Catchment::Err,
-            "other" => Catchment::Other,
-            "unknown" => Catchment::Unknown,
-            name => Catchment::Site(sites.intern(name)),
-        };
-        rows.push((t, n, c));
-    }
-    let mut times: Vec<i64> = rows.iter().map(|&(t, _, _)| t).collect();
-    times.dedup();
-    let t_index: HashMap<i64, usize> = times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-    let mut vectors: Vec<RoutingVector> = times
-        .iter()
-        .map(|&t| RoutingVector::unknown(Timestamp::from_secs(t), net_labels.len()))
-        .collect();
-    for (t, n, c) in rows {
-        vectors[t_index[&t]].set(n, c);
-    }
-    let series = VectorSeries::from_vectors(sites, net_labels.len(), vectors)?;
-    Ok((series, net_labels))
-}
+use fenrir_core::vector::RoutingVector;
 
 /// Export a series as JSONL: a header line, then one line per observation.
 pub fn to_jsonl(series: &VectorSeries, network_labels: &[String]) -> Result<String> {
@@ -309,6 +163,7 @@ pub fn from_jsonl(jsonl: &str) -> Result<(VectorSeries, Vec<String>)> {
 mod tests {
     use super::*;
     use fenrir_core::ids::SiteId;
+    use fenrir_core::vector::Catchment;
 
     fn sample() -> (VectorSeries, Vec<String>) {
         let sites = SiteTable::from_names(["LAX", "AMS"]);
@@ -332,70 +187,6 @@ mod tests {
             "10.0.2.0/24".into(),
         ];
         (series, labels)
-    }
-
-    #[test]
-    fn csv_round_trip_preserves_known_cells() {
-        let (series, labels) = sample();
-        let csv = to_csv(&series, &labels).unwrap();
-        let (back, back_labels) = from_csv(&csv).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.networks(), 3);
-        assert_eq!(back_labels, labels);
-        for (orig, round) in series.vectors().iter().zip(back.vectors()) {
-            assert_eq!(orig.time(), round.time());
-            for n in 0..3 {
-                let (a, b) = (orig.get(n), round.get(n));
-                // Unknown round-trips as unknown (absent row); everything
-                // else exactly.
-                assert_eq!(a, b, "net {n} at {}", orig.time());
-            }
-        }
-    }
-
-    #[test]
-    fn csv_omits_unknown_rows() {
-        let (series, labels) = sample();
-        let csv = to_csv(&series, &labels).unwrap();
-        assert_eq!(csv.trim_end().lines().count(), 1 + 5); // header + 5 known cells
-        assert!(!csv.contains("unknown"));
-    }
-
-    #[test]
-    fn csv_rejects_label_mismatch() {
-        let (series, _) = sample();
-        assert!(to_csv(&series, &["x".into()]).is_err());
-    }
-
-    #[test]
-    fn csv_rejects_commas_in_labels_and_sites() {
-        let (series, _) = sample();
-        let bad = vec!["a,b".into(), "c".into(), "d".into()];
-        assert!(to_csv(&series, &bad).is_err());
-        let sites = SiteTable::from_names(["NY,C"]);
-        let mut s2 = VectorSeries::new(sites, 1);
-        s2.push(RoutingVector::from_catchments(
-            Timestamp::from_days(0),
-            vec![Catchment::Site(SiteId(0))],
-        ))
-        .unwrap();
-        assert!(to_csv(&s2, &["n".into()]).is_err());
-    }
-
-    #[test]
-    fn csv_rejects_bad_header_and_rows() {
-        assert!(from_csv("").is_err());
-        assert!(from_csv("wrong,header,here\n").is_err());
-        assert!(from_csv("time,network,catchment\nnotanumber,a,LAX\n").is_err());
-        assert!(from_csv("time,network,catchment\n12,onlytwo\n").is_err());
-    }
-
-    #[test]
-    fn csv_skips_blank_lines() {
-        let csv = "time,network,catchment\n0,a,LAX\n\n86400,a,AMS\n";
-        let (series, labels) = from_csv(csv).unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(labels, vec!["a".to_owned()]);
     }
 
     #[test]
@@ -433,48 +224,6 @@ mod tests {
     fn jsonl_rejects_label_mismatch() {
         let (series, _) = sample();
         assert!(to_jsonl(&series, &["x".into()]).is_err());
-    }
-
-    #[test]
-    fn csv_rejects_ragged_rows_with_extra_fields() {
-        let csv = "time,network,catchment\n0,a,LAX,extra\n";
-        assert!(matches!(
-            from_csv(csv),
-            Err(Error::InvalidParameter {
-                name: "csv row",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn csv_rejects_empty_fields() {
-        assert!(from_csv("time,network,catchment\n0,,LAX\n").is_err());
-        assert!(from_csv("time,network,catchment\n0,a,\n").is_err());
-    }
-
-    #[test]
-    fn csv_rejects_out_of_order_times() {
-        let csv = "time,network,catchment\n86400,a,LAX\n0,b,AMS\n";
-        assert!(matches!(
-            from_csv(csv),
-            Err(Error::InvalidParameter {
-                name: "csv time",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn csv_rejects_duplicate_cells() {
-        let csv = "time,network,catchment\n0,a,LAX\n0,a,AMS\n";
-        assert!(matches!(
-            from_csv(csv),
-            Err(Error::InvalidParameter {
-                name: "csv row",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # fenrir-data
 //!
-//! The dataset layer: serialization of routing-vector series to CSV and
-//! JSONL (honouring the paper's "we will release our datasets" commitment
-//! with machine-readable formats), and **scenario builders** that
+//! The dataset layer: serialization of routing-vector series to JSONL
+//! (honouring the paper's "we will release our datasets" commitment with
+//! a machine-readable format), and **scenario builders** that
 //! reconstruct every dataset of the paper's Table 2 — plus the G-Root
 //! example of Figure 1 — as deterministic simulations:
 //!

@@ -176,7 +176,7 @@ fn mode_boundaries(labels: &[usize]) -> Vec<usize> {
 
 struct Inner {
     pipe: RecoverablePipeline,
-    trust: Option<TrustModel<u16>>,
+    trust: Option<TrustModel>,
     /// The previous step's mode boundaries; the diff against the
     /// current step's is exactly the set of transitions to announce.
     boundaries: Vec<usize>,
@@ -292,7 +292,7 @@ impl StreamIngestor {
         pipe: &RecoverablePipeline,
         cfg: Option<TrustConfig>,
         base: &Weights,
-    ) -> Result<Option<TrustModel<u16>>> {
+    ) -> Result<Option<TrustModel>> {
         let Some(tc) = cfg else { return Ok(None) };
         let mut tm = TrustModel::new(tc, base, None)?;
         for i in 0..pipe.series().len() {

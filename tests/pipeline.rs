@@ -148,10 +148,4 @@ fn pipeline_survives_serialization() {
         sim_back.raw(),
         "analysis identical after round trip"
     );
-
-    // CSV drops nothing that matters either (unknowns are implicit).
-    let csv = fenrir::data::io::to_csv(&run.series, &labels).expect("csv");
-    let (back_csv, _) = fenrir::data::io::from_csv(&csv).expect("parse");
-    let sim_csv = SimilarityMatrix::compute(&back_csv, &w, UnknownPolicy::Pessimistic).expect("ok");
-    assert_eq!(sim_orig.raw(), sim_csv.raw());
 }
