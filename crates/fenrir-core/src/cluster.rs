@@ -573,21 +573,6 @@ impl Dendrogram {
         labels
     }
 
-    /// Mode membership at an untrusted threshold: like [`Dendrogram::cut`]
-    /// but validating the threshold domain first, for callers (e.g. a
-    /// query server) that cannot vouch for the value. A non-finite or
-    /// out-of-`[0, 1]` threshold is refused with a typed error instead of
-    /// silently producing the all-separate or all-merged clustering.
-    pub fn membership_at(&self, threshold: f64) -> Result<Vec<usize>> {
-        if !threshold.is_finite() || !(0.0..=1.0).contains(&threshold) {
-            return Err(Error::InvalidParameter {
-                name: "threshold",
-                message: format!("{threshold} is not a distance in [0, 1]"),
-            });
-        }
-        Ok(self.cut(threshold))
-    }
-
     /// Number of clusters produced by [`Dendrogram::cut`] at `threshold`.
     pub fn cluster_count(&self, threshold: f64) -> usize {
         self.cut(threshold)
@@ -736,18 +721,6 @@ mod tests {
     fn empty_matrix_is_error() {
         let sim = SimilarityMatrix::from_raw(0, vec![]).unwrap();
         assert!(Dendrogram::build(&sim, Linkage::Single).is_err());
-    }
-
-    #[test]
-    fn membership_at_validates_threshold_domain() {
-        let d = Dendrogram::build(&two_blobs(), Linkage::Average).unwrap();
-        assert_eq!(d.membership_at(0.5).unwrap(), d.cut(0.5));
-        for bad in [f64::NAN, f64::INFINITY, -0.01, 1.01] {
-            assert!(matches!(
-                d.membership_at(bad),
-                Err(Error::InvalidParameter { .. })
-            ));
-        }
     }
 
     #[test]

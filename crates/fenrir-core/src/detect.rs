@@ -130,18 +130,30 @@ impl ChangeDetector {
     pub fn detect(&self, series: &VectorSeries, w: &Weights) -> Vec<DetectedEvent> {
         let steps = self.step_similarities(series, w);
         self.detect_from_steps(&steps, &series.times())
+            .expect("steps and times come from one series")
     }
 
     /// Run detection over precomputed step similarities.
     ///
     /// `steps[i]` is Φ between observations `i` and `i + 1`; `times` are
-    /// the observation timestamps (so `times.len() == steps.len() + 1`).
-    /// This is [`detect`](Self::detect) with the Φ computation factored
-    /// out, for callers that weight each step differently — the trust
-    /// model recomputes per-step weights as vantage points fall in and
-    /// out of quarantine.
-    pub fn detect_from_steps(&self, steps: &[f64], times: &[Timestamp]) -> Vec<DetectedEvent> {
-        debug_assert!(steps.is_empty() || times.len() == steps.len() + 1);
+    /// the observation timestamps, so unless `steps` is empty
+    /// `times.len()` must be `steps.len() + 1` (else
+    /// [`Error::ShapeMismatch`]). This is [`detect`](Self::detect) with
+    /// the Φ computation factored out, for callers that weight each step
+    /// differently — the trust model recomputes per-step weights as
+    /// vantage points fall in and out of quarantine.
+    pub fn detect_from_steps(
+        &self,
+        steps: &[f64],
+        times: &[Timestamp],
+    ) -> Result<Vec<DetectedEvent>> {
+        if !steps.is_empty() && times.len() != steps.len() + 1 {
+            return Err(Error::ShapeMismatch {
+                what: "step timestamps",
+                expected: steps.len() + 1,
+                actual: times.len(),
+            });
+        }
         let mut raw: Vec<DetectedEvent> = Vec::new();
         let mut history: Vec<f64> = Vec::new();
         for (i, &p) in steps.iter().enumerate() {
@@ -168,7 +180,7 @@ impl ChangeDetector {
                 }
             }
         }
-        self.merge(raw)
+        Ok(self.merge(raw))
     }
 
     /// Collapse bursts of detections separated by at most `merge_gap`
@@ -596,6 +608,16 @@ mod tests {
             .detect_gated(&series, &w, &full_health(20), 1.5)
             .unwrap_err();
         assert!(matches!(err, Error::InvalidParameter { .. }), "{err}");
+    }
+
+    #[test]
+    fn detect_from_steps_refuses_short_times() {
+        // The third step drops far enough to fire, at `times[3]`.
+        let err = ChangeDetector::default()
+            .detect_from_steps(&[0.9, 0.9, 0.1], &[ts(0), ts(1)])
+            .unwrap_err();
+        let want = "shape mismatch for step timestamps: expected 4 elements, got 2";
+        assert_eq!(err.to_string(), want);
     }
 
     #[test]

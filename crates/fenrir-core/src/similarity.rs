@@ -542,25 +542,14 @@ impl SimilarityMatrix {
     /// Φ range over all distinct pairs within one group of indices —
     /// intra-mode similarity. Returns `None` for groups with <2 members.
     pub fn intra_range(&self, group: &[usize]) -> Option<(f64, f64)> {
-        let mut pairs = Vec::new();
-        for (k, &i) in group.iter().enumerate() {
-            for &j in &group[k + 1..] {
-                pairs.push((i, j));
-            }
-        }
-        self.range_over(pairs)
+        let pairs = group.iter().enumerate();
+        self.range_over(pairs.flat_map(|(k, &i)| group[k + 1..].iter().map(move |&j| (i, j))))
     }
 
     /// Φ range over the cross product of two groups — inter-mode similarity
     /// like the paper's `Φ(M_i, M_ii) = [0.11, 0.48]`.
     pub fn inter_range(&self, a: &[usize], b: &[usize]) -> Option<(f64, f64)> {
-        let mut pairs = Vec::new();
-        for &i in a {
-            for &j in b {
-                pairs.push((i, j));
-            }
-        }
-        self.range_over(pairs)
+        self.range_over(a.iter().flat_map(|&i| b.iter().map(move |&j| (i, j))))
     }
 
     /// Mean Φ over the cross product of two groups.

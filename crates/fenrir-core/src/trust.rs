@@ -821,7 +821,7 @@ pub fn detect_trusted(
             degraded: trusted_fraction < cfg.min_trusted_frac,
             contested,
         };
-        let events = detector.detect_from_steps(&steps, &series.times());
+        let events = detector.detect_from_steps(&steps, &series.times())?;
         Ok((events, (out, step_trusted)))
     };
     let floor = cfg.min_trusted_frac;

@@ -8,16 +8,18 @@
 //! ## Timeouts and slow peers
 //!
 //! [`Client::set_read_timeout`] bounds the *whole reply*, not each
-//! `read(2)`. Internally the socket carries a short tick and `recv`
-//! loops [`read_frame_deadline`] over it, so a peer (or a chaos proxy)
-//! that dribbles a reply byte-by-byte still completes as long as the
-//! full frame lands before the deadline — a short read mid-frame is
-//! refilled, never misreported as a corrupt frame. Only two things end
-//! a `recv` early: the deadline actually expiring (a typed timeout
-//! error) or the peer hanging up / sending bytes that cannot be a
-//! frame (a typed `Corrupted` error).
+//! `read(2)`. `recv` loops [`read_frame_deadline`] until the deadline,
+//! and before each socket read that its buffer cannot serve it sets
+//! the socket timeout to the time left, so an idle wire times out at
+//! the deadline rather than a poll tick after it. A peer (or a chaos
+//! proxy) that dribbles a reply byte-by-byte still completes as long
+//! as the full frame lands before the deadline — a short read
+//! mid-frame is refilled, never misreported as a corrupt frame. Only
+//! two things end a `recv` early: the deadline actually expiring (a
+//! typed timeout error) or the peer hanging up / sending bytes that
+//! cannot be a frame (a typed `Corrupted` error).
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -25,9 +27,27 @@ use fenrir_core::error::{Error, Result};
 
 use crate::protocol::{read_frame, read_frame_deadline, FrameEvent, Reply, Request};
 
-/// Socket-level read tick; `recv` loops this until the caller's
-/// deadline so mid-frame stalls shorter than the deadline are survived.
-const CLIENT_TICK: Duration = Duration::from_millis(50);
+/// The client's reader with a reply deadline: a socket read that the
+/// buffer cannot serve waits no longer than the time left.
+struct Deadline<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.reader.buffer().is_empty() {
+            let left = self.at.saturating_duration_since(Instant::now());
+            // The socket refuses a zero timeout; at zero time left the
+            // deadline has passed.
+            if left.is_zero() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            self.reader.get_ref().set_read_timeout(Some(left))?;
+        }
+        self.reader.read(buf)
+    }
+}
 
 /// A blocking fenrir-serve client.
 #[derive(Debug)]
@@ -77,13 +97,12 @@ impl Client {
     }
 
     /// Optional whole-reply deadline for `recv` (None blocks
-    /// indefinitely). The socket's own timeout is kept at a short tick
-    /// so a slowly-dribbled reply is still assembled.
+    /// indefinitely; a zero duration is refused).
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
         self.deadline = timeout;
         self.reader
             .get_ref()
-            .set_read_timeout(timeout.map(|t| t.min(CLIENT_TICK)))
+            .set_read_timeout(timeout)
             .map_err(|e| io_err("serve timeout", e))
     }
 
@@ -112,7 +131,11 @@ impl Client {
     /// `Internal("reply timed out")` error — never as corruption.
     pub fn recv(&mut self) -> Result<Reply> {
         let event = match self.deadline {
-            Some(d) => read_frame_deadline(&mut self.reader, Instant::now() + d),
+            Some(d) => {
+                let at = Instant::now() + d;
+                let reader = &mut self.reader;
+                read_frame_deadline(&mut Deadline { reader, at }, at)
+            }
             None => read_frame(&mut self.reader),
         };
         match event {
@@ -153,5 +176,33 @@ impl Client {
             token: token.to_string(),
             cmd,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn recv_on_an_idle_wire_times_out_at_its_deadline() {
+        // The kernel completes the handshake; nothing ever replies.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        for ms in [60, 130] {
+            let asked = Duration::from_millis(ms);
+            client.set_read_timeout(Some(asked)).unwrap();
+            let started = Instant::now();
+            let err = client.recv().unwrap_err();
+            let took = started.elapsed();
+            assert!(
+                matches!(&err, Error::Internal { what: "serve recv", message } if message == "reply timed out"),
+                "{err}"
+            );
+            assert!(
+                took >= asked && took <= asked + Duration::from_millis(25),
+                "a {ms} ms timeout returned after {took:?}"
+            );
+        }
     }
 }

@@ -211,10 +211,11 @@ pub fn read_frame(r: &mut impl Read) -> FrameEvent {
 /// Read one frame, retrying short reads and socket-timeout ticks until
 /// `deadline`.
 ///
-/// The transport should carry a *short* read timeout (a tick, e.g.
-/// 50–100 ms); this function loops over those ticks, so a peer that
-/// dribbles a frame byte-by-byte still completes as long as the whole
-/// frame lands before `deadline`. Expiry with no bytes consumed is a
+/// Each read on the transport should time out no later than `deadline`
+/// (the client sets its socket timeout to the time left before each
+/// read); this function retries timed-out and short reads, so a peer
+/// that dribbles a frame byte-by-byte still completes as long as the
+/// whole frame lands before `deadline`. Expiry with no bytes consumed is a
 /// [`FrameEvent::Tick`] (the wire was idle); expiry mid-frame is a
 /// [`FrameEvent::TimedOut`] — the connection is unusable (framing is
 /// lost) but the peer is slow, not corrupt.

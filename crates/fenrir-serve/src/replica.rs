@@ -48,34 +48,8 @@ impl ReplicaSet {
     /// index as the replica id; `cfg.addr` is ignored (replicas cannot
     /// share a port).
     pub fn start(journal: &Path, n: usize, opts: StoreOptions, cfg: ServeConfig) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::Config {
-                name: "replicas",
-                message: "need at least one replica".into(),
-            });
-        }
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n {
-            let store = Arc::new(ModeStore::open(journal, opts.clone())?);
-            let server = Server::start(
-                Arc::clone(&store),
-                ServeConfig {
-                    addr: "127.0.0.1:0".into(),
-                    replica: i as u64,
-                    ..cfg.clone()
-                },
-            )?;
-            let addr = server.addr();
-            replicas.push(Replica {
-                server: Some(server),
-                store,
-                addr,
-            });
-        }
-        Ok(ReplicaSet {
-            path: journal.to_path_buf(),
-            replicas,
-            admin_token: cfg.admin_token,
+        Self::start_with(journal.to_path_buf(), n, cfg, || {
+            ModeStore::open(journal, opts.clone())
         })
     }
 
@@ -94,6 +68,18 @@ impl ReplicaSet {
         opts: StoreOptions,
         cfg: ServeConfig,
     ) -> Result<Self> {
+        Self::start_with(PathBuf::from(prefix), n, cfg, || {
+            ModeStore::open_tiered(Arc::clone(&store), prefix, retry.clone(), opts.clone())
+        })
+    }
+
+    /// Start `n` servers, each over its own store from `open`.
+    fn start_with(
+        path: PathBuf,
+        n: usize,
+        cfg: ServeConfig,
+        open: impl Fn() -> Result<ModeStore>,
+    ) -> Result<Self> {
         if n == 0 {
             return Err(Error::Config {
                 name: "replicas",
@@ -102,14 +88,9 @@ impl ReplicaSet {
         }
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
-            let ms = Arc::new(ModeStore::open_tiered(
-                Arc::clone(&store),
-                prefix,
-                retry.clone(),
-                opts.clone(),
-            )?);
+            let store = Arc::new(open()?);
             let server = Server::start(
-                Arc::clone(&ms),
+                Arc::clone(&store),
                 ServeConfig {
                     addr: "127.0.0.1:0".into(),
                     replica: i as u64,
@@ -119,12 +100,12 @@ impl ReplicaSet {
             let addr = server.addr();
             replicas.push(Replica {
                 server: Some(server),
-                store: ms,
+                store,
                 addr,
             });
         }
         Ok(ReplicaSet {
-            path: PathBuf::from(prefix),
+            path,
             replicas,
             admin_token: cfg.admin_token,
         })

@@ -1,19 +1,25 @@
 //! The in-memory query store: immutable snapshots behind sharded locks.
 //!
-//! A [`Snapshot`] is everything one query needs — the routing series,
-//! the condensed similarity matrix, the dendrogram, the mode analysis
-//! at the adaptive threshold, and the journaled latency panels —
-//! loaded from a fenrir-data pipeline journal. Snapshots are immutable
-//! and shared through `Arc`s; queries clone an `Arc` (cheap) and never
-//! hold a lock while computing.
+//! A [`Snapshot`] holds what queries read — the routing series, the
+//! condensed similarity matrix, the mode analysis at the adaptive
+//! threshold, and the journaled latency panels — derived from a
+//! fenrir-data pipeline journal file or an object tier's latest sealed
+//! epoch. Snapshots are immutable and shared through `Arc`s; queries
+//! clone an `Arc` (cheap) and never hold a lock while computing.
 //!
-//! Hot reload is epoch-based: when the journal file grows, one loader
-//! rebuilds a fresh snapshot off to the side and swaps it into every
-//! shard. Readers racing the swap keep the `Arc` they already cloned
-//! and finish their query against the old epoch — they never block,
-//! and they never observe a half-loaded state. The lock array is
-//! sharded purely to spread reader cache-line traffic; every shard
-//! holds the same `Arc` between reloads.
+//! Every source loads one way: read its change mark (a journal file's
+//! length, a tier manifest's latest generation), then load it, then
+//! build and publish the snapshot. The mark comes first, so a frame or
+//! epoch committed during the load is newer than the recorded mark and
+//! the next poll reloads it.
+//!
+//! Hot reload is epoch-based: when the mark moves, one loader rebuilds
+//! a fresh snapshot off to the side and swaps it into every shard.
+//! Readers racing the swap keep the `Arc` they already cloned and
+//! finish their query against the old epoch — they never block, and
+//! they never observe a half-loaded state. The lock array is sharded
+//! purely to spread reader cache-line traffic; every shard holds the
+//! same `Arc` between reloads.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::sync::{Mutex, RwLock};
-use fenrir_core::cluster::{AdaptiveThreshold, Dendrogram};
+use fenrir_core::cluster::AdaptiveThreshold;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::latency::{LatencyPanel, LatencySummary};
 use fenrir_core::modes::ModeAnalysis;
@@ -37,15 +43,18 @@ use fenrir_data::storage::{RetryPolicy, RetryStats, Storage};
 use crate::cache::QueryCache;
 use crate::protocol::{HealthInfo, Reply, SiteLatency, ERR_NOT_FOUND, ERR_UNAVAILABLE};
 
+/// Reader lock shards.
+const SHARDS: usize = 8;
+
+/// Answer-cache capacity (entries) at open; the admin
+/// `SetCacheCapacity` command resizes it live.
+const CACHE_CAPACITY: usize = 4096;
+
 /// Tuning knobs for [`ModeStore`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
-    /// Reader lock shards.
-    pub shards: usize,
     /// Adaptive-threshold policy for mode discovery.
     pub adaptive: AdaptiveThreshold,
-    /// Answer-cache capacity (entries); 0 disables caching.
-    pub cache_capacity: usize,
     /// Accept a journal with zero observations — the bootstrap state of
     /// a freshly created stream journal. Every query answers
     /// `NOT_FOUND` until a reload finds the first observation. Off by
@@ -54,18 +63,7 @@ pub struct StoreOptions {
     pub allow_empty: bool,
 }
 
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            shards: 8,
-            adaptive: AdaptiveThreshold::default(),
-            cache_capacity: 4096,
-            allow_empty: false,
-        }
-    }
-}
-
-/// One immutable, fully-derived view of the dataset.
+/// One immutable, fully-derived view of the dataset: what queries read.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Store epoch this snapshot belongs to (0 for the initial load).
@@ -75,8 +73,6 @@ pub struct Snapshot {
     /// Condensed pairwise similarity; `None` only for an empty
     /// snapshot (see [`StoreOptions::allow_empty`]).
     pub matrix: Option<SimilarityMatrix>,
-    /// Agglomerative clustering of the series; `None` only when empty.
-    pub dendro: Option<Dendrogram>,
     /// Modes at the adaptive threshold; `None` only when empty.
     pub modes: Option<ModeAnalysis>,
     /// Journaled latency panels, aligned with the series.
@@ -98,41 +94,26 @@ impl Snapshot {
         allow_empty: bool,
     ) -> Result<Self> {
         let series = pipe.series().clone();
-        if series.is_empty() {
+        let (matrix, modes) = if series.is_empty() {
             if !allow_empty {
                 return Err(Error::EmptyInput("serve snapshot"));
             }
-            return Ok(Snapshot {
-                epoch,
-                series,
-                matrix: None,
-                dendro: None,
-                modes: None,
-                panels: pipe.panels().to_vec(),
-                weights: pipe.config().weights.clone(),
-                torn: pipe.recovery_report().torn.is_some(),
-            });
-        }
-        let matrix = pipe
-            .matrix()
-            .cloned()
-            .ok_or(Error::EmptyInput("similarity matrix"))?;
-        let dendro = pipe
-            .dendrogram()
-            .cloned()
-            .ok_or(Error::EmptyInput("dendrogram"))?;
-        let choice = adaptive.choose(&dendro)?;
-        // Route the flat labels through the public cut accessor so the
-        // snapshot exercises the same path external consumers use.
-        let labels = dendro.membership_at(choice.threshold)?;
-        debug_assert_eq!(labels, choice.labels);
-        let modes = ModeAnalysis::from_choice(&matrix, &series.times(), &choice);
+            (None, None)
+        } else {
+            let matrix = pipe
+                .matrix()
+                .cloned()
+                .ok_or(Error::EmptyInput("similarity matrix"))?;
+            let dendro = pipe.dendrogram().ok_or(Error::EmptyInput("dendrogram"))?;
+            let choice = adaptive.choose(dendro)?;
+            let modes = ModeAnalysis::from_choice(&matrix, &series.times(), &choice);
+            (Some(matrix), Some(modes))
+        };
         Ok(Snapshot {
             epoch,
             series,
-            matrix: Some(matrix),
-            dendro: Some(dendro),
-            modes: Some(modes),
+            matrix,
+            modes,
             panels: pipe.panels().to_vec(),
             weights: pipe.config().weights.clone(),
             torn: pipe.recovery_report().torn.is_some(),
@@ -312,8 +293,6 @@ impl Snapshot {
 
 /// Where a [`ModeStore`] loads snapshots from.
 enum Source {
-    /// No reload support (built from an in-memory pipeline).
-    Fixed,
     /// A local pipeline journal file, polled by length.
     File(PathBuf),
     /// An object tier holding sealed epochs, polled by the manifest's
@@ -326,27 +305,58 @@ enum Source {
     },
 }
 
-impl std::fmt::Debug for Source {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl Source {
+    /// The change mark: the journal file's byte length (one `stat`), or
+    /// the tier manifest's latest generation (one object `get`). A tier
+    /// without a manifest has no epoch to serve: `EmptyInput`.
+    fn mark(&self) -> Result<u64> {
         match self {
-            Source::Fixed => f.write_str("Fixed"),
-            Source::File(p) => f.debug_tuple("File").field(p).finish(),
-            Source::Tier { prefix, .. } => f.debug_struct("Tier").field("prefix", prefix).finish(),
+            Source::File(path) => {
+                std::fs::metadata(path)
+                    .map(|m| m.len())
+                    .map_err(|e| Error::Internal {
+                        what: "journal metadata",
+                        message: format!("{}: {e}", path.display()),
+                    })
+            }
+            Source::Tier {
+                store,
+                prefix,
+                retry,
+            } => {
+                let key = manifest_key(prefix);
+                let bytes = retry
+                    .run("serve manifest get", || store.get(&key))?
+                    .ok_or(Error::EmptyInput("sealed tier epoch"))?;
+                Ok(Manifest::decode(&bytes)?.latest_gen())
+            }
+        }
+    }
+
+    /// Load the source read-only.
+    fn load(&self) -> Result<RecoverablePipeline> {
+        match self {
+            Source::File(path) => RecoverablePipeline::open_read_only(path),
+            Source::Tier {
+                store,
+                prefix,
+                retry,
+            } => RecoverablePipeline::hydrate_read_only(store.as_ref(), prefix, retry),
         }
     }
 }
 
 /// Sharded, hot-reloadable snapshot store.
 pub struct ModeStore {
-    /// The snapshot source. Behind a mutex both to serialise reloads
-    /// (queries never touch it) and because [`ModeStore::rotate`] can
-    /// repoint a file-backed store at a new journal live.
-    source: Mutex<Source>,
-    shards: Vec<RwLock<Arc<Snapshot>>>,
+    /// The snapshot source; `None` for a store built from a pipeline in
+    /// memory, which never reloads. Behind a mutex both to serialise
+    /// loads (queries never touch it) and because [`ModeStore::rotate`]
+    /// can repoint a file-backed store at a new journal live.
+    source: Mutex<Option<Source>>,
+    shards: [RwLock<Arc<Snapshot>>; SHARDS],
     epoch: AtomicU64,
-    /// Change-detection mark for the source: the journal file's byte
-    /// length for [`Source::File`], the manifest's latest generation
-    /// for [`Source::Tier`].
+    /// The source's change mark, read before the served snapshot was
+    /// loaded.
     loaded_mark: AtomicU64,
     reloads: AtomicU64,
     reload_failures: AtomicU64,
@@ -368,17 +378,7 @@ pub struct ModeStore {
 impl ModeStore {
     /// Open a journal file read-only and build the initial snapshot.
     pub fn open(path: &Path, opts: StoreOptions) -> Result<Self> {
-        let pipe = RecoverablePipeline::open_read_only(path)?;
-        let len = std::fs::metadata(path)
-            .map(|m| m.len())
-            .map_err(|e| Error::Internal {
-                what: "journal metadata",
-                message: format!("{}: {e}", path.display()),
-            })?;
-        let store = Self::from_pipeline(&pipe, opts)?;
-        *store.source.lock() = Source::File(path.to_path_buf());
-        store.loaded_mark.store(len, Ordering::SeqCst);
-        Ok(store)
+        Self::open_source(Source::File(path.to_path_buf()), opts)
     }
 
     /// Hydrate the initial snapshot from an object tier's latest sealed
@@ -387,9 +387,11 @@ impl ModeStore {
     /// This is the tier-only bootstrap: the replica never touches the
     /// writer's hot journal file. Everything it serves comes from
     /// sealed segments under `prefix`, so a fresh host can join a
-    /// replica set with nothing but object-store credentials. Once
-    /// serving, an unreachable or stale tier degrades the store (see
-    /// [`ModeStore::maybe_reload`]) rather than killing it.
+    /// replica set with nothing but object-store credentials. The
+    /// manifest's latest generation is read before the epoch is
+    /// hydrated, so an epoch sealed in between is served on the next
+    /// poll. Once serving, an unreachable or stale tier degrades the
+    /// store (see [`ModeStore::maybe_reload`]) rather than killing it.
     pub fn open_tiered(
         store: Arc<dyn Storage>,
         prefix: &str,
@@ -397,36 +399,37 @@ impl ModeStore {
         opts: StoreOptions,
     ) -> Result<Self> {
         let stats = Arc::new(RetryStats::default());
-        let retry = retry.with_stats(Arc::clone(&stats));
-        let pipe = RecoverablePipeline::hydrate_read_only(store.as_ref(), prefix, &retry)?;
-        let gen = Self::tier_latest(store.as_ref(), prefix, &retry)?
-            .ok_or(Error::EmptyInput("sealed tier epoch"))?;
-        let mut ms = Self::from_pipeline(&pipe, opts)?;
-        *ms.source.lock() = Source::Tier {
+        let source = Source::Tier {
             store,
             prefix: prefix.to_string(),
-            retry,
+            retry: retry.with_stats(Arc::clone(&stats)),
         };
+        let mut ms = Self::open_source(source, opts)?;
         ms.retry_stats = stats;
-        ms.loaded_mark.store(gen, Ordering::SeqCst);
+        Ok(ms)
+    }
+
+    /// Read `source`'s mark, then load it and build the initial snapshot.
+    fn open_source(source: Source, opts: StoreOptions) -> Result<Self> {
+        let mark = source.mark()?;
+        let ms = Self::from_pipeline(&source.load()?, opts)?;
+        ms.loaded_mark.store(mark, Ordering::SeqCst);
+        *ms.source.lock() = Some(source);
         Ok(ms)
     }
 
     /// Build a store from an already-loaded pipeline (no reload support).
     pub fn from_pipeline(pipe: &RecoverablePipeline, opts: StoreOptions) -> Result<Self> {
         let snap = Arc::new(Snapshot::build(pipe, &opts.adaptive, 0, opts.allow_empty)?);
-        let shards = opts.shards.max(1);
         Ok(ModeStore {
-            source: Mutex::new(Source::Fixed),
-            shards: (0..shards)
-                .map(|_| RwLock::new(Arc::clone(&snap)))
-                .collect(),
+            source: Mutex::new(None),
+            shards: std::array::from_fn(|_| RwLock::new(Arc::clone(&snap))),
             epoch: AtomicU64::new(0),
             loaded_mark: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
             stale: AtomicBool::new(false),
-            cache: QueryCache::new(opts.cache_capacity),
+            cache: QueryCache::new(CACHE_CAPACITY),
             adaptive: opts.adaptive,
             allow_empty: opts.allow_empty,
             last_reload_at: Mutex::new(Instant::now()),
@@ -438,7 +441,7 @@ impl ModeStore {
     /// The current snapshot; `hint` (e.g. a worker id) spreads readers
     /// across lock shards.
     pub fn snapshot(&self, hint: usize) -> Arc<Snapshot> {
-        Arc::clone(&self.shards[hint % self.shards.len()].read())
+        Arc::clone(&self.shards[hint % SHARDS].read())
     }
 
     /// Current epoch.
@@ -486,6 +489,10 @@ impl ModeStore {
     /// marked stale), rebuild and swap in a fresh snapshot. Returns
     /// whether a reload happened.
     ///
+    /// The change mark is read before the load and recorded with the
+    /// snapshot, so a frame or epoch committed while the load runs
+    /// moves the mark past the recorded one and the next poll reloads.
+    ///
     /// This is the graceful-degradation seam: a reload that fails —
     /// the file vanished, the header is corrupt, the tail is torn
     /// without offering any *new* observations, or the object tier is
@@ -500,33 +507,46 @@ impl ModeStore {
     /// one manifest fetch for a tier source. Concurrent callers
     /// serialise on an internal lock; queries never wait on it.
     pub fn maybe_reload(&self) -> Result<bool> {
-        let source = self.source.lock();
-        self.reload_with(&source, false)
+        self.reload(false)
     }
 
     /// Reload from the source now, even when the change mark says
     /// nothing is new — the admin `ForceReload` command. Degrades
     /// exactly like [`ModeStore::maybe_reload`] on failure.
     pub fn force_reload(&self) -> Result<bool> {
-        let source = self.source.lock();
-        self.reload_with(&source, true)
+        self.reload(true)
     }
 
-    fn reload_with(&self, source: &Source, force: bool) -> Result<bool> {
+    fn reload(&self, force: bool) -> Result<bool> {
+        let guard = self.source.lock();
+        let Some(source) = guard.as_ref() else {
+            return Ok(false);
+        };
         let started = Instant::now();
-        let reloaded = match source {
-            Source::Fixed => Ok(false),
-            Source::File(path) => self.reload_from_file(path, force),
-            Source::Tier {
-                store,
-                prefix,
-                retry,
-            } => self.reload_from_tier(store.as_ref(), prefix, retry, force),
-        }?;
-        if reloaded {
-            self.note_reloaded(started);
+        let mark = source.mark().map_err(|e| self.degrade(e))?;
+        if !force && mark == self.loaded_mark.load(Ordering::SeqCst) && !self.stale() {
+            return Ok(false);
         }
-        Ok(reloaded)
+        let pipe = source.load().map_err(|e| self.degrade(e))?;
+        // A torn tail that offers nothing beyond what we already serve
+        // is a failed reload, not progress: keep the richer last-good
+        // epoch rather than swapping to a recovered prefix that may
+        // have *lost* observations. A torn tail beyond the current
+        // horizon still ships the clean prefix (progress beats purity).
+        let served = self.snapshot(0).series.len();
+        if pipe.recovery_report().torn.is_some() && pipe.series().len() <= served {
+            return Err(self.degrade(Error::Corrupted {
+                what: "journal reload",
+                offset: pipe.recovery_report().clean_bytes,
+                message: format!(
+                    "torn tail with no new observations ({served} loaded, {} recovered)",
+                    pipe.series().len()
+                ),
+            }));
+        }
+        self.publish(&pipe, mark, started)
+            .map_err(|e| self.degrade(e))?;
+        Ok(true)
     }
 
     /// Repoint a file-backed store at a new journal and load it — the
@@ -536,131 +556,34 @@ impl ModeStore {
     /// is not a source fault).
     pub fn rotate(&self, path: &Path) -> Result<()> {
         let mut source = self.source.lock();
-        if !matches!(&*source, Source::File(_)) {
+        if !matches!(*source, Some(Source::File(_))) {
             return Err(Error::Config {
                 name: "rotate",
-                message: format!("rotate requires a file-backed store, not {:?}", &*source),
+                message: "rotate requires a file-backed store".into(),
             });
         }
         let started = Instant::now();
-        let len = std::fs::metadata(path)
-            .map(|m| m.len())
-            .map_err(|e| Error::Internal {
-                what: "journal metadata",
-                message: format!("{}: {e}", path.display()),
-            })?;
-        let pipe = RecoverablePipeline::open_read_only(path)?;
-        let epoch = self.epoch.load(Ordering::SeqCst) + 1;
+        let next = Source::File(path.to_path_buf());
+        let mark = next.mark()?;
+        self.publish(&next.load()?, mark, started)?;
+        *source = Some(next);
+        Ok(())
+    }
+
+    /// Build the next epoch's snapshot from `pipe` and install it in
+    /// every shard under change mark `mark`, then sweep dead-epoch cache
+    /// entries so the LRU capacity is fully available to the new epoch —
+    /// stale entries can never be served (the cache key carries the
+    /// epoch) but left in place they squat on capacity and depress the
+    /// hit rate until eviction churn clears them.
+    fn publish(&self, pipe: &RecoverablePipeline, mark: u64, started: Instant) -> Result<()> {
+        let epoch = self.epoch() + 1;
         let snap = Arc::new(Snapshot::build(
-            &pipe,
+            pipe,
             &self.adaptive,
             epoch,
             self.allow_empty,
         )?);
-        self.publish(snap, len);
-        *source = Source::File(path.to_path_buf());
-        self.note_reloaded(started);
-        Ok(())
-    }
-
-    fn note_reloaded(&self, started: Instant) {
-        self.last_reload_us
-            .store(started.elapsed().as_micros() as u64, Ordering::SeqCst);
-        *self.last_reload_at.lock() = Instant::now();
-    }
-
-    fn reload_from_file(&self, path: &Path, force: bool) -> Result<bool> {
-        let len = match std::fs::metadata(path).map(|m| m.len()) {
-            Ok(len) => len,
-            Err(e) => {
-                return Err(self.degrade(Error::Internal {
-                    what: "journal metadata",
-                    message: format!("{}: {e}", path.display()),
-                }))
-            }
-        };
-        if !force && len == self.loaded_mark.load(Ordering::SeqCst) && !self.stale() {
-            return Ok(false);
-        }
-        let current = self.snapshot(0);
-        let pipe = match RecoverablePipeline::open_read_only(path) {
-            Ok(pipe) => pipe,
-            Err(e) => return Err(self.degrade(e)),
-        };
-        // A torn tail that offers nothing beyond what we already serve
-        // is a failed reload, not progress: keep the richer last-good
-        // epoch rather than swapping to a recovered prefix that may
-        // have *lost* observations. A torn tail beyond the current
-        // horizon still ships the clean prefix (progress beats purity).
-        if pipe.recovery_report().torn.is_some() && pipe.series().len() <= current.series.len() {
-            return Err(self.degrade(Error::Corrupted {
-                what: "journal reload",
-                offset: pipe.recovery_report().clean_bytes,
-                message: format!(
-                    "torn tail with no new observations ({} loaded, {} recovered)",
-                    current.series.len(),
-                    pipe.series().len()
-                ),
-            }));
-        }
-        self.swap_in(&pipe, len).map(|_| true)
-    }
-
-    fn reload_from_tier(
-        &self,
-        store: &dyn Storage,
-        prefix: &str,
-        retry: &RetryPolicy,
-        force: bool,
-    ) -> Result<bool> {
-        let latest = match Self::tier_latest(store, prefix, retry) {
-            Ok(Some(gen)) => gen,
-            // A manifest that vanished after we hydrated from it is a
-            // tier fault, not an empty dataset: degrade and keep
-            // serving the last-good epoch.
-            Ok(None) => return Err(self.degrade(Error::EmptyInput("sealed tier epoch"))),
-            Err(e) => return Err(self.degrade(e)),
-        };
-        if !force && latest == self.loaded_mark.load(Ordering::SeqCst) && !self.stale() {
-            return Ok(false);
-        }
-        let pipe = match RecoverablePipeline::hydrate_read_only(store, prefix, retry) {
-            Ok(pipe) => pipe,
-            Err(e) => return Err(self.degrade(e)),
-        };
-        self.swap_in(&pipe, latest).map(|_| true)
-    }
-
-    /// Fetch and decode the tier manifest; `Ok(None)` when the tier has
-    /// never committed one. One object `get` — the tier analogue of the
-    /// file source's `stat`.
-    fn tier_latest(store: &dyn Storage, prefix: &str, retry: &RetryPolicy) -> Result<Option<u64>> {
-        let key = manifest_key(prefix);
-        let Some(bytes) = retry.run("serve manifest get", || store.get(&key))? else {
-            return Ok(None);
-        };
-        Ok(Some(Manifest::decode(&bytes)?.latest_gen()))
-    }
-
-    /// Build the next-epoch snapshot from `pipe` and publish it to
-    /// every shard, recording `mark` as the new change-detection mark.
-    fn swap_in(&self, pipe: &RecoverablePipeline, mark: u64) -> Result<()> {
-        let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        let snap = match Snapshot::build(pipe, &self.adaptive, epoch, self.allow_empty) {
-            Ok(snap) => Arc::new(snap),
-            Err(e) => return Err(self.degrade(e)),
-        };
-        self.publish(snap, mark);
-        Ok(())
-    }
-
-    /// Install `snap` in every shard and sweep dead-epoch cache entries
-    /// so the LRU capacity is fully available to the new epoch — stale
-    /// entries can never be served (the cache key carries the epoch)
-    /// but left in place they squat on capacity and depress the hit
-    /// rate until eviction churn clears them.
-    fn publish(&self, snap: Arc<Snapshot>, mark: u64) {
-        let epoch = snap.epoch;
         for shard in &self.shards {
             *shard.write() = Arc::clone(&snap);
         }
@@ -669,6 +592,10 @@ impl ModeStore {
         self.reloads.fetch_add(1, Ordering::SeqCst);
         self.stale.store(false, Ordering::SeqCst);
         self.cache.purge(epoch);
+        self.last_reload_us
+            .store(started.elapsed().as_micros() as u64, Ordering::SeqCst);
+        *self.last_reload_at.lock() = Instant::now();
+        Ok(())
     }
 
     /// Record a failed reload: the last-good snapshot stays in place.

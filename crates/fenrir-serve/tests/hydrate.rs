@@ -3,17 +3,20 @@
 //! degrades to its last-good epoch (stale, still answering) when the
 //! tier goes unreachable, recovering when it comes back.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use fenrir_core::error::Result;
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
 use fenrir_core::latency::LatencyPanel;
 use fenrir_core::time::Timestamp;
 use fenrir_core::vector::RoutingVector;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
-use fenrir_data::storage::{ObjectChaos, ObjectSim, RetryPolicy, Storage};
+use fenrir_data::storage::tiered::manifest_key;
+use fenrir_data::storage::{CasOutcome, ObjectChaos, ObjectSim, RetryPolicy, Storage};
 use fenrir_serve::protocol::{Reply, Request};
 use fenrir_serve::{Client, ModeStore, ReplicaSet, ServeConfig, Server, StoreOptions};
 
@@ -72,23 +75,27 @@ fn quick_retry() -> RetryPolicy {
     }
 }
 
-/// Write `days` observations through a tiered writer and seal them into
-/// the tier; the hot tail file is deleted afterwards to prove serving
-/// needs nothing local.
-fn seal_days(sim: &Arc<ObjectSim>, name: &str, days: i64) -> PathBuf {
-    let hot = scratch(name);
-    let store: Arc<dyn Storage> = Arc::clone(sim) as Arc<dyn Storage>;
+/// A tiered writer over `sim` with its hot tail at `hot`.
+fn writer(sim: &Arc<ObjectSim>, hot: &Path) -> RecoverablePipeline {
     let sites = SiteTable::from_names((0..3).map(|s| format!("SITE{s}")));
-    let mut pipe = RecoverablePipeline::open_tiered(
-        &hot,
-        store,
+    RecoverablePipeline::open_tiered(
+        hot,
+        Arc::clone(sim) as Arc<dyn Storage>,
         PREFIX,
         quick_retry(),
         sites,
         NETWORKS,
         PipelineConfig::new(NETWORKS),
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Write `days` observations through a tiered writer and seal them into
+/// the tier; the hot tail file is deleted afterwards to prove serving
+/// needs nothing local.
+fn seal_days(sim: &Arc<ObjectSim>, name: &str, days: i64) -> PathBuf {
+    let hot = scratch(name);
+    let mut pipe = writer(sim, &hot);
     observe_days(&mut pipe, 0, days);
     pipe.compact().unwrap();
     hot
@@ -172,17 +179,7 @@ fn tiered_store_follows_newly_sealed_epochs() {
     assert!(!store.maybe_reload().unwrap());
 
     // The writer seals a richer epoch.
-    let sites = SiteTable::from_names((0..3).map(|s| format!("SITE{s}")));
-    let mut pipe = RecoverablePipeline::open_tiered(
-        &hot,
-        Arc::clone(&sim) as Arc<dyn Storage>,
-        PREFIX,
-        quick_retry(),
-        sites,
-        NETWORKS,
-        PipelineConfig::new(NETWORKS),
-    )
-    .unwrap();
+    let mut pipe = writer(&sim, &hot);
     observe_days(&mut pipe, 6, 10);
     pipe.compact().unwrap();
 
@@ -191,6 +188,66 @@ fn tiered_store_follows_newly_sealed_epochs() {
     assert_eq!(store.reloads(), 1);
     assert_eq!(store.snapshot(0).series.len(), 10);
     assert!(!store.stale());
+    let _ = std::fs::remove_file(&hot);
+}
+
+/// A tier whose second manifest read first seals days 6–7 through a
+/// held writer: an epoch committed while a store opens.
+struct SealsOnSecondManifestRead {
+    sim: Arc<ObjectSim>,
+    writer: Mutex<Option<RecoverablePipeline>>,
+    manifest_reads: AtomicUsize,
+}
+
+impl Storage for SealsOnSecondManifestRead {
+    fn put(&self, key: &str, bytes: &[u8]) -> Result<()> {
+        self.sim.put(key, bytes)
+    }
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        if key == manifest_key(PREFIX) && self.manifest_reads.fetch_add(1, Ordering::SeqCst) == 1 {
+            let mut pipe = self.writer.lock().unwrap().take().unwrap();
+            observe_days(&mut pipe, 6, 8);
+            pipe.compact().unwrap();
+        }
+        self.sim.get(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.sim.list(prefix)
+    }
+    fn delete(&self, key: &str) -> Result<()> {
+        self.sim.delete(key)
+    }
+    fn put_if(&self, key: &str, expected: Option<&[u8]>, bytes: &[u8]) -> Result<CasOutcome> {
+        self.sim.put_if(key, expected, bytes)
+    }
+}
+
+#[test]
+fn an_epoch_sealed_while_the_store_opens_is_served_after_the_next_poll() {
+    let sim = Arc::new(ObjectSim::new(ObjectChaos::none(15)).unwrap());
+    let hot = scratch("open-race");
+    let mut pipe = writer(&sim, &hot);
+    observe_days(&mut pipe, 0, 6);
+    pipe.compact().unwrap();
+    let tier = Arc::new(SealsOnSecondManifestRead {
+        sim,
+        writer: Mutex::new(Some(pipe)),
+        manifest_reads: AtomicUsize::new(0),
+    });
+
+    let store = ModeStore::open_tiered(
+        Arc::clone(&tier) as Arc<dyn Storage>,
+        PREFIX,
+        quick_retry(),
+        StoreOptions::default(),
+    )
+    .unwrap();
+    assert!(
+        tier.writer.lock().unwrap().is_none(),
+        "days 6–7 were sealed"
+    );
+    store.maybe_reload().unwrap();
+    assert_eq!(store.snapshot(0).series.len(), 8);
     let _ = std::fs::remove_file(&hot);
 }
 
@@ -230,17 +287,7 @@ fn unreachable_tier_degrades_to_stale_and_recovers_when_back() {
 
     // Tier returns with a richer epoch: the next poll recovers.
     sim.set_offline(false);
-    let sites = SiteTable::from_names((0..3).map(|s| format!("SITE{s}")));
-    let mut pipe = RecoverablePipeline::open_tiered(
-        &hot,
-        Arc::clone(&sim) as Arc<dyn Storage>,
-        PREFIX,
-        quick_retry(),
-        sites,
-        NETWORKS,
-        PipelineConfig::new(NETWORKS),
-    )
-    .unwrap();
+    let mut pipe = writer(&sim, &hot);
     observe_days(&mut pipe, 6, 9);
     pipe.compact().unwrap();
 

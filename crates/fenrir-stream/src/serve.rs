@@ -56,7 +56,6 @@ impl StreamServer {
             StoreOptions {
                 adaptive,
                 allow_empty: true,
-                ..StoreOptions::default()
             },
         )?);
         if serve_cfg.follow.is_none() {
