@@ -36,7 +36,8 @@ use fenrir_core::vector::RoutingVector;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_serve::protocol::{Reply, Request};
-use fenrir_serve::{Client, ModeStore, ServeConfig, Server, StoreOptions};
+use fenrir_serve::sync::Mutex;
+use fenrir_serve::{Client, ModeStore, ServeConfig, Server};
 
 const NETWORKS: usize = 256;
 const SITES: usize = 8;
@@ -87,7 +88,7 @@ fn build_store() -> Arc<ModeStore> {
         pipe.observe_with_latency(v, Some(panel), h)
             .expect("observe");
     }
-    Arc::new(ModeStore::from_pipeline(&pipe, StoreOptions::default()).expect("store"))
+    Arc::new(ModeStore::over(Arc::new(Mutex::new(pipe))).expect("store"))
 }
 
 /// The seeded query mix.

@@ -31,7 +31,6 @@ use fenrir_serve::breaker::BreakerConfig;
 use fenrir_serve::protocol::Request;
 use fenrir_serve::{
     ChaosPlan, FaultyListener, ReplicaSet, ResilientClient, ResilientConfig, ServeConfig,
-    StoreOptions,
 };
 
 const NETWORKS: usize = 128;
@@ -151,8 +150,7 @@ fn main() {
     println!("building journal: {OBSERVATIONS} observations x {NETWORKS} networks…");
     write_journal(&path);
 
-    let set = ReplicaSet::start(&path, 2, StoreOptions::default(), ServeConfig::default())
-        .expect("replica set");
+    let set = ReplicaSet::start(&path, 2, ServeConfig::default()).expect("replica set");
     println!(
         "2 replicas up; injecting {STALL_MS} ms stalls on {:.0}% of reply chunks (seed {CHAOS_SEED:#x})",
         STALL_PROB * 100.0

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fenrir_serve::{ModeStore, ServeConfig, Server, StoreOptions};
+use fenrir_serve::{ModeStore, ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!("usage: fenrir-serve JOURNAL [--addr HOST:PORT] [--workers N] [--follow-ms MS]");
@@ -48,7 +48,7 @@ fn main() {
     }
     let Some(journal) = journal else { usage() };
 
-    let store = match ModeStore::open(&journal, StoreOptions::default()) {
+    let store = match ModeStore::open(&journal) {
         Ok(s) => Arc::new(s),
         Err(e) => {
             eprintln!("fenrir-serve: cannot load {}: {e}", journal.display());

@@ -24,8 +24,9 @@
 //!
 //! * [`protocol`] — frames, requests, replies (hostile-input safe);
 //! * [`store`] — [`store::Snapshot`] + [`store::ModeStore`], the
-//!   epoch-swapped, sharded snapshot holder with journal tail-follow
-//!   and graceful degradation to the last-good epoch on reload failure;
+//!   epoch-swapped, sharded snapshot holder that follows a journal
+//!   file, an object tier or a pipeline in memory, with graceful
+//!   degradation to the last-good epoch on reload failure;
 //! * [`cache`] — the bounded, epoch-keyed derived-answer cache;
 //! * [`server`] — acceptor, worker pool, admission control, drain;
 //! * [`client`] — a small blocking client (also the test harness).
@@ -98,4 +99,4 @@ pub use protocol::{AdminCmd, Reply, Request, StreamEvent, SubmitOutcome};
 pub use replica::ReplicaSet;
 pub use resilient::{ResilientClient, ResilientConfig};
 pub use server::{ServeConfig, Server, StreamHandler};
-pub use store::{ModeStore, Snapshot, StoreOptions};
+pub use store::{ModeStore, Snapshot};

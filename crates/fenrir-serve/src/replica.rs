@@ -26,7 +26,7 @@ use fenrir_data::storage::{RetryPolicy, Storage};
 use crate::client::Client;
 use crate::protocol::{AdminCmd, Reply, Request};
 use crate::server::{ServeConfig, Server};
-use crate::store::{ModeStore, StoreOptions};
+use crate::store::ModeStore;
 
 /// One member of a [`ReplicaSet`].
 struct Replica {
@@ -47,10 +47,8 @@ impl ReplicaSet {
     /// replica gets `cfg` with its own ephemeral bind address and its
     /// index as the replica id; `cfg.addr` is ignored (replicas cannot
     /// share a port).
-    pub fn start(journal: &Path, n: usize, opts: StoreOptions, cfg: ServeConfig) -> Result<Self> {
-        Self::start_with(journal.to_path_buf(), n, cfg, || {
-            ModeStore::open(journal, opts.clone())
-        })
+    pub fn start(journal: &Path, n: usize, cfg: ServeConfig) -> Result<Self> {
+        Self::start_with(journal.to_path_buf(), n, cfg, || ModeStore::open(journal))
     }
 
     /// Start `n` servers that hydrate from an object tier instead of a
@@ -65,11 +63,10 @@ impl ReplicaSet {
         prefix: &str,
         retry: RetryPolicy,
         n: usize,
-        opts: StoreOptions,
         cfg: ServeConfig,
     ) -> Result<Self> {
         Self::start_with(PathBuf::from(prefix), n, cfg, || {
-            ModeStore::open_tiered(Arc::clone(&store), prefix, retry.clone(), opts.clone())
+            ModeStore::open_tiered(Arc::clone(&store), prefix, retry.clone())
         })
     }
 

@@ -1,14 +1,16 @@
 //! The TCP server: acceptor, worker pool, admission control, drain.
 //!
-//! One acceptor thread distributes connections round-robin over
-//! bounded per-worker channels; each worker owns its connections for
-//! their whole lifetime (no cross-worker migration, no locks on the
-//! hot path — a worker's snapshot `Arc` and its shard hint are all it
-//! needs). Overload is explicit at two levels:
+//! One acceptor thread feeds one bounded connection queue that every
+//! worker pulls from, so a new connection goes to whichever worker is
+//! free next — never behind an idle connection another worker holds.
+//! A worker owns the connection it took for its whole lifetime (no
+//! cross-worker migration, no locks on the hot path — a worker's
+//! snapshot `Arc` and its shard hint are all it needs). Overload is
+//! explicit at two levels:
 //!
-//! * **accept-time** — if every worker's queue is full, the acceptor
-//!   writes a single `Overloaded` frame straight onto the new
-//!   connection and drops it;
+//! * **accept-time** — if the queue is full, the acceptor writes a
+//!   single `Overloaded` frame straight onto the new connection and
+//!   drops it;
 //! * **service-time** — a connection must hold one of `max_inflight`
 //!   service slots for its queries to be computed. Without a slot the
 //!   worker still reads frames but answers each with `Overloaded`
@@ -24,7 +26,7 @@
 //! slot should see `Overloaded`.
 //!
 //! Shutdown is graceful: the stop flag flips, the acceptor wakes and
-//! exits (closing the channels), and each worker finishes the queries
+//! exits (closing the queue), and each worker finishes the queries
 //! already readable on its connections before hanging up — in-flight
 //! work is drained, not dropped. An admin **drain** is gentler still:
 //! slot-holding connections finish their current burst and close, new
@@ -97,11 +99,13 @@ pub struct ServeConfig {
     /// Service slots: connections whose queries are computed
     /// concurrently. Beyond this, queries get `Overloaded` replies.
     pub max_inflight: usize,
-    /// Per-worker pending-connection queue depth.
+    /// Pending connections per worker: the one queue all workers pull
+    /// from holds `backlog × workers` before the acceptor sheds.
     pub backlog: usize,
     /// Idle connections are closed after this long without a frame.
     pub read_deadline: Duration,
-    /// Poll the journal for growth this often (None disables follow).
+    /// Poll the store's source for growth this often, publishing at
+    /// most one new snapshot per poll (None disables follow).
     pub follow: Option<Duration>,
     /// Replica id reported in `Health` replies (0 for a standalone
     /// server; a [`crate::replica::ReplicaSet`] numbers its members).
@@ -603,19 +607,19 @@ impl Server {
         };
 
         let workers_n = cfg.workers.max(1);
-        let mut senders: Vec<SyncSender<TcpStream>> = Vec::with_capacity(workers_n);
-        let mut workers = Vec::with_capacity(workers_n);
-        for id in 0..workers_n {
-            let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-                sync_channel(cfg.backlog.max(1));
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || worker_loop(id, rx, shared)));
-        }
+        let (queue, pending) = sync_channel(cfg.backlog.max(1) * workers_n);
+        let pending = Arc::new(Mutex::new(pending));
+        let workers = (0..workers_n)
+            .map(|id| {
+                let pending = Arc::clone(&pending);
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(id, &pending, shared))
+            })
+            .collect();
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(listener, senders, shared))
+            std::thread::spawn(move || accept_loop(listener, queue, shared))
         };
 
         let reloader = cfg.follow.map(|period| {
@@ -825,42 +829,33 @@ fn register_stream_metrics(registry: &Registry, hub: &Arc<SubscriberHub>) {
     }
 }
 
-fn accept_loop(listener: TcpListener, senders: Vec<SyncSender<TcpStream>>, shared: Arc<Shared>) {
-    let mut next = 0usize;
+fn accept_loop(listener: TcpListener, queue: SyncSender<TcpStream>, shared: Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(conn) = conn else { continue };
         shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        // Round-robin with failover: a busy worker's full queue does
-        // not strand the connection if another worker has room.
-        let mut pending = Some(conn);
-        for i in 0..senders.len() {
-            let w = (next + i) % senders.len();
-            match senders[w].try_send(pending.take().expect("connection in hand")) {
-                Ok(()) => {
-                    next = (w + 1) % senders.len();
-                    break;
-                }
-                Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
-                    pending = Some(back);
-                }
-            }
-        }
-        if let Some(mut conn) = pending {
-            // Every queue is full: shed at accept time with an
-            // explicit reply rather than letting the connection hang.
+        if let Err(TrySendError::Full(mut conn) | TrySendError::Disconnected(mut conn)) =
+            queue.try_send(conn)
+        {
+            // The queue is full: shed at accept time with an explicit
+            // reply rather than letting the connection hang.
             let frame = shared.overloaded(true).encode();
             let _ = conn.write_all(&frame);
         }
     }
-    // Dropping the senders closes every worker's queue; workers exit
-    // after serving what was already handed to them.
+    // Dropping the sender closes the queue; workers exit after serving
+    // what was already queued.
 }
 
-fn worker_loop(id: usize, rx: Receiver<TcpStream>, shared: Arc<Shared>) {
-    for conn in rx.iter() {
+/// Serve connections from the shared queue until it closes. The lock
+/// is held only while waiting for the next connection, so the idle
+/// workers take turns at the queue and a busy one never blocks it.
+fn worker_loop(id: usize, pending: &Mutex<Receiver<TcpStream>>, shared: Arc<Shared>) {
+    loop {
+        let next = pending.lock().recv();
+        let Ok(conn) = next else { return };
         serve_connection(id, conn, &shared);
     }
 }
@@ -1203,11 +1198,8 @@ fn handle_admin(shared: &Shared, token: &str, cmd: AdminCmd) -> Reply {
             }
         }
         AdminCmd::ForceReload => match shared.store.force_reload() {
-            Ok(true) => Reply::Admin {
+            Ok(()) => Reply::Admin {
                 info: format!("reloaded: now serving epoch {}", shared.store.epoch()),
-            },
-            Ok(false) => Reply::Admin {
-                info: "nothing to reload: the store has a fixed source".into(),
             },
             Err(e) => Reply::Error {
                 code: ERR_UNAVAILABLE,
@@ -1287,7 +1279,6 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::SubmitOutcome;
-    use crate::store::StoreOptions;
     use fenrir_core::ids::SiteTable;
     use fenrir_core::time::Timestamp;
     use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
@@ -1417,11 +1408,7 @@ mod tests {
         let pipe =
             RecoverablePipeline::in_memory(SiteTable::from_names(["A"]), 1, PipelineConfig::new(1))
                 .unwrap();
-        let opts = StoreOptions {
-            allow_empty: true,
-            ..StoreOptions::default()
-        };
-        let store = Arc::new(ModeStore::from_pipeline(&pipe, opts).unwrap());
+        let store = Arc::new(ModeStore::over(Arc::new(Mutex::new(pipe))).unwrap());
         let handler = Arc::new(SubmitDuringReplay {
             announced: Mutex::new(vec![transition(0)]),
             addr: std::sync::OnceLock::new(),

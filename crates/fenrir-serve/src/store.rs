@@ -2,16 +2,20 @@
 //!
 //! A [`Snapshot`] holds what queries read — the routing series, the
 //! condensed similarity matrix, the mode analysis at the adaptive
-//! threshold, and the journaled latency panels — derived from a
-//! fenrir-data pipeline journal file or an object tier's latest sealed
-//! epoch. Snapshots are immutable and shared through `Arc`s; queries
-//! clone an `Arc` (cheap) and never hold a lock while computing.
+//! threshold, and the journaled latency panels — derived from one of
+//! three sources: a fenrir-data pipeline journal file, an object tier's
+//! latest sealed epoch, or a pipeline in memory shared with its writer
+//! (a stream server's ingestor). Snapshots are immutable and shared
+//! through `Arc`s; queries clone an `Arc` (cheap) and never hold a lock
+//! while computing.
 //!
 //! Every source loads one way: read its change mark (a journal file's
-//! length, a tier manifest's latest generation), then load it, then
-//! build and publish the snapshot. The mark comes first, so a frame or
-//! epoch committed during the load is newer than the recorded mark and
-//! the next poll reloads it.
+//! length, a tier manifest's latest generation, a shared pipeline's
+//! observation count), then load it, then build and publish the
+//! snapshot. The mark comes first, so a frame, epoch or observation
+//! committed during the load is newer than the recorded mark and the
+//! next poll reloads it. A shared pipeline is not re-read from bytes:
+//! its snapshot is built from memory under the pipeline's lock.
 //!
 //! Hot reload is epoch-based: when the mark moves, one loader rebuilds
 //! a fresh snapshot off to the side and swaps it into every shard.
@@ -50,19 +54,6 @@ const SHARDS: usize = 8;
 /// `SetCacheCapacity` command resizes it live.
 const CACHE_CAPACITY: usize = 4096;
 
-/// Tuning knobs for [`ModeStore`].
-#[derive(Debug, Clone, Default)]
-pub struct StoreOptions {
-    /// Adaptive-threshold policy for mode discovery.
-    pub adaptive: AdaptiveThreshold,
-    /// Accept a journal with zero observations — the bootstrap state of
-    /// a freshly created stream journal. Every query answers
-    /// `NOT_FOUND` until a reload finds the first observation. Off by
-    /// default: for a batch store an empty journal is a configuration
-    /// error, not a state to serve.
-    pub allow_empty: bool,
-}
-
 /// One immutable, fully-derived view of the dataset: what queries read.
 #[derive(Debug)]
 pub struct Snapshot {
@@ -71,7 +62,7 @@ pub struct Snapshot {
     /// The routing series.
     pub series: VectorSeries,
     /// Condensed pairwise similarity; `None` only for an empty
-    /// snapshot (see [`StoreOptions::allow_empty`]).
+    /// snapshot (see [`ModeStore::over`]).
     pub matrix: Option<SimilarityMatrix>,
     /// Modes at the adaptive threshold; `None` only when empty.
     pub modes: Option<ModeAnalysis>,
@@ -79,7 +70,8 @@ pub struct Snapshot {
     pub panels: Vec<Option<LatencyPanel>>,
     /// §2.5 network weights.
     pub weights: Weights,
-    /// Whether the journal had a torn tail at load.
+    /// Whether the journal had a torn tail when the pipeline was opened
+    /// (for a shared pipeline, what its writer's open cut off).
     pub torn: bool,
 }
 
@@ -303,12 +295,16 @@ enum Source {
         prefix: String,
         retry: RetryPolicy,
     },
+    /// A pipeline in memory shared with its writer, polled by its
+    /// observation count.
+    Pipeline(Arc<Mutex<RecoverablePipeline>>),
 }
 
 impl Source {
-    /// The change mark: the journal file's byte length (one `stat`), or
-    /// the tier manifest's latest generation (one object `get`). A tier
-    /// without a manifest has no epoch to serve: `EmptyInput`.
+    /// The change mark: the journal file's byte length (one `stat`),
+    /// the tier manifest's latest generation (one object `get`), or the
+    /// shared pipeline's observation count. A tier without a manifest
+    /// has no epoch to serve: `EmptyInput`.
     fn mark(&self) -> Result<u64> {
         match self {
             Source::File(path) => {
@@ -330,29 +326,55 @@ impl Source {
                     .ok_or(Error::EmptyInput("sealed tier epoch"))?;
                 Ok(Manifest::decode(&bytes)?.latest_gen())
             }
+            Source::Pipeline(pipe) => Ok(pipe.lock().series().len() as u64),
         }
     }
 
-    /// Load the source read-only.
-    fn load(&self) -> Result<RecoverablePipeline> {
-        match self {
-            Source::File(path) => RecoverablePipeline::open_read_only(path),
+    /// Load the source and build its snapshot as `epoch`.
+    ///
+    /// A shared pipeline builds under its lock and may be empty. A file
+    /// or tier is loaded read-only and must hold an observation
+    /// (`EmptyInput` otherwise). When the store already serves `served`
+    /// observations, a file or tier whose torn tail offers no more than
+    /// those is refused: keep the richer last-good epoch rather than
+    /// swap to a recovered prefix that may have *lost* observations. A
+    /// torn tail beyond the current horizon still ships the clean
+    /// prefix (progress beats purity).
+    fn load(&self, epoch: u64, served: Option<usize>) -> Result<Snapshot> {
+        let adaptive = AdaptiveThreshold::default();
+        let pipe = match self {
+            Source::File(path) => RecoverablePipeline::open_read_only(path)?,
             Source::Tier {
                 store,
                 prefix,
                 retry,
-            } => RecoverablePipeline::hydrate_read_only(store.as_ref(), prefix, retry),
+            } => RecoverablePipeline::hydrate_read_only(store.as_ref(), prefix, retry)?,
+            Source::Pipeline(pipe) => {
+                return Snapshot::build(&pipe.lock(), &adaptive, epoch, true);
+            }
+        };
+        if let Some(served) = served {
+            if pipe.recovery_report().torn.is_some() && pipe.series().len() <= served {
+                return Err(Error::Corrupted {
+                    what: "journal reload",
+                    offset: pipe.recovery_report().clean_bytes,
+                    message: format!(
+                        "torn tail with no new observations ({served} loaded, {} recovered)",
+                        pipe.series().len()
+                    ),
+                });
+            }
         }
+        Snapshot::build(&pipe, &adaptive, epoch, false)
     }
 }
 
 /// Sharded, hot-reloadable snapshot store.
 pub struct ModeStore {
-    /// The snapshot source; `None` for a store built from a pipeline in
-    /// memory, which never reloads. Behind a mutex both to serialise
-    /// loads (queries never touch it) and because [`ModeStore::rotate`]
-    /// can repoint a file-backed store at a new journal live.
-    source: Mutex<Option<Source>>,
+    /// The snapshot source. Behind a mutex both to serialise loads
+    /// (queries never touch it) and because [`ModeStore::rotate`] can
+    /// repoint a file-backed store at a new journal live.
+    source: Mutex<Source>,
     shards: [RwLock<Arc<Snapshot>>; SHARDS],
     epoch: AtomicU64,
     /// The source's change mark, read before the served snapshot was
@@ -363,8 +385,6 @@ pub struct ModeStore {
     stale: AtomicBool,
     /// Derived-answer cache, epoch-keyed.
     pub cache: QueryCache,
-    adaptive: AdaptiveThreshold,
-    allow_empty: bool,
     /// When the served snapshot was last (re)built — the initial load
     /// counts, so `reload_age` is meaningful before any hot reload.
     last_reload_at: Mutex<Instant>,
@@ -376,9 +396,11 @@ pub struct ModeStore {
 }
 
 impl ModeStore {
-    /// Open a journal file read-only and build the initial snapshot.
-    pub fn open(path: &Path, opts: StoreOptions) -> Result<Self> {
-        Self::open_source(Source::File(path.to_path_buf()), opts)
+    /// Open a journal file read-only and build the initial snapshot. A
+    /// journal without observations is refused with `EmptyInput`; only
+    /// a shared pipeline ([`ModeStore::over`]) serves an empty state.
+    pub fn open(path: &Path) -> Result<Self> {
+        Self::open_source(Source::File(path.to_path_buf()))
     }
 
     /// Hydrate the initial snapshot from an object tier's latest sealed
@@ -392,46 +414,42 @@ impl ModeStore {
     /// hydrated, so an epoch sealed in between is served on the next
     /// poll. Once serving, an unreachable or stale tier degrades the
     /// store (see [`ModeStore::maybe_reload`]) rather than killing it.
-    pub fn open_tiered(
-        store: Arc<dyn Storage>,
-        prefix: &str,
-        retry: RetryPolicy,
-        opts: StoreOptions,
-    ) -> Result<Self> {
+    pub fn open_tiered(store: Arc<dyn Storage>, prefix: &str, retry: RetryPolicy) -> Result<Self> {
         let stats = Arc::new(RetryStats::default());
         let source = Source::Tier {
             store,
             prefix: prefix.to_string(),
             retry: retry.with_stats(Arc::clone(&stats)),
         };
-        let mut ms = Self::open_source(source, opts)?;
+        let mut ms = Self::open_source(source)?;
         ms.retry_stats = stats;
         Ok(ms)
     }
 
-    /// Read `source`'s mark, then load it and build the initial snapshot.
-    fn open_source(source: Source, opts: StoreOptions) -> Result<Self> {
-        let mark = source.mark()?;
-        let ms = Self::from_pipeline(&source.load()?, opts)?;
-        ms.loaded_mark.store(mark, Ordering::SeqCst);
-        *ms.source.lock() = Some(source);
-        Ok(ms)
+    /// Serve a pipeline in memory that its holder may keep writing —
+    /// a stream server's ingestor. Each poll reads the observation
+    /// count and, when it moved, builds the next snapshot from memory
+    /// under the pipeline's lock; no journal bytes are re-read, and a
+    /// pipeline that nobody writes never reloads. An empty pipeline (a
+    /// freshly created stream) is served: every query answers
+    /// `NOT_FOUND` until it grows.
+    pub fn over(pipe: Arc<Mutex<RecoverablePipeline>>) -> Result<Self> {
+        Self::open_source(Source::Pipeline(pipe))
     }
 
-    /// Build a store from an already-loaded pipeline (no reload support).
-    pub fn from_pipeline(pipe: &RecoverablePipeline, opts: StoreOptions) -> Result<Self> {
-        let snap = Arc::new(Snapshot::build(pipe, &opts.adaptive, 0, opts.allow_empty)?);
+    /// Read `source`'s mark, then load it and build the initial snapshot.
+    fn open_source(source: Source) -> Result<Self> {
+        let mark = source.mark()?;
+        let snap = Arc::new(source.load(0, None)?);
         Ok(ModeStore {
-            source: Mutex::new(None),
+            source: Mutex::new(source),
             shards: std::array::from_fn(|_| RwLock::new(Arc::clone(&snap))),
             epoch: AtomicU64::new(0),
-            loaded_mark: AtomicU64::new(0),
+            loaded_mark: AtomicU64::new(mark),
             reloads: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
             stale: AtomicBool::new(false),
             cache: QueryCache::new(CACHE_CAPACITY),
-            adaptive: opts.adaptive,
-            allow_empty: opts.allow_empty,
             last_reload_at: Mutex::new(Instant::now()),
             last_reload_us: AtomicU64::new(0),
             retry_stats: Arc::new(RetryStats::default()),
@@ -480,7 +498,7 @@ impl ModeStore {
     }
 
     /// Storage-tier retry pressure for this store's source (always
-    /// zero for file-backed and fixed stores).
+    /// zero unless the source is an object tier).
     pub fn retry_stats(&self) -> &Arc<RetryStats> {
         &self.retry_stats
     }
@@ -490,8 +508,9 @@ impl ModeStore {
     /// whether a reload happened.
     ///
     /// The change mark is read before the load and recorded with the
-    /// snapshot, so a frame or epoch committed while the load runs
-    /// moves the mark past the recorded one and the next poll reloads.
+    /// snapshot, so a frame, epoch or observation committed while the
+    /// load runs moves the mark past the recorded one and the next poll
+    /// reloads.
     ///
     /// This is the graceful-degradation seam: a reload that fails —
     /// the file vanished, the header is corrupt, the tail is torn
@@ -504,8 +523,9 @@ impl ModeStore {
     /// change mark matches, so a repaired source clears the flag).
     ///
     /// Cheap when nothing changed: one `stat` call for a file source,
-    /// one manifest fetch for a tier source. Concurrent callers
-    /// serialise on an internal lock; queries never wait on it.
+    /// one manifest fetch for a tier source, one lock for a shared
+    /// pipeline. Concurrent callers serialise on an internal lock;
+    /// queries never wait on it.
     pub fn maybe_reload(&self) -> Result<bool> {
         self.reload(false)
     }
@@ -513,39 +533,22 @@ impl ModeStore {
     /// Reload from the source now, even when the change mark says
     /// nothing is new — the admin `ForceReload` command. Degrades
     /// exactly like [`ModeStore::maybe_reload`] on failure.
-    pub fn force_reload(&self) -> Result<bool> {
-        self.reload(true)
+    pub fn force_reload(&self) -> Result<()> {
+        self.reload(true).map(|_| ())
     }
 
     fn reload(&self, force: bool) -> Result<bool> {
-        let guard = self.source.lock();
-        let Some(source) = guard.as_ref() else {
-            return Ok(false);
-        };
+        let source = self.source.lock();
         let started = Instant::now();
         let mark = source.mark().map_err(|e| self.degrade(e))?;
         if !force && mark == self.loaded_mark.load(Ordering::SeqCst) && !self.stale() {
             return Ok(false);
         }
-        let pipe = source.load().map_err(|e| self.degrade(e))?;
-        // A torn tail that offers nothing beyond what we already serve
-        // is a failed reload, not progress: keep the richer last-good
-        // epoch rather than swapping to a recovered prefix that may
-        // have *lost* observations. A torn tail beyond the current
-        // horizon still ships the clean prefix (progress beats purity).
         let served = self.snapshot(0).series.len();
-        if pipe.recovery_report().torn.is_some() && pipe.series().len() <= served {
-            return Err(self.degrade(Error::Corrupted {
-                what: "journal reload",
-                offset: pipe.recovery_report().clean_bytes,
-                message: format!(
-                    "torn tail with no new observations ({served} loaded, {} recovered)",
-                    pipe.series().len()
-                ),
-            }));
-        }
-        self.publish(&pipe, mark, started)
+        let snap = source
+            .load(self.epoch() + 1, Some(served))
             .map_err(|e| self.degrade(e))?;
+        self.publish(snap, mark, started);
         Ok(true)
     }
 
@@ -556,7 +559,7 @@ impl ModeStore {
     /// is not a source fault).
     pub fn rotate(&self, path: &Path) -> Result<()> {
         let mut source = self.source.lock();
-        if !matches!(*source, Some(Source::File(_))) {
+        if !matches!(*source, Source::File(_)) {
             return Err(Error::Config {
                 name: "rotate",
                 message: "rotate requires a file-backed store".into(),
@@ -565,25 +568,20 @@ impl ModeStore {
         let started = Instant::now();
         let next = Source::File(path.to_path_buf());
         let mark = next.mark()?;
-        self.publish(&next.load()?, mark, started)?;
-        *source = Some(next);
+        self.publish(next.load(self.epoch() + 1, None)?, mark, started);
+        *source = next;
         Ok(())
     }
 
-    /// Build the next epoch's snapshot from `pipe` and install it in
-    /// every shard under change mark `mark`, then sweep dead-epoch cache
-    /// entries so the LRU capacity is fully available to the new epoch —
-    /// stale entries can never be served (the cache key carries the
-    /// epoch) but left in place they squat on capacity and depress the
-    /// hit rate until eviction churn clears them.
-    fn publish(&self, pipe: &RecoverablePipeline, mark: u64, started: Instant) -> Result<()> {
-        let epoch = self.epoch() + 1;
-        let snap = Arc::new(Snapshot::build(
-            pipe,
-            &self.adaptive,
-            epoch,
-            self.allow_empty,
-        )?);
+    /// Install the next epoch's snapshot in every shard under change
+    /// mark `mark`, then sweep dead-epoch cache entries so the LRU
+    /// capacity is fully available to the new epoch — stale entries
+    /// can never be served (the cache key carries the epoch) but left
+    /// in place they squat on capacity and depress the hit rate until
+    /// eviction churn clears them.
+    fn publish(&self, snap: Snapshot, mark: u64, started: Instant) {
+        let epoch = snap.epoch;
+        let snap = Arc::new(snap);
         for shard in &self.shards {
             *shard.write() = Arc::clone(&snap);
         }
@@ -595,7 +593,6 @@ impl ModeStore {
         self.last_reload_us
             .store(started.elapsed().as_micros() as u64, Ordering::SeqCst);
         *self.last_reload_at.lock() = Instant::now();
-        Ok(())
     }
 
     /// Record a failed reload: the last-good snapshot stays in place.

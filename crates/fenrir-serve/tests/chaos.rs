@@ -19,7 +19,7 @@ use fenrir_serve::breaker::BreakerConfig;
 use fenrir_serve::protocol::{Reply, Request};
 use fenrir_serve::{
     ChaosPlan, Client, FaultyListener, ModeStore, ReplicaSet, ResilientClient, ResilientConfig,
-    ServeConfig, Server, StoreOptions,
+    ServeConfig, Server,
 };
 
 const NETWORKS: usize = 12;
@@ -78,7 +78,7 @@ fn direct_answer(store: &ModeStore, req: &Request) -> (u8, Vec<u8>) {
 fn chaotic_cluster_answers_bit_identically_or_with_typed_errors() {
     let path = scratch("bitident");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 3, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let set = ReplicaSet::start(&path, 3, ServeConfig::default()).unwrap();
 
     // A proxy with every fault class enabled in front of each replica,
     // all driven from one fixed seed (CI runs this exact storm).
@@ -119,7 +119,7 @@ fn chaotic_cluster_answers_bit_identically_or_with_typed_errors() {
     .unwrap();
 
     // The reference store computes every expected answer directly.
-    let reference = ModeStore::open(&path, StoreOptions::default()).unwrap();
+    let reference = ModeStore::open(&path).unwrap();
 
     let mut queries = Vec::new();
     for t in 0..DAYS {
@@ -186,7 +186,7 @@ fn chaotic_cluster_answers_bit_identically_or_with_typed_errors() {
 fn flipped_reply_bits_surface_as_errors_never_as_answers() {
     let path = scratch("flip");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 1, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let set = ReplicaSet::start(&path, 1, ServeConfig::default()).unwrap();
     let proxy = FaultyListener::start(set.addrs()[0], ChaosPlan::new(3).flip(1.0)).unwrap();
 
     // Every reply chunk has one bit flipped: the checksum must reject
@@ -210,7 +210,7 @@ fn flipped_reply_bits_surface_as_errors_never_as_answers() {
 fn stalls_past_the_deadline_are_typed_timeouts_not_corruption() {
     let path = scratch("stall");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 1, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let set = ReplicaSet::start(&path, 1, ServeConfig::default()).unwrap();
     // Every reply stalls for 2 s mid-chunk; the client deadline is
     // 300 ms. The failure must be the typed timeout, not `Corrupted`.
     let proxy = FaultyListener::start(
@@ -242,7 +242,7 @@ fn stalls_past_the_deadline_are_typed_timeouts_not_corruption() {
 fn hedged_reads_win_when_one_replica_stalls() {
     let path = scratch("hedge");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 2, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let set = ReplicaSet::start(&path, 2, ServeConfig::default()).unwrap();
     // Replica 0 sits behind a proxy that stalls EVERY reply past the
     // hedge delay; replica 1 is direct. Hedging must answer from
     // replica 1 without waiting out the stall.
@@ -367,7 +367,7 @@ fn breaker_transitions_count_exactly_through_outage_and_recovery() {
     // Recovery: a real server takes the reserved address; once the
     // cooldown passes, the next request is the half-open probe and its
     // success closes the breaker. One transition each, exactly.
-    let store = Arc::new(ModeStore::open(&path, StoreOptions::default()).unwrap());
+    let store = Arc::new(ModeStore::open(&path).unwrap());
     let server = Server::start(
         Arc::clone(&store),
         ServeConfig {
@@ -415,7 +415,7 @@ fn scraped_metrics_alone_tell_the_outage_and_recovery_story() {
         admin_token: Some("chaos-token".into()),
         ..ServeConfig::default()
     };
-    let mut set = ReplicaSet::start(&path, 2, StoreOptions::default(), cfg.clone()).unwrap();
+    let mut set = ReplicaSet::start(&path, 2, cfg.clone()).unwrap();
     let addrs = set.addrs();
 
     let client = ResilientClient::new(
@@ -489,7 +489,7 @@ fn scraped_metrics_alone_tell_the_outage_and_recovery_story() {
     // the breaker cooldown, a health probe closes the breaker and the
     // rotation spreads load across both replicas again — visible as the
     // revived scrape's query counter moving off zero.
-    let store = Arc::new(ModeStore::open(&path, StoreOptions::default()).unwrap());
+    let store = Arc::new(ModeStore::open(&path).unwrap());
     let revived = Server::start(
         Arc::clone(&store),
         ServeConfig {

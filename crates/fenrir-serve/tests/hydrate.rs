@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fenrir_core::error::Result;
+use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
 use fenrir_core::latency::LatencyPanel;
@@ -18,7 +18,7 @@ use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_data::storage::tiered::manifest_key;
 use fenrir_data::storage::{CasOutcome, ObjectChaos, ObjectSim, RetryPolicy, Storage};
 use fenrir_serve::protocol::{Reply, Request};
-use fenrir_serve::{Client, ModeStore, ReplicaSet, ServeConfig, Server, StoreOptions};
+use fenrir_serve::{Client, ModeStore, ReplicaSet, ServeConfig, Server};
 
 const NETWORKS: usize = 12;
 const DAY: i64 = 86_400;
@@ -133,15 +133,10 @@ fn tier_hydrated_replica_answers_bit_identical_to_file_backed_replica() {
     std::fs::remove_file(&hot).unwrap();
 
     let tiered = Arc::new(
-        ModeStore::open_tiered(
-            Arc::clone(&sim) as Arc<dyn Storage>,
-            PREFIX,
-            quick_retry(),
-            StoreOptions::default(),
-        )
-        .unwrap(),
+        ModeStore::open_tiered(Arc::clone(&sim) as Arc<dyn Storage>, PREFIX, quick_retry())
+            .unwrap(),
     );
-    let file = Arc::new(ModeStore::open(&flat, StoreOptions::default()).unwrap());
+    let file = Arc::new(ModeStore::open(&flat).unwrap());
     let st = Server::start(Arc::clone(&tiered), ServeConfig::default()).unwrap();
     let sf = Server::start(Arc::clone(&file), ServeConfig::default()).unwrap();
     let mut ct = Client::connect(st.addr()).unwrap();
@@ -167,13 +162,8 @@ fn tiered_store_follows_newly_sealed_epochs() {
     let sim = Arc::new(ObjectSim::new(ObjectChaos::none(12)).unwrap());
     let hot = seal_days(&sim, "follow", 6);
 
-    let store = ModeStore::open_tiered(
-        Arc::clone(&sim) as Arc<dyn Storage>,
-        PREFIX,
-        quick_retry(),
-        StoreOptions::default(),
-    )
-    .unwrap();
+    let store = ModeStore::open_tiered(Arc::clone(&sim) as Arc<dyn Storage>, PREFIX, quick_retry())
+        .unwrap();
     assert_eq!(store.snapshot(0).series.len(), 6);
     // Nothing new sealed: the poll is a no-op.
     assert!(!store.maybe_reload().unwrap());
@@ -235,13 +225,9 @@ fn an_epoch_sealed_while_the_store_opens_is_served_after_the_next_poll() {
         manifest_reads: AtomicUsize::new(0),
     });
 
-    let store = ModeStore::open_tiered(
-        Arc::clone(&tier) as Arc<dyn Storage>,
-        PREFIX,
-        quick_retry(),
-        StoreOptions::default(),
-    )
-    .unwrap();
+    let store =
+        ModeStore::open_tiered(Arc::clone(&tier) as Arc<dyn Storage>, PREFIX, quick_retry())
+            .unwrap();
     assert!(
         tier.writer.lock().unwrap().is_none(),
         "days 6–7 were sealed"
@@ -257,13 +243,8 @@ fn unreachable_tier_degrades_to_stale_and_recovers_when_back() {
     let hot = seal_days(&sim, "degrade", 6);
 
     let store = Arc::new(
-        ModeStore::open_tiered(
-            Arc::clone(&sim) as Arc<dyn Storage>,
-            PREFIX,
-            quick_retry(),
-            StoreOptions::default(),
-        )
-        .unwrap(),
+        ModeStore::open_tiered(Arc::clone(&sim) as Arc<dyn Storage>, PREFIX, quick_retry())
+            .unwrap(),
     );
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -317,7 +298,6 @@ fn replica_set_starts_from_tier_alone() {
         PREFIX,
         quick_retry(),
         2,
-        StoreOptions::default(),
         ServeConfig::default(),
     )
     .unwrap();
@@ -347,4 +327,27 @@ fn replica_set_starts_from_tier_alone() {
         }
     }
     set.shutdown();
+}
+
+/// A file or tier source with no observations is refused at open: a
+/// store over bytes must have data to serve.
+#[test]
+fn file_and_tier_stores_refuse_a_source_without_observations() {
+    let flat = scratch("empty-flat");
+    let sites = SiteTable::from_names((0..3).map(|s| format!("SITE{s}")));
+    drop(RecoverablePipeline::open(&flat, sites, NETWORKS, PipelineConfig::new(NETWORKS)).unwrap());
+    assert!(matches!(
+        ModeStore::open(&flat),
+        Err(Error::EmptyInput("serve snapshot"))
+    ));
+
+    let sim = Arc::new(ObjectSim::new(ObjectChaos::none(16)).unwrap());
+    let hot = seal_days(&sim, "empty-tier", 0);
+    assert!(matches!(
+        ModeStore::open_tiered(sim as Arc<dyn Storage>, PREFIX, quick_retry()),
+        Err(Error::EmptyInput("serve snapshot"))
+    ));
+
+    let _ = std::fs::remove_file(&flat);
+    let _ = std::fs::remove_file(&hot);
 }

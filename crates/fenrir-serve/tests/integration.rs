@@ -16,7 +16,7 @@ use fenrir_core::transition::TransitionMatrix;
 use fenrir_core::vector::RoutingVector;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_serve::protocol::{Reply, Request, ERR_NOT_FOUND, ERR_UNAVAILABLE};
-use fenrir_serve::{Client, ModeStore, ServeConfig, Server, StoreOptions};
+use fenrir_serve::{Client, ModeStore, ServeConfig, Server};
 
 const NETWORKS: usize = 12;
 const SITES: usize = 3;
@@ -72,7 +72,7 @@ fn append_days(pipe: &mut RecoverablePipeline, from: i64, to: i64) {
 }
 
 fn start(path: &Path, follow: Option<Duration>) -> (Server, Arc<ModeStore>) {
-    let store = Arc::new(ModeStore::open(path, StoreOptions::default()).unwrap());
+    let store = Arc::new(ModeStore::open(path).unwrap());
     let server = Server::start(
         Arc::clone(&store),
         ServeConfig {

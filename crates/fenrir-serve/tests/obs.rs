@@ -16,7 +16,7 @@ use fenrir_core::vector::RoutingVector;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_obs::fetch;
 use fenrir_serve::protocol::{Reply, Request, ERR_BAD_REQUEST, ERR_UNAUTHORIZED, ERR_UNAVAILABLE};
-use fenrir_serve::{AdminCmd, Client, ModeStore, ReplicaSet, ServeConfig, Server, StoreOptions};
+use fenrir_serve::{AdminCmd, Client, ModeStore, ReplicaSet, ServeConfig, Server};
 
 const NETWORKS: usize = 12;
 const DAY: i64 = 86_400;
@@ -59,7 +59,7 @@ fn write_journal(path: &Path) {
 }
 
 fn start_server(path: &Path, cfg: ServeConfig) -> (Server, Arc<ModeStore>) {
-    let store = Arc::new(ModeStore::open(path, StoreOptions::default()).unwrap());
+    let store = Arc::new(ModeStore::open(path).unwrap());
     let server = Server::start(Arc::clone(&store), cfg).unwrap();
     (server, store)
 }
@@ -406,7 +406,7 @@ fn live_reconfig_changes_cache_capacity_and_shed_limit() {
 fn drain_sheds_queries_keeps_control_frames_and_undrain_restores() {
     let path = scratch("drain");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 2, StoreOptions::default(), obs_config()).unwrap();
+    let set = ReplicaSet::start(&path, 2, obs_config()).unwrap();
 
     match set.drain(0).unwrap() {
         Reply::Admin { info } => assert!(info.contains("drain"), "got: {info}"),
@@ -457,7 +457,7 @@ fn drain_sheds_queries_keeps_control_frames_and_undrain_restores() {
 fn drain_and_stop_reaches_zero_inflight_before_stopping() {
     let path = scratch("drainstop");
     write_journal(&path);
-    let mut set = ReplicaSet::start(&path, 3, StoreOptions::default(), obs_config()).unwrap();
+    let mut set = ReplicaSet::start(&path, 3, obs_config()).unwrap();
 
     // Keep one slot-holding connection busy, then drain-and-stop
     // underneath it: the call must wait for the slot to empty (the
@@ -502,7 +502,7 @@ fn drain_and_stop_reaches_zero_inflight_before_stopping() {
 fn shutdown_is_not_starved_by_a_streaming_shed_connection() {
     let path = scratch("shedstream");
     write_journal(&path);
-    let set = ReplicaSet::start(&path, 1, StoreOptions::default(), obs_config()).unwrap();
+    let set = ReplicaSet::start(&path, 1, obs_config()).unwrap();
 
     // Drain first, then connect: the connection is admitted slotless,
     // so every query is answered with an `Overloaded` shed — which the

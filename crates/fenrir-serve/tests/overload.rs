@@ -14,7 +14,8 @@ use fenrir_core::time::Timestamp;
 use fenrir_core::vector::RoutingVector;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_serve::protocol::{Reply, Request};
-use fenrir_serve::{Client, ModeStore, ServeConfig, Server, StoreOptions};
+use fenrir_serve::sync::Mutex;
+use fenrir_serve::{Client, ModeStore, ServeConfig, Server};
 
 const NETWORKS: usize = 8;
 const DAY: i64 = 86_400;
@@ -30,7 +31,7 @@ fn tiny_store() -> Arc<ModeStore> {
         h.responses = NETWORKS;
         pipe.observe(v, h).unwrap();
     }
-    Arc::new(ModeStore::from_pipeline(&pipe, StoreOptions::default()).unwrap())
+    Arc::new(ModeStore::over(Arc::new(Mutex::new(pipe))).unwrap())
 }
 
 fn saturated_config() -> ServeConfig {
@@ -88,6 +89,45 @@ fn saturation_yields_prompt_overloaded_replies() {
         }
     }
 
+    server.shutdown();
+}
+
+/// One queue feeds every worker: with A idle on one worker, a new
+/// connection C is answered by the other worker at once instead of
+/// waiting behind A until A's read deadline closes it.
+#[test]
+fn a_new_connection_is_served_by_a_free_worker_not_behind_an_idle_one() {
+    let server = Server::start(
+        tiny_store(),
+        ServeConfig {
+            workers: 2,
+            read_deadline: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let stats = |client: &mut Client| {
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        client.request(&Request::Stats)
+    };
+
+    // A stays connected and idle after one query; B asks and leaves.
+    let mut a = Client::connect(server.addr()).unwrap();
+    assert!(matches!(stats(&mut a), Ok(Reply::Stats(_))));
+    let mut b = Client::connect(server.addr()).unwrap();
+    assert!(matches!(stats(&mut b), Ok(Reply::Stats(_))));
+    drop(b);
+
+    let mut c = Client::connect(server.addr()).unwrap();
+    let reply = stats(&mut c);
+    assert!(
+        matches!(reply, Ok(Reply::Stats(_))),
+        "C waited behind idle A while a worker was free: {reply:?}"
+    );
+
+    drop(a);
     server.shutdown();
 }
 

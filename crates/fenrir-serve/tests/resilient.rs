@@ -16,7 +16,6 @@ use fenrir_serve::breaker::{BreakerConfig, BreakerState};
 use fenrir_serve::protocol::{Reply, Request};
 use fenrir_serve::{
     ChaosPlan, Client, FaultyListener, ReplicaSet, ResilientClient, ResilientConfig, ServeConfig,
-    StoreOptions,
 };
 
 const NETWORKS: usize = 10;
@@ -74,8 +73,7 @@ fn dead_addr() -> SocketAddr {
 fn byte_dribbled_replies_are_reassembled_not_corrupted() {
     let path = scratch("dribble");
     write_journal(&path, 5);
-    let mut set =
-        ReplicaSet::start(&path, 1, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let mut set = ReplicaSet::start(&path, 1, ServeConfig::default()).unwrap();
     // A proxy that forwards every reply chunk one byte per write: the
     // client sees the worst legal TCP fragmentation.
     let proxy = FaultyListener::start(set.addrs()[0], ChaosPlan::new(11).dribble(1.0)).unwrap();
@@ -100,8 +98,7 @@ fn byte_dribbled_replies_are_reassembled_not_corrupted() {
 fn dead_replica_is_failed_over_and_breaker_fenced() {
     let path = scratch("failover");
     write_journal(&path, 5);
-    let mut set =
-        ReplicaSet::start(&path, 2, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let mut set = ReplicaSet::start(&path, 2, ServeConfig::default()).unwrap();
     let addrs = set.addrs();
     // Kill replica 0; its address now refuses connections.
     set.stop(0);
@@ -164,8 +161,7 @@ fn draining_cluster_yields_typed_exhaustion_within_the_deadline() {
 fn draining_server_mid_conversation_is_a_typed_error_not_a_hang() {
     let path = scratch("drain");
     write_journal(&path, 5);
-    let mut set =
-        ReplicaSet::start(&path, 1, StoreOptions::default(), ServeConfig::default()).unwrap();
+    let mut set = ReplicaSet::start(&path, 1, ServeConfig::default()).unwrap();
     let addrs = set.addrs();
     let client = ResilientClient::new(&addrs, quick_cfg()).unwrap();
 
@@ -195,7 +191,6 @@ fn health_probe_learns_stale_flags_for_selection() {
     let set = ReplicaSet::start(
         &path,
         2,
-        StoreOptions::default(),
         ServeConfig {
             follow: Some(Duration::from_millis(30)),
             ..ServeConfig::default()

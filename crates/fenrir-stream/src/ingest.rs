@@ -84,9 +84,6 @@ pub struct StreamConfig {
     /// Analysis parameters the journal is bound to (weights, unknown
     /// policy, linkage, guard sampling, seal cadence).
     pub pipeline: PipelineConfig,
-    /// The adaptive threshold rule used to re-derive modes after each
-    /// accepted fold.
-    pub adaptive: AdaptiveThreshold,
     /// Optional byzantine-resilience fold applied to each accepted row
     /// before journaling. `None` trusts every vantage point.
     pub trust: Option<TrustConfig>,
@@ -98,7 +95,6 @@ impl StreamConfig {
     pub fn new(networks: usize) -> Self {
         StreamConfig {
             pipeline: PipelineConfig::new(networks),
-            adaptive: AdaptiveThreshold::default(),
             trust: None,
         }
     }
@@ -130,9 +126,10 @@ pub struct StateBits {
     pub clusters: usize,
 }
 
-/// Flatten a pipeline's derived state to comparable bits. An empty
-/// pipeline yields the empty state (zero observations, no cells).
-pub fn state_bits(pipe: &RecoverablePipeline, adaptive: &AdaptiveThreshold) -> Result<StateBits> {
+/// Flatten a pipeline's derived state, with modes at the paper's
+/// adaptive threshold rule, to comparable bits. An empty pipeline
+/// yields the empty state (zero observations, no cells).
+pub fn state_bits(pipe: &RecoverablePipeline) -> Result<StateBits> {
     let n = pipe.series().len();
     if n == 0 {
         return Ok(StateBits {
@@ -148,7 +145,7 @@ pub fn state_bits(pipe: &RecoverablePipeline, adaptive: &AdaptiveThreshold) -> R
         .matrix()
         .ok_or(Error::EmptyInput("similarity matrix"))?;
     let dendro = pipe.dendrogram().ok_or(Error::EmptyInput("dendrogram"))?;
-    let choice = adaptive.choose(dendro)?;
+    let choice = AdaptiveThreshold::default().choose(dendro)?;
     Ok(StateBits {
         observations: n,
         matrix: matrix.raw().iter().map(|v| v.to_bits()).collect(),
@@ -174,8 +171,8 @@ fn mode_boundaries(labels: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// The fold's bookkeeping beside the pipeline.
 struct Inner {
-    pipe: RecoverablePipeline,
     trust: Option<TrustModel>,
     /// The previous step's mode boundaries; the diff against the
     /// current step's is exactly the set of transitions to announce.
@@ -201,9 +198,14 @@ impl Inner {
 /// Durable, sequenced, trust-aware streaming ingest over one pipeline
 /// journal. Implements [`StreamHandler`], so an `Arc<StreamIngestor>`
 /// plugs straight into [`fenrir_serve::Server::start_with_stream`].
+///
+/// The pipeline sits behind its own lock, outside the fold's
+/// bookkeeping, so a query store can share it: a fold takes `inner`,
+/// then the pipeline; a store reading the pipeline takes only the
+/// pipeline's lock.
 pub struct StreamIngestor {
     inner: Mutex<Inner>,
-    adaptive: AdaptiveThreshold,
+    pipe: Arc<Mutex<RecoverablePipeline>>,
     base: Weights,
     policy: UnknownPolicy,
     trust_cfg: Option<TrustConfig>,
@@ -267,18 +269,19 @@ impl StreamIngestor {
         // restarted ingestor announces only boundaries discovered
         // *after* the restart, never the history again.
         let boundaries = match pipe.dendrogram() {
-            Some(d) if pipe.series().len() >= 2 => mode_boundaries(&cfg.adaptive.choose(d)?.labels),
+            Some(d) if pipe.series().len() >= 2 => {
+                mode_boundaries(&AdaptiveThreshold::default().choose(d)?.labels)
+            }
             _ => Vec::new(),
         };
         Ok(StreamIngestor {
             inner: Mutex::new(Inner {
-                pipe,
                 trust,
                 announced_base: boundaries.len() as u64,
                 announced: Vec::new(),
                 boundaries,
             }),
-            adaptive: cfg.adaptive,
+            pipe: Arc::new(Mutex::new(pipe)),
             base,
             policy,
             trust_cfg: cfg.trust,
@@ -304,7 +307,7 @@ impl StreamIngestor {
     /// Observations journaled so far — also the next expected sequence
     /// number.
     pub fn observations(&self) -> u64 {
-        self.inner.lock().pipe.series().len() as u64
+        self.pipe.lock().series().len() as u64
     }
 
     /// The sequence number the next `Submit` must carry.
@@ -335,21 +338,21 @@ impl StreamIngestor {
         self.metrics.bind(registry);
     }
 
-    /// The adaptive threshold rule in effect.
-    pub fn adaptive(&self) -> &AdaptiveThreshold {
-        &self.adaptive
-    }
-
     /// Snapshot the live analysis state as comparable bits.
     pub fn state_bits(&self) -> Result<StateBits> {
-        state_bits(&self.inner.lock().pipe, &self.adaptive)
+        state_bits(&self.pipe.lock())
+    }
+
+    /// The pipeline the fold writes, for a query store to serve.
+    pub(crate) fn pipeline(&self) -> &Arc<Mutex<RecoverablePipeline>> {
+        &self.pipe
     }
 
     /// Seal a tiered journal's observations into the object tier. A
     /// flat journal holds each observation once and only grows, so
     /// there this does nothing.
     pub fn compact(&self) -> Result<()> {
-        self.inner.lock().pipe.compact()
+        self.pipe.lock().compact()
     }
 
     /// Lifetime boundary count (see [`StreamHandler::boundary_count`]).
@@ -362,8 +365,7 @@ impl StreamIngestor {
     /// refused by the tier. Errors on a non-tiered journal — fencing
     /// without a shared tier would protect nothing.
     pub fn set_fence_epoch(&self, epoch: u64) -> Result<()> {
-        let mut inner = self.inner.lock();
-        match inner.pipe.tier_mut() {
+        match self.pipe.lock().tier_mut() {
             Some(tier) => tier.set_fence_epoch(epoch),
             None => Err(Error::InvalidParameter {
                 name: "fence epoch",
@@ -417,22 +419,20 @@ impl StreamIngestor {
             }
         }
         let v = RoutingVector::from_codes(Timestamp::from_secs(time), codes.to_vec());
-        if let Err(e) = inner.pipe.observe(v, health) {
+        let mut pipe = self.pipe.lock();
+        if let Err(e) = pipe.observe(v, health) {
             // The trust window already advanced for a row that never
             // became durable; re-fold it from the journal so the model
             // stays a pure function of the journaled series.
-            inner.trust = Self::replay_trust(&inner.pipe, self.trust_cfg, &self.base)?;
+            inner.trust = Self::replay_trust(&pipe, self.trust_cfg, &self.base)?;
             return Err(e);
         }
-        let n = inner.pipe.series().len();
+        let n = pipe.series().len();
         let mut events = Vec::new();
         let mut transitions = 0u32;
         if n >= 2 {
-            let dendro = inner
-                .pipe
-                .dendrogram()
-                .ok_or(Error::EmptyInput("dendrogram"))?;
-            let choice = self.adaptive.choose(dendro)?;
+            let dendro = pipe.dendrogram().ok_or(Error::EmptyInput("dendrogram"))?;
+            let choice = AdaptiveThreshold::default().choose(dendro)?;
             let bounds = mode_boundaries(&choice.labels);
             let w = match step_weights {
                 // An all-excluded step degenerates to the base
@@ -449,7 +449,7 @@ impl StreamIngestor {
                 if inner.boundaries.contains(&b) {
                     continue;
                 }
-                let opened = inner.pipe.series().get(b);
+                let opened = pipe.series().get(b);
                 events.push(StreamEvent::ModeTransition {
                     seq: b as u64,
                     time: opened.time().as_secs(),
@@ -457,12 +457,7 @@ impl StreamIngestor {
                     to_mode: choice.labels[b] as u64,
                     modes: choice.clusters as u64,
                     threshold: choice.threshold,
-                    step_phi: similarity::phi(
-                        inner.pipe.series().get(b - 1),
-                        opened,
-                        &w,
-                        self.policy,
-                    ),
+                    step_phi: similarity::phi(pipe.series().get(b - 1), opened, &w, self.policy),
                     trusted,
                 });
                 transitions += 1;
@@ -499,7 +494,7 @@ impl StreamIngestor {
         self.metrics.submits.inc();
         let start = Instant::now();
         let mut inner = self.inner.lock();
-        let expected = inner.pipe.series().len() as u64;
+        let expected = self.observations();
         if seq < expected {
             self.metrics.duplicates.inc();
             self.metrics.acks.inc();

@@ -14,8 +14,8 @@
 //! * [`ingest`] — [`StreamIngestor`], the durable sequenced write path
 //!   (implements [`fenrir_serve::StreamHandler`]); plus [`StateBits`],
 //!   the bit-exact state fingerprint the equivalence suite compares;
-//! * [`serve`] — [`StreamServer`], ingestor + read-only query store +
-//!   TCP server over one journal;
+//! * [`serve`] — [`StreamServer`], ingestor + TCP server over one
+//!   journal, whose query store serves the ingestor's pipeline;
 //! * [`client`] — [`SubmitClient`] / [`Subscriber`], the campaign-side
 //!   helpers (ack tracking, event interleaving, explicit `Lagged`,
 //!   leader failover across a candidate list);

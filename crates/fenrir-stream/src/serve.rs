@@ -2,14 +2,16 @@
 //! over a single journal file.
 //!
 //! [`StreamServer`] wires the write path and the read path to the same
-//! durable artifact: the [`StreamIngestor`] owns the journal and
-//! appends to it, while the server's [`ModeStore`] follows the same
-//! file read-only (opened with
-//! [`allow_empty`](StoreOptions::allow_empty), so a freshly created
-//! stream serves `NOT_FOUND` instead of refusing to start) and hot-
-//! reloads as submissions land. Queries therefore converge on
-//! submitted data within one follow tick, and both sides survive a
-//! process kill at any frame boundary — the journal is the only state.
+//! pipeline: the [`StreamIngestor`] owns the journal and appends to
+//! it, while the server's [`ModeStore`] serves the ingestor's pipeline
+//! in memory ([`ModeStore::over`]). Each follow tick the store reads
+//! the observation count and, when it moved, builds one snapshot from
+//! memory under the pipeline's lock — never on the ack path, and
+//! without re-reading the journal. A freshly created stream serves
+//! `NOT_FOUND` until its first observation. Queries therefore converge
+//! on submitted data within one follow tick, and a process kill at any
+//! frame boundary loses nothing acked — the journal is the only
+//! durable state.
 
 use std::net::SocketAddr;
 use std::path::Path;
@@ -18,7 +20,7 @@ use std::time::Duration;
 
 use fenrir_core::error::Result;
 use fenrir_core::ids::SiteTable;
-use fenrir_serve::{ModeStore, ServeConfig, Server, StoreOptions, StreamHandler};
+use fenrir_serve::{ModeStore, ServeConfig, Server, StreamHandler};
 
 use crate::ingest::{StreamConfig, StreamIngestor};
 
@@ -39,9 +41,10 @@ impl std::fmt::Debug for StreamServer {
 
 impl StreamServer {
     /// Open (or create) the journal at `path`, start a protocol-v5
-    /// server over it, and export the ingestor's metric families into
-    /// the server's registry. `serve_cfg.follow` defaults to 25 ms when
-    /// unset so the query side actually tracks submissions.
+    /// server whose store serves the ingestor's pipeline, and export
+    /// the ingestor's metric families into the server's registry.
+    /// `serve_cfg.follow` defaults to 25 ms when unset so the query
+    /// side actually tracks submissions.
     pub fn start(
         path: &Path,
         sites: SiteTable,
@@ -49,15 +52,8 @@ impl StreamServer {
         cfg: StreamConfig,
         mut serve_cfg: ServeConfig,
     ) -> Result<StreamServer> {
-        let adaptive = cfg.adaptive;
         let ingestor = Arc::new(StreamIngestor::open(path, sites, networks, cfg)?);
-        let store = Arc::new(ModeStore::open(
-            path,
-            StoreOptions {
-                adaptive,
-                allow_empty: true,
-            },
-        )?);
+        let store = Arc::new(ModeStore::over(Arc::clone(ingestor.pipeline()))?);
         if serve_cfg.follow.is_none() {
             serve_cfg.follow = Some(Duration::from_millis(25));
         }

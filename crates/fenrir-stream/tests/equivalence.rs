@@ -77,7 +77,7 @@ fn assert_prefixes_match(rows: &[SubmitRow], sites: SiteTable, networks: usize) 
             )
             .expect("batch observe");
         }
-        let batch = state_bits(&pipe, &cfg.adaptive).expect("batch state");
+        let batch = state_bits(&pipe).expect("batch state");
         let streamed = ing.state_bits().expect("streamed state");
         assert_eq!(
             streamed,

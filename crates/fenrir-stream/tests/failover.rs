@@ -19,8 +19,8 @@ use fenrir_core::time::Timestamp;
 use fenrir_data::storage::{ObjectChaos, ObjectSim, RetryPolicy, Storage};
 use fenrir_measure::submit::SubmitRow;
 use fenrir_serve::{
-    Client, ModeStore, Reply, Request, ServeConfig, Server, StoreOptions, StreamEvent,
-    StreamHandler, SubmitOutcome,
+    Client, ModeStore, Reply, Request, ServeConfig, Server, StreamEvent, StreamHandler,
+    SubmitOutcome,
 };
 use fenrir_stream::{
     Clock, ReplicatedConfig, ReplicatedIngestor, StreamConfig, StreamIngestor, StreamServer,
@@ -371,18 +371,7 @@ fn tier_partition_mid_seal_loses_no_ack() {
 }
 
 fn tiered_read_store(store: &Arc<dyn Storage>) -> Arc<ModeStore> {
-    Arc::new(
-        ModeStore::open_tiered(
-            Arc::clone(store),
-            PREFIX,
-            retry(),
-            StoreOptions {
-                allow_empty: true,
-                ..StoreOptions::default()
-            },
-        )
-        .expect("tiered read store"),
-    )
+    Arc::new(ModeStore::open_tiered(Arc::clone(store), PREFIX, retry()).expect("tiered read store"))
 }
 
 /// A standby behind a real TCP server answers `Submit` with a

@@ -4,14 +4,19 @@
 //! push, and the loss accounting closes exactly — events received plus
 //! explicit `Lagged` misses equal events emitted, zero silent loss.
 //! Also the drain regression: a subscriber-only connection is released
-//! promptly with a final `Closed` event, not held to its read deadline.
+//! promptly with a final `Closed` event, not held to its read deadline;
+//! and the read path: a stream server answers what a snapshot of its
+//! journal answers.
 
 use std::fs;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use fenrir_serve::protocol::AdminCmd;
-use fenrir_serve::{Client, Reply, Request, ServeConfig, StreamEvent};
+use fenrir_core::cluster::AdaptiveThreshold;
+use fenrir_data::journal::RecoverablePipeline;
+use fenrir_serve::protocol::{AdminCmd, ERR_NOT_FOUND};
+use fenrir_serve::{Client, Reply, Request, ServeConfig, Snapshot, StreamEvent};
 use fenrir_stream::{
     ddos_catchment_flip, hypergiant_churn, StreamConfig, StreamScenario, StreamServer,
     SubmitClient, Subscriber,
@@ -30,18 +35,34 @@ fn seed() -> u64 {
         .unwrap_or(7)
 }
 
+fn start(sc: &StreamScenario, path: &Path, cfg: ServeConfig) -> StreamServer {
+    let stream = StreamConfig::new(sc.networks);
+    StreamServer::start(path, sc.sites.clone(), sc.networks, stream, cfg).expect("start server")
+}
+
+/// A submitter with a 5 s read deadline.
+fn submitter(server: &StreamServer) -> SubmitClient {
+    let mut submitter = SubmitClient::connect(server.addr()).expect("submitter");
+    submitter
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    submitter
+}
+
+/// A query client with a 5 s read deadline.
+fn client(server: &StreamServer) -> Client {
+    let mut client = Client::connect(server.addr()).expect("client");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    client
+}
+
 /// Drive one scenario through a live server with a subscriber watching,
 /// and close the books on every pushed event.
 fn stream_scenario(tag: &str, sc: StreamScenario) {
     let path = temp_journal(tag);
-    let server = StreamServer::start(
-        &path,
-        sc.sites.clone(),
-        sc.networks,
-        StreamConfig::new(sc.networks),
-        ServeConfig::default(),
-    )
-    .expect("start server");
+    let server = start(&sc, &path, ServeConfig::default());
     let addr = server.addr();
 
     // Subscribe before the first frame so every transition is pushed.
@@ -49,11 +70,9 @@ fn stream_scenario(tag: &str, sc: StreamScenario) {
     sub.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
 
-    let mut submitter = SubmitClient::connect(addr).expect("submitter");
-    submitter
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("timeout");
-    let acked_transitions = submitter.submit_all(&sc.rows).expect("submit campaign");
+    let acked_transitions = submitter(&server)
+        .submit_all(&sc.rows)
+        .expect("submit campaign");
     assert!(
         acked_transitions > 0,
         "{}: the scripted routing changes must surface as transitions",
@@ -176,19 +195,9 @@ fn hypergiant_churn_streams_end_to_end() {
 fn duplicate_replays_over_tcp_are_absorbed() {
     let sc = ddos_catchment_flip(seed()).expect("scenario");
     let path = temp_journal("live-dup");
-    let server = StreamServer::start(
-        &path,
-        sc.sites.clone(),
-        sc.networks,
-        StreamConfig::new(sc.networks),
-        ServeConfig::default(),
-    )
-    .expect("start server");
+    let server = start(&sc, &path, ServeConfig::default());
 
-    let mut submitter = SubmitClient::connect(server.addr()).expect("submitter");
-    submitter
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("timeout");
+    let mut submitter = submitter(&server);
     submitter.submit_all(&sc.rows[..5]).expect("first half");
     // An at-least-once retry of the whole prefix plus the rest: the
     // replayed rows ack Duplicate, the rest are accepted, and the
@@ -215,18 +224,12 @@ fn duplicate_replays_over_tcp_are_absorbed() {
 fn drain_releases_subscriber_only_connections_promptly() {
     let sc = ddos_catchment_flip(seed()).expect("scenario");
     let path = temp_journal("live-drain");
-    let server = StreamServer::start(
-        &path,
-        sc.sites.clone(),
-        sc.networks,
-        StreamConfig::new(sc.networks),
-        ServeConfig {
-            admin_token: Some("drain-test-token".into()),
-            read_deadline: Duration::from_secs(30),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start server");
+    let cfg = ServeConfig {
+        admin_token: Some("drain-test-token".into()),
+        read_deadline: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let server = start(&sc, &path, cfg);
     let addr = server.addr();
 
     let mut sub = Subscriber::connect(addr).expect("subscribe");
@@ -252,6 +255,97 @@ fn drain_releases_subscriber_only_connections_promptly() {
         start.elapsed()
     );
 
+    server.shutdown();
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn a_fresh_stream_server_answers_not_found() {
+    let sc = ddos_catchment_flip(seed()).expect("scenario");
+    let path = temp_journal("live-fresh");
+    let server = start(&sc, &path, ServeConfig::default());
+    match client(&server).request(&Request::Assign { t: 0, network: 0 }) {
+        Ok(Reply::Error { code, .. }) => assert_eq!(code, ERR_NOT_FOUND),
+        other => panic!("an empty stream must answer NOT_FOUND, got {other:?}"),
+    }
+    server.shutdown();
+    let _ = fs::remove_file(&path);
+}
+
+/// Once the store has caught up with every submitted row, each served
+/// reply equals, byte for byte, the reply of a snapshot built over the
+/// journal file read back from disk.
+#[test]
+fn served_replies_equal_a_snapshot_of_the_journal() {
+    let sc = ddos_catchment_flip(seed()).expect("scenario");
+    let path = temp_journal("live-served");
+    let server = start(&sc, &path, ServeConfig::default());
+    submitter(&server)
+        .submit_all(&sc.rows)
+        .expect("submit campaign");
+
+    let mut client = client(&server);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match client.request(&Request::Health) {
+            Ok(Reply::Health(h)) if h.observations == sc.rows.len() as u64 => break,
+            Ok(Reply::Health(_)) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => panic!("the store never served every row: {other:?}"),
+        }
+    }
+
+    let pipe = RecoverablePipeline::open_read_only(&path).expect("journal");
+    let direct = Snapshot::build(&pipe, &AdaptiveThreshold::default(), 0, false).expect("snapshot");
+    let times: Vec<i64> = sc.rows.iter().map(|r| r.time).collect();
+    for (i, &t) in times.iter().enumerate() {
+        let u = times[(i * 7 + 3) % times.len()];
+        let network = (i * 5 % sc.networks) as u32;
+        for (req, want) in [
+            (Request::Assign { t, network }, direct.assign(t, network)),
+            (Request::Similarity { t, u }, direct.similarity(t, u)),
+            (Request::Mode { t }, direct.mode(t)),
+            (Request::Transition { t, u }, direct.transition(t, u)),
+        ] {
+            assert!(
+                !matches!(want, Reply::Error { .. }),
+                "{req:?} has no answer: {want:?}"
+            );
+            let served = client.request(&req).expect("served reply");
+            assert_eq!(served.encode(), want.encode(), "{req:?}");
+        }
+    }
+
+    server.shutdown();
+    let _ = fs::remove_file(&path);
+}
+
+/// The store serves the ingestor's pipeline, so `Health.torn` reports
+/// the torn tail that the ingestor's open cut off after a crash.
+#[test]
+fn a_restarted_stream_server_reports_the_torn_tail_its_open_cut_off() {
+    let sc = ddos_catchment_flip(seed()).expect("scenario");
+    let path = temp_journal("live-torn");
+    let server = start(&sc, &path, ServeConfig::default());
+    submitter(&server)
+        .submit_all(&sc.rows[..4])
+        .expect("submit prefix");
+    server.shutdown();
+
+    // The start of a frame whose append was cut short.
+    let mut journal = fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .expect("journal");
+    journal.write_all(&[0x46, 0x4e, 0x52]).expect("torn bytes");
+    drop(journal);
+
+    let server = start(&sc, &path, ServeConfig::default());
+    match client(&server).request(&Request::Health) {
+        Ok(Reply::Health(h)) => assert!(h.torn && h.observations == 4, "{h:?}"),
+        other => panic!("health: {other:?}"),
+    }
     server.shutdown();
     let _ = fs::remove_file(&path);
 }

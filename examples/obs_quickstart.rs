@@ -15,7 +15,7 @@ use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_data::scenarios::{broot, Scale};
 use fenrir_obs::fetch;
 use fenrir_serve::protocol::{Reply, Request};
-use fenrir_serve::{AdminCmd, Client, ReplicaSet, ServeConfig, StoreOptions};
+use fenrir_serve::{AdminCmd, Client, ReplicaSet, ServeConfig};
 
 const TOKEN: &str = "quickstart-token";
 
@@ -44,7 +44,6 @@ fn main() {
     let set = ReplicaSet::start(
         &path,
         3,
-        StoreOptions::default(),
         ServeConfig {
             metrics_addr: Some("127.0.0.1:0".into()),
             admin_token: Some(TOKEN.into()),

@@ -12,7 +12,7 @@ use fenrir_core::health::CampaignHealth;
 use fenrir_data::journal::{PipelineConfig, RecoverablePipeline};
 use fenrir_data::scenarios::{broot, Scale};
 use fenrir_serve::protocol::{Reply, Request};
-use fenrir_serve::{Client, ModeStore, ServeConfig, Server, StoreOptions};
+use fenrir_serve::{Client, ModeStore, ServeConfig, Server};
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--paper") {
@@ -56,7 +56,7 @@ fn main() {
     }
 
     // Serve it.
-    let store = Arc::new(ModeStore::open(&path, StoreOptions::default()).expect("store open"));
+    let store = Arc::new(ModeStore::open(&path).expect("store open"));
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).expect("server start");
     println!("fenrir-serve listening on {}", server.addr());
 
