@@ -61,8 +61,8 @@ pub fn ablation(scale: Scale) -> ExperimentReport {
     }
     body.push_str(&format!(
         "  adaptive (paper rule): threshold {:.2} → {} clusters\n\
-         → fixed cuts either shatter or collapse the timeline; the paper's\n\
-         \x20 first-model-under-15-clusters rule lands between.\n\n",
+         → the paper's rule keeps the first cut with fewer than 15 clusters,\n\
+         \x20 each of at least 2 observations.\n\n",
         adaptive.threshold, adaptive.clusters
     ));
 

@@ -277,7 +277,7 @@ pub fn fig4(scale: Scale) -> ExperimentReport {
     body.push_str(
         "\npaper shape: ARI serves distant clients at high latency until its\n\
          2023-03-06 shutdown (column goes '-'); SCL appears mid-2023 with low\n\
-         regional latency. Both visible above.\n",
+         regional latency.\n",
     );
     ExperimentReport {
         id: "fig4",

@@ -106,9 +106,8 @@ pub enum CasOutcome {
 /// Backends may be eventually consistent: an object `put` may stay
 /// invisible to `get`/`list` for a *bounded* window (the object tier
 /// simulation models this explicitly). Callers that need
-/// read-after-write certainty keep their own ground truth — the tiered
-/// journal records its expected generation in the local hot tail for
-/// exactly this reason.
+/// read-after-write certainty write with `put_if` — the tiered journal
+/// commits its manifest that way.
 pub trait Storage: Send + Sync {
     /// Store `bytes` under `key`, replacing any existing object.
     fn put(&self, key: &str, bytes: &[u8]) -> Result<()>;
@@ -126,7 +125,7 @@ pub trait Storage: Send + Sync {
     /// eventual-visibility window, matching the conditional-write
     /// semantics real object stores provide. This is the primitive
     /// every fencing decision in the tier is built on ([`FencedWal`],
-    /// [`Lease`], fenced manifest commits).
+    /// [`Lease`], manifest commits).
     fn put_if(&self, key: &str, expected: Option<&[u8]>, bytes: &[u8]) -> Result<CasOutcome>;
 }
 

@@ -45,12 +45,6 @@ pub struct ObjectChaos {
     pub latency: Duration,
     /// How many subsequent operations a put may stay invisible for.
     pub visibility_lag: u64,
-    /// Probability a conditional put fails with a retryable transient
-    /// error *before* its compare is evaluated (a dropped response, a
-    /// 500 on the conditional-write endpoint). Drawn as an extra,
-    /// `put_if`-only draw so enabling CAS chaos never shifts the fault
-    /// stream existing `put`/`get` chaos tests replay under.
-    pub cas_fail_prob: f64,
 }
 
 impl ObjectChaos {
@@ -62,7 +56,6 @@ impl ObjectChaos {
             fail_prob: 0.0,
             latency: Duration::ZERO,
             visibility_lag: 0,
-            cas_fail_prob: 0.0,
         }
     }
 
@@ -90,18 +83,11 @@ impl ObjectChaos {
         self
     }
 
-    /// Fail this fraction of conditional puts transiently.
-    pub fn cas_fail(mut self, prob: f64) -> Self {
-        self.cas_fail_prob = prob;
-        self
-    }
-
     /// Reject probabilities outside `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
         for (name, p) in [
             ("throttle_prob", self.throttle_prob),
             ("fail_prob", self.fail_prob),
-            ("cas_fail_prob", self.cas_fail_prob),
         ] {
             if !(0.0..=1.0).contains(&p) || !p.is_finite() {
                 return Err(Error::Config {
@@ -276,23 +262,6 @@ impl Storage for ObjectSim {
     fn put_if(&self, key: &str, expected: Option<&[u8]>, bytes: &[u8]) -> Result<CasOutcome> {
         validate_key("put_if", key)?;
         let ordinal = self.admit("put_if", key, true)?;
-        {
-            // The CAS-specific fault: drawn after the shared fail and
-            // throttle draws so the per-op fault stream for every other
-            // operation class is byte-identical with the knob off.
-            let chaos = self.state.lock().unwrap().chaos;
-            let mut rng = chaos.op_rng(ordinal);
-            let _ = rng.gen::<f64>(); // fail draw, already decided in admit
-            let _ = rng.gen::<f64>(); // throttle draw, already decided in admit
-            if rng.gen::<f64>() < chaos.cas_fail_prob {
-                return Err(storage_err(
-                    "put_if",
-                    key,
-                    true,
-                    "conditional put dropped (injected CAS fault)",
-                ));
-            }
-        }
         let mut s = self.state.lock().unwrap();
         // Conditional writes are strongly consistent both ways: the
         // compare sees the true current object (never a propagating
@@ -400,35 +369,6 @@ mod tests {
             sim.put_if("ghost", Some(b"x"), b"y").unwrap(),
             CasOutcome::Conflict { actual: None }
         );
-    }
-
-    #[test]
-    fn cas_faults_are_seeded_and_do_not_shift_other_op_streams() {
-        // Same seed, CAS chaos on vs off: the put stream's outcomes are
-        // identical; only put_if gains failures.
-        let puts = |chaos: ObjectChaos| {
-            let sim = ObjectSim::new(chaos).unwrap();
-            (0..32)
-                .map(|i| sim.put(&format!("k{i}"), b"v").is_ok())
-                .collect::<Vec<_>>()
-        };
-        let base = ObjectChaos::none(9).throttle(0.4).fail(0.2);
-        assert_eq!(puts(base), puts(base.cas_fail(0.5)));
-
-        let sim = ObjectSim::new(ObjectChaos::none(9).cas_fail(0.5)).unwrap();
-        let outcomes: Vec<bool> = (0..32)
-            .map(|i| sim.put_if(&format!("c{i}"), None, b"v").is_ok())
-            .collect();
-        assert!(outcomes.iter().any(|ok| *ok) && outcomes.iter().any(|ok| !ok));
-        // And the failures are typed retryable storage errors.
-        let sim2 = ObjectSim::new(ObjectChaos::none(9).cas_fail(1.0)).unwrap();
-        assert!(matches!(
-            sim2.put_if("k", None, b"v"),
-            Err(Error::Storage {
-                retryable: true,
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -14,29 +14,36 @@
 //!
 //! [`TieredJournal::seal`] commits in three ordered steps:
 //!
-//! 1. `put` the new epoch's segment at `{prefix}/segments/seg-<gen>`;
-//! 2. `put` the manifest now referencing it — **the commit point**;
+//! 1. `put` the new epoch's segment at
+//!    `{prefix}/segments/seg-<gen>.<fence>`;
+//! 2. compare-and-swap the manifest now referencing it against the
+//!    manifest bytes last observed ([`Storage::put_if`]) — **the commit
+//!    point**;
 //! 3. rewrite the local hot tail to a single base frame for `<gen>`.
+//!
+//! Every writer commits this one way. A writer that never claimed a
+//! fencing epoch ([`TieredJournal::set_fence_epoch`]) holds fence 0, and
+//! no writer commits below the fence the manifest carries. A conditional
+//! put neither sees nor leaves an eventual-visibility window, so the
+//! manifest a later `open` reads is the one the last commit wrote.
 //!
 //! A crash (or retry exhaustion) between any two steps recovers to
 //! exactly the old epoch or the new one, never a mix:
 //!
 //! * after 1, before 2 — the manifest never mentions the new segment;
 //!   [`TieredJournal::open`] sees `manifest.latest == hot base` and
-//!   resumes the old epoch with its deltas intact. The orphan segment
-//!   is harmless: the next seal of that generation overwrites it, and
-//!   [`TieredJournal::gc_orphans`] can reclaim it.
+//!   resumes the old epoch with its deltas intact. The same writer's
+//!   next seal of that generation overwrites the orphan segment. An
+//!   orphan left by a deposed leader stays in the tier, unreferenced.
 //! * after 2, before 3 — the manifest's latest generation is *ahead* of
 //!   the hot tail's base. The deltas still sitting in the tail are by
 //!   construction already in that newer epoch (a seal always seals the
-//!   full logical state), so `open` finishes the interrupted step 3:
-//!   it resets the tail and serves the new epoch.
+//!   full logical state), so `open` fetches and verifies that epoch,
+//!   then finishes the interrupted step 3: it resets the tail and serves
+//!   the new epoch.
 //!
-//! Eventual visibility adds one more wrinkle: right after a seal, a
-//! reader may still be served the *previous* manifest. The hot tail's
-//! base generation is local ground truth, so `open` treats a manifest
-//! older than the tail's promise as a retryable condition and leans on
-//! [`RetryPolicy`] until the committed manifest becomes visible.
+//! The hot tail is reset only after a commit, so a manifest *behind*
+//! the tail's base generation is corruption, not a stale read.
 
 use super::{
     open_record, seal_record, storage_err, validate_key, CasOutcome, RetryPolicy, Storage,
@@ -55,10 +62,7 @@ pub const KIND_TIER_BASE: u16 = 0x0F;
 
 /// First four bytes of an encoded manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"FNRM";
-/// Current manifest format version. Version 2 added the fencing epoch
-/// after the version word; version-1 manifests still decode (with
-/// `fence = 0`, i.e. "never fenced") so pre-failover tiers open
-/// unchanged, but every write re-encodes at the current version.
+/// The manifest format version this build reads and writes.
 pub const MANIFEST_VERSION: u16 = 2;
 
 /// The manifest object's key under a tier prefix.
@@ -66,17 +70,12 @@ pub fn manifest_key(prefix: &str) -> String {
     format!("{prefix}/manifest")
 }
 
-/// The segment object's key for epoch `gen` under a tier prefix.
-pub fn segment_key(prefix: &str, gen: u64) -> String {
-    format!("{prefix}/segments/seg-{gen:08}")
-}
-
-/// The segment key a **fenced** writer seals under: qualified by its
-/// fencing epoch so a deposed leader's in-flight segment put lands on
+/// The key a writer holding `fence` seals epoch `gen` under. The fence
+/// in the key makes a deposed leader's in-flight segment put land on
 /// its own key instead of clobbering the committed segment the new
 /// leader's manifest references. Readers never compute this — they
 /// fetch whatever key the manifest entry records.
-pub fn fenced_segment_key(prefix: &str, gen: u64, fence: u64) -> String {
+pub fn segment_key(prefix: &str, gen: u64, fence: u64) -> String {
     format!("{prefix}/segments/seg-{gen:08}.{fence:08}")
 }
 
@@ -105,19 +104,17 @@ pub struct SegmentEntry {
 ///             | key_len u16 LE | key (key_len bytes, UTF-8)
 /// ```
 ///
-/// (Version 1 had no `fence` word; it decodes with `fence = 0`.)
-///
 /// `sum` is the internet checksum over every preceding byte, so a
 /// torn or bit-flipped manifest is detected before any segment it
 /// names is trusted.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Manifest {
     /// The fencing epoch stamped by the newest leader to claim this
-    /// tier (0 = never fenced). A fenced writer commits the manifest
-    /// only through [`Storage::put_if`] against the exact bytes it last
-    /// observed, so any commit carrying a lower fence than the stored
-    /// one is refused at the compare — a deposed leader's seal can
-    /// never overwrite the new leader's history.
+    /// tier (0 = never fenced). Every writer commits the manifest only
+    /// through [`Storage::put_if`] against the exact bytes it last
+    /// observed, and refuses to commit while this is above the fence it
+    /// holds — a deposed leader's seal can never overwrite the new
+    /// leader's history.
     pub fence: u64,
     /// Sealed epochs in ascending generation order.
     pub entries: Vec<SegmentEntry>,
@@ -155,15 +152,13 @@ impl Manifest {
     /// trusted.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = open_record(bytes, MANIFEST_MAGIC, "tier manifest")?;
-        let fence = match d.u16()? {
-            1 => 0, // version 1 had no fence word
-            MANIFEST_VERSION => d.u64()?,
-            version => {
-                return Err(d.corrupt(format!(
-                    "unsupported version {version} (this build reads 1..={MANIFEST_VERSION})"
-                )))
-            }
-        };
+        let version = d.u16()?;
+        if version != MANIFEST_VERSION {
+            return Err(d.corrupt(format!(
+                "unsupported version {version} (this build reads {MANIFEST_VERSION})"
+            )));
+        }
+        let fence = d.u64()?;
         let count = d.u32()?;
         let mut entries: Vec<SegmentEntry> = Vec::new();
         for _ in 0..count {
@@ -196,14 +191,14 @@ pub struct TieredJournal {
     retry: RetryPolicy,
     manifest: Manifest,
     /// The manifest bytes as last observed in the tier (`None` = no
-    /// manifest object yet). The compare side of every fenced commit:
-    /// a conditional put against these exact bytes fails iff someone
-    /// else wrote the manifest since we read it.
+    /// manifest object yet). The compare side of every commit: a
+    /// conditional put against these exact bytes fails iff someone else
+    /// wrote the manifest since we read it.
     manifest_bytes: Option<Vec<u8>>,
-    /// The fencing epoch this writer holds, when operating as a fenced
-    /// leader. `None` = legacy single-writer mode: seals use plain
-    /// puts, byte-for-byte the pre-fencing behaviour.
-    fence: Option<u64>,
+    /// The fencing epoch this writer holds: 0 until
+    /// [`TieredJournal::set_fence_epoch`] claims one. Every seal commits
+    /// under it.
+    fence: u64,
 }
 
 impl std::fmt::Debug for TieredJournal {
@@ -214,6 +209,15 @@ impl std::fmt::Debug for TieredJournal {
             .field("prefix", &self.prefix)
             .field("sealed_epochs", &self.manifest.entries.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// A structurally impossible manifest, as [`Error::Corrupted`].
+fn manifest_corrupt(message: String) -> Error {
+    Error::Corrupted {
+        what: "tier manifest",
+        offset: 0,
+        message,
     }
 }
 
@@ -323,10 +327,9 @@ pub fn hydrate_latest(
 
 impl TieredJournal {
     /// Open (or create) a tiered journal: recover the local hot tail,
-    /// load the manifest (retrying past eventual-visibility staleness),
-    /// finish any seal that crashed after its commit point, and return
-    /// the full logical frame set — the current epoch's sealed frames
-    /// followed by the hot deltas.
+    /// load the manifest, finish any seal that crashed after its commit
+    /// point, and return the full logical frame set — the current
+    /// epoch's sealed frames followed by the hot deltas.
     pub fn open(
         hot_path: &Path,
         store: Arc<dyn Storage>,
@@ -336,58 +339,32 @@ impl TieredJournal {
         validate_key("open", prefix)?;
         retry.validate()?;
         let (mut hot, hot_frames, report) = Journal::open(hot_path)?;
-        let (mut base_gen, mut deltas) = split_base(hot_frames)?;
+        let (mut base_gen, deltas) = split_base(hot_frames)?;
         let key = manifest_key(prefix);
-        let (manifest, manifest_bytes) =
-            retry.run("manifest fetch", || match store.get(&key)? {
-                None if base_gen == 0 => Ok((Manifest::default(), None)),
-                None => Err(storage_err(
-                    "get",
-                    key.clone(),
-                    true,
-                    format!("manifest not visible yet (hot tail expects generation {base_gen})"),
-                )),
-                Some(bytes) => {
-                    let m = Manifest::decode(&bytes)?;
-                    if m.latest_gen() < base_gen {
-                        // The tail was reset only after a manifest put
-                        // succeeded, so a manifest older than the tail's
-                        // promise is a stale read, not the truth.
-                        Err(storage_err(
-                            "get",
-                            key.clone(),
-                            true,
-                            format!(
-                                "stale manifest: latest generation {} behind hot tail's {base_gen}",
-                                m.latest_gen()
-                            ),
-                        ))
-                    } else {
-                        Ok((m, Some(bytes)))
-                    }
-                }
-            })?;
+        let manifest_bytes = retry.run("manifest fetch", || store.get(&key))?;
+        let manifest = match &manifest_bytes {
+            Some(bytes) => Manifest::decode(bytes)?,
+            None => Manifest::default(),
+        };
+        if manifest.latest_gen() < base_gen {
+            return Err(manifest_corrupt(format!(
+                "latest generation {} behind hot tail's {base_gen}",
+                manifest.latest_gen()
+            )));
+        }
+        let mut frames = match manifest.entries.last() {
+            Some(entry) => fetch_segment(store.as_ref(), &retry, entry)?,
+            None => Vec::new(),
+        };
         if manifest.latest_gen() > base_gen {
             // A seal committed its manifest but crashed before resetting
             // the tail. The deltas here are already in that newer epoch,
-            // so finishing the reset discards nothing.
-            let gen = manifest.latest_gen();
-            hot.rewrite(&[(KIND_TIER_BASE, gen.to_le_bytes().to_vec())])?;
-            base_gen = gen;
-            deltas.clear();
+            // verified above, so finishing the reset discards nothing.
+            base_gen = manifest.latest_gen();
+            hot.rewrite(&[(KIND_TIER_BASE, base_gen.to_le_bytes().to_vec())])?;
+        } else {
+            frames.extend(deltas);
         }
-        let mut frames = match manifest.entry(base_gen) {
-            Some(entry) => fetch_segment(store.as_ref(), &retry, entry)?,
-            None if base_gen == 0 => Vec::new(),
-            None => {
-                return Err(Error::Corrupted {
-                    what: "tier manifest",
-                    offset: 0,
-                    message: format!("manifest has no entry for hot tail generation {base_gen}"),
-                })
-            }
-        };
-        frames.extend(deltas);
         Ok((
             TieredJournal {
                 hot,
@@ -398,7 +375,7 @@ impl TieredJournal {
                 retry,
                 manifest,
                 manifest_bytes,
-                fence: None,
+                fence: 0,
             },
             frames,
             report,
@@ -406,69 +383,78 @@ impl TieredJournal {
     }
 
     /// Claim this tier under fencing epoch `epoch`: stamp the manifest
-    /// with the new fence via conditional put, after which every seal
-    /// from this journal also commits conditionally and any writer
-    /// still holding a lower epoch is refused at the compare.
-    ///
-    /// Conflict handling follows adopt-and-retry: a conditional-put
-    /// loss against a manifest whose fence is **at most** `epoch` means
-    /// we raced a writer we outrank (or our own earlier attempt), so we
-    /// adopt the observed bytes and retry the stamp. A stored fence
-    /// **above** `epoch` means this claimant was itself deposed, which
-    /// surfaces as [`Error::Fenced`] — deliberately not retryable.
+    /// with the new fence, after which every seal from this journal
+    /// commits under it and any writer still holding a lower epoch is
+    /// refused at the compare. A stored fence above `epoch` means this
+    /// claimant was itself deposed: [`Error::Fenced`], deliberately not
+    /// retryable.
     pub fn set_fence_epoch(&mut self, epoch: u64) -> Result<()> {
-        let mkey = manifest_key(&self.prefix);
-        loop {
-            let mut next = self.manifest.clone();
-            next.fence = epoch;
-            let mbytes = next.encode();
-            let outcome = self.retry.run("fence stamp", || {
-                self.store
-                    .put_if(&mkey, self.manifest_bytes.as_deref(), &mbytes)
-            })?;
-            match outcome {
-                CasOutcome::Committed => {
-                    self.manifest = next;
-                    self.manifest_bytes = Some(mbytes);
-                    self.fence = Some(epoch);
-                    return Ok(());
-                }
-                CasOutcome::Conflict { actual } => self.adopt_conflict(actual, epoch)?,
-            }
-        }
+        self.commit(epoch, None)?;
+        self.fence = epoch;
+        Ok(())
     }
 
-    /// Digest a conditional-put conflict: adopt the winner's manifest
-    /// if we still outrank its fence, or report deposition if we don't.
-    fn adopt_conflict(&mut self, actual: Option<Vec<u8>>, held: u64) -> Result<()> {
-        let (observed, bytes) = match actual {
-            Some(bytes) => (Manifest::decode(&bytes)?, Some(bytes)),
-            None => (Manifest::default(), None),
-        };
-        if observed.fence > held {
-            return Err(Error::Fenced {
-                what: "manifest commit",
-                held,
-                current: observed.fence,
-            });
-        }
-        if observed.latest_gen() < self.base_gen {
-            // Our hot tail promises an epoch the observed manifest
-            // lacks — a stale read can't reach put_if (strongly
-            // consistent), so this is a regression we must not adopt.
-            return Err(Error::Corrupted {
-                what: "tier manifest",
-                offset: 0,
-                message: format!(
+    /// Publish the last observed manifest, stamped with `fence` and with
+    /// `entry` appended, by conditional put against the observed bytes.
+    ///
+    /// A conflict means another writer committed since we looked: we
+    /// adopt what it wrote and retry, as long as its fence is **at
+    /// most** `fence` (a writer we outrank, or our own earlier attempt).
+    /// A fence above ours is [`Error::Fenced`]. A conflicting manifest
+    /// that lacks our hot tail's epoch, or already holds `entry`'s
+    /// generation (another writer at our fence shares the prefix), is
+    /// [`Error::Corrupted`].
+    fn commit(&mut self, fence: u64, entry: Option<&SegmentEntry>) -> Result<()> {
+        let key = manifest_key(&self.prefix);
+        loop {
+            if self.manifest.fence > fence {
+                return Err(Error::Fenced {
+                    what: "manifest commit",
+                    held: fence,
+                    current: self.manifest.fence,
+                });
+            }
+            let mut next = self.manifest.clone();
+            next.fence = fence;
+            if let Some(entry) = entry {
+                if next.latest_gen() >= entry.gen {
+                    return Err(manifest_corrupt(format!(
+                        "generation {} was sealed concurrently by another writer at fence {fence}",
+                        entry.gen
+                    )));
+                }
+                next.entries.push(entry.clone());
+            }
+            let bytes = next.encode();
+            let outcome = self.retry.run("manifest commit", || {
+                self.store
+                    .put_if(&key, self.manifest_bytes.as_deref(), &bytes)
+            })?;
+            let actual = match outcome {
+                CasOutcome::Committed => {
+                    self.manifest = next;
+                    self.manifest_bytes = Some(bytes);
+                    return Ok(());
+                }
+                CasOutcome::Conflict { actual } => actual,
+            };
+            let observed = match &actual {
+                Some(bytes) => Manifest::decode(bytes)?,
+                None => Manifest::default(),
+            };
+            if observed.latest_gen() < self.base_gen {
+                // put_if reads the true current bytes, so a manifest
+                // lacking the epoch our hot tail extends is a regression
+                // we must not adopt.
+                return Err(manifest_corrupt(format!(
                     "conflicting manifest regressed to generation {} behind hot tail's {}",
                     observed.latest_gen(),
                     self.base_gen
-                ),
-            });
+                )));
+            }
+            self.manifest = observed;
+            self.manifest_bytes = actual;
         }
-        self.manifest = observed;
-        self.manifest_bytes = bytes;
-        Ok(())
     }
 
     /// Append one delta frame to the hot tail (durable locally before
@@ -491,9 +477,9 @@ impl TieredJournal {
     /// On success the logical journal content is exactly `frames`.
     ///
     /// Every storage failure path leaves the journal consistent: retry
-    /// exhaustion on either put surfaces [`Error::Exhausted`] with the
-    /// old epoch (hot deltas included) fully intact, at worst leaking
-    /// one orphan segment that the next seal overwrites.
+    /// exhaustion on either put surfaces [`Error::Exhausted`], and a
+    /// refused commit [`Error::Fenced`], with the old epoch (hot deltas
+    /// included) fully intact, at worst leaking one orphan segment.
     pub fn seal(&mut self, frames: &[(u16, Vec<u8>)]) -> Result<u64> {
         for (kind, _) in frames {
             if *kind == KIND_TIER_BASE {
@@ -505,12 +491,9 @@ impl TieredJournal {
                 });
             }
         }
-        let gen = self.manifest.latest_gen().max(self.base_gen) + 1;
+        let gen = self.manifest.latest_gen() + 1;
         let bytes = journal::encode_frames(frames)?;
-        let key = match self.fence {
-            None => segment_key(&self.prefix, gen),
-            Some(e) => fenced_segment_key(&self.prefix, gen, e),
-        };
+        let key = segment_key(&self.prefix, gen, self.fence);
         self.retry
             .run("segment seal", || self.store.put(&key, &bytes))?;
         let entry = SegmentEntry {
@@ -520,64 +503,11 @@ impl TieredJournal {
             sum: internet_checksum(&bytes),
             frames: frames.len() as u32,
         };
-        let mkey = manifest_key(&self.prefix);
-        let next = match self.fence {
-            None => {
-                // Legacy single-writer mode: unconditional publish,
-                // byte-for-byte the pre-fencing behaviour (and the same
-                // chaos op ordinals, so pinned-seed suites replay).
-                let mut next = self.manifest.clone();
-                next.entries.push(entry);
-                let mbytes = next.encode();
-                self.retry
-                    .run("manifest publish", || self.store.put(&mkey, &mbytes))?;
-                self.manifest_bytes = Some(mbytes);
-                next
-            }
-            Some(held) => loop {
-                let mut next = self.manifest.clone();
-                next.fence = held;
-                next.entries.push(entry.clone());
-                let mbytes = next.encode();
-                let outcome = self.retry.run("manifest publish", || {
-                    self.store
-                        .put_if(&mkey, self.manifest_bytes.as_deref(), &mbytes)
-                })?;
-                match outcome {
-                    CasOutcome::Committed => {
-                        self.manifest_bytes = Some(mbytes);
-                        break next;
-                    }
-                    // A conflict from a fence we outrank is adopted and
-                    // the commit retried; a higher fence means this
-                    // writer was deposed mid-seal and the new epoch is
-                    // abandoned (at worst one orphan segment, exactly
-                    // like a crash between steps 1 and 2).
-                    CasOutcome::Conflict { actual } => {
-                        self.adopt_conflict(actual, held)?;
-                        if self.manifest.latest_gen() >= gen {
-                            // A fenced outranked writer cannot commit
-                            // (its compare fails against our stamp), so
-                            // an adopted manifest already holding our
-                            // generation means an unfenced writer is
-                            // sharing the prefix — refuse to guess.
-                            return Err(Error::Corrupted {
-                                what: "tier manifest",
-                                offset: 0,
-                                message: format!(
-                                    "generation {gen} was sealed concurrently by an unfenced writer"
-                                ),
-                            });
-                        }
-                    }
-                }
-            },
-        };
+        self.commit(self.fence, Some(&entry))?;
         // Commit point passed: the epoch exists even if we crash here —
         // open() finishes this reset from the manifest.
         self.hot
             .rewrite(&[(KIND_TIER_BASE, gen.to_le_bytes().to_vec())])?;
-        self.manifest = next;
         self.base_gen = gen;
         Ok(gen)
     }
@@ -595,43 +525,14 @@ impl TieredJournal {
         fetch_segment(self.store.as_ref(), &self.retry, entry)
     }
 
-    /// Delete segment objects newer than the manifest's latest
-    /// generation — the at-most-one orphan a crashed seal can leave.
-    /// Only the (single) writer may call this, and only once its own
-    /// manifest view is current; a fresh `open` that raced a
-    /// crashed-but-committed seal under eventual visibility could
-    /// otherwise reclaim a referenced segment.
-    pub fn gc_orphans(&self) -> Result<Vec<String>> {
-        let latest = self.manifest.latest_gen();
-        let dir = format!("{}/segments/", self.prefix);
-        let keys = self.retry.run("segment list", || self.store.list(&dir))?;
-        let mut gone = Vec::new();
-        for key in keys {
-            // Fenced keys carry a `.{fence}` suffix after the
-            // generation; strip it before parsing.
-            let orphan = key
-                .rsplit("seg-")
-                .next()
-                .and_then(|g| g.split('.').next())
-                .and_then(|g| g.parse::<u64>().ok())
-                .is_some_and(|g| g > latest);
-            if orphan {
-                self.retry
-                    .run("segment delete", || self.store.delete(&key))?;
-                gone.push(key);
-            }
-        }
-        Ok(gone)
-    }
-
     /// Generation of the epoch the hot tail extends (0 before any seal).
     pub fn base_gen(&self) -> u64 {
         self.base_gen
     }
 
-    /// The fencing epoch this writer holds (`None` = unfenced legacy
-    /// single-writer mode). See [`TieredJournal::set_fence_epoch`].
-    pub fn fence(&self) -> Option<u64> {
+    /// The fencing epoch this writer holds (0 until
+    /// [`TieredJournal::set_fence_epoch`] claims one).
+    pub fn fence(&self) -> u64 {
         self.fence
     }
 
@@ -723,38 +624,18 @@ mod tests {
         swapped.entries.swap(0, 1);
         assert!(Manifest::decode(&swapped.encode()).is_err());
         assert_eq!(Manifest::default().latest_gen(), 0);
-    }
-
-    #[test]
-    fn version_one_manifests_decode_as_never_fenced() {
-        // Hand-build a v1 manifest (no fence word, count at byte 6) and
-        // confirm a current build still opens pre-failover tiers.
-        let m = Manifest {
-            fence: 0,
-            entries: vec![SegmentEntry {
-                gen: 1,
-                key: "tier/segments/seg-00000001".into(),
-                len: 123,
-                sum: 0xBEEF,
-                frames: 4,
-            }],
-        };
-        let v2 = m.encode();
-        let mut body = 1u16.to_le_bytes().to_vec();
-        body.extend_from_slice(&v2[14..v2.len() - 2]); // count + entries
-        let v1 = seal_record(MANIFEST_MAGIC, &body);
-        let decoded = Manifest::decode(&v1).unwrap();
-        assert_eq!(decoded, m);
-        // Unknown future versions stay hard errors.
-        let mut v9 = v1.clone();
-        v9[4] = 9;
-        assert!(matches!(
-            Manifest::decode(&v9),
-            Err(Error::Corrupted {
-                what: "tier manifest",
-                ..
-            })
-        ));
+        // Only the current version decodes, even under a valid checksum.
+        for version in [1u16, 3] {
+            let mut body = bytes[4..bytes.len() - 2].to_vec();
+            body[..2].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Manifest::decode(&seal_record(MANIFEST_MAGIC, &body)),
+                Err(Error::Corrupted {
+                    what: "tier manifest",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -765,7 +646,7 @@ mod tests {
             TieredJournal::open(&dir.join("old.fnrj"), store.clone(), "tier", quick_retry())
                 .unwrap();
         old_leader.set_fence_epoch(1).unwrap();
-        assert_eq!(old_leader.fence(), Some(1));
+        assert_eq!(old_leader.fence(), 1);
         old_leader.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         assert_eq!(old_leader.manifest().fence, 1);
 
@@ -886,7 +767,7 @@ mod tests {
             TieredJournal::open(&hot, dyn_store.clone(), "tier", quick_retry()).unwrap();
         tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         // Flip a byte inside the stored segment behind the tier's back.
-        let key = segment_key("tier", 1);
+        let key = segment_key("tier", 1, 0);
         let mut bytes = store.get(&key).unwrap().unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -923,18 +804,85 @@ mod tests {
     }
 
     #[test]
-    fn gc_reclaims_only_orphans() {
-        let dir = scratch("gc");
+    fn an_unclaimed_writer_cannot_seal_a_fenced_tier() {
+        let dir = scratch("unclaimed");
+        let store: Arc<dyn Storage> = Arc::new(ObjectSim::new(ObjectChaos::none(23)).unwrap());
+        let (mut leader, _, _) = TieredJournal::open(
+            &dir.join("leader.fnrj"),
+            store.clone(),
+            "tier",
+            quick_retry(),
+        )
+        .unwrap();
+        leader.set_fence_epoch(2).unwrap();
+        leader.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
+
+        // A writer that never claimed an epoch holds fence 0, below the
+        // tier's: it must not commit, let alone lower the fence.
+        let (mut writer, _, _) = TieredJournal::open(
+            &dir.join("writer.fnrj"),
+            store.clone(),
+            "tier",
+            quick_retry(),
+        )
+        .unwrap();
+        let sealed = writer.seal(&[(0x12, b"unfenced".to_vec())]);
+        assert!(
+            matches!(
+                sealed,
+                Err(Error::Fenced {
+                    held: 0,
+                    current: 2,
+                    ..
+                })
+            ),
+            "an unclaimed seal on a fenced tier must be refused, got {sealed:?}"
+        );
+        let (gen, frames) = hydrate_latest(store.as_ref(), "tier", &quick_retry())
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (gen, frames[0].payload.as_slice()),
+            (1, b"epoch-1".as_slice())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_newer_epoch_keeps_the_hot_tail() {
+        let dir = scratch("unreadable");
         let hot = dir.join("hot.fnrj");
-        let store = Arc::new(ObjectSim::new(ObjectChaos::none(13)).unwrap());
-        let dyn_store: Arc<dyn Storage> = store.clone();
-        let (mut tj, _, _) = TieredJournal::open(&hot, dyn_store, "tier", quick_retry()).unwrap();
+        let sim = Arc::new(ObjectSim::new(ObjectChaos::none(29)).unwrap());
+        let store: Arc<dyn Storage> = sim.clone();
+        let (mut tj, _, _) =
+            TieredJournal::open(&hot, store.clone(), "tier", quick_retry()).unwrap();
         tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
-        // Fake the orphan a crashed seal would leave.
-        store.put(&segment_key("tier", 2), b"half-sealed").unwrap();
-        let gone = tj.gc_orphans().unwrap();
-        assert_eq!(gone, vec![segment_key("tier", 2)]);
-        assert!(store.get(&segment_key("tier", 1)).unwrap().is_some());
+        tj.append(0x21, b"delta").unwrap();
+        // A seal that committed but died before resetting the tail...
+        let tail = std::fs::read(&hot).unwrap();
+        let gen = tj.seal(&[(0x12, b"epoch-2".to_vec())]).unwrap();
+        let key = tj.manifest().entry(gen).unwrap().key.clone();
+        drop(tj);
+        std::fs::write(&hot, &tail).unwrap();
+        // ...whose committed segment no longer verifies.
+        let mut bytes = sim.get(&key).unwrap().unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        sim.put(&key, &bytes).unwrap();
+
+        let opened = TieredJournal::open(&hot, store, "tier", quick_retry());
+        assert!(matches!(
+            opened,
+            Err(Error::Corrupted {
+                what: "tier segment",
+                ..
+            })
+        ));
+        assert_eq!(
+            std::fs::read(&hot).unwrap(),
+            tail,
+            "open must verify the newer epoch before resetting the tail"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

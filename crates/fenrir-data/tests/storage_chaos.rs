@@ -17,7 +17,9 @@ use fenrir_core::health::CampaignHealth;
 use fenrir_core::time::Timestamp;
 use fenrir_data::journal::{CampaignMeta, Journal, JournalSink, RecoverablePipeline};
 use fenrir_data::storage::tiered::{hydrate_latest, manifest_key};
-use fenrir_data::storage::{storage_err, ObjectChaos, ObjectSim, RetryPolicy, Storage};
+use fenrir_data::storage::{
+    storage_err, ObjectChaos, ObjectSim, RetryPolicy, Storage, TieredJournal,
+};
 use fenrir_measure::checkpoint::{CampaignSink, SweepCheckpoint};
 
 const TARGETS: usize = 3;
@@ -160,6 +162,60 @@ impl Storage for KillSwitch {
     }
 }
 
+/// A writer that crashes between a seal's commit and its tail reset, then
+/// reboots while the tier still serves older objects, must reopen at the
+/// committed epoch. Were it to read the previous manifest, its next seal
+/// would reuse the committed generation and overwrite that segment, and
+/// a second crash would leave a manifest naming bytes that are gone.
+#[test]
+fn a_reboot_inside_the_visibility_window_keeps_every_acked_frame() {
+    let dir = scratch("lagreboot");
+    let hot = dir.join("hot.fnrj");
+    let sim: Arc<dyn Storage> =
+        Arc::new(ObjectSim::new(ObjectChaos::none(7).visibility(2)).unwrap());
+    let frame = |i: u8| (0x21u16, vec![i; 4]);
+    let (mut tj, _, _) =
+        TieredJournal::open(&hot, Arc::clone(&sim), PREFIX, quick_retry()).unwrap();
+    tj.seal(&[frame(1), frame(2)]).unwrap();
+    tj.append(0x21, &frame(3).1).unwrap();
+    // First crash: after the second seal's commit, before its tail reset.
+    let tail = std::fs::read(&hot).unwrap();
+    tj.seal(&[frame(1), frame(2), frame(3)]).unwrap();
+    drop(tj);
+    std::fs::write(&hot, &tail).unwrap();
+
+    // Reboot at once, append, and die again between the next seal's
+    // segment put and its commit.
+    let switch = Arc::new(KillSwitch::new(Arc::clone(&sim), u64::MAX));
+    let (mut tj, frames, _) = TieredJournal::open(
+        &hot,
+        Arc::clone(&switch) as Arc<dyn Storage>,
+        PREFIX,
+        quick_retry(),
+    )
+    .unwrap();
+    tj.append(0x21, &frame(4).1).unwrap();
+    let mut state: Vec<(u16, Vec<u8>)> = frames.into_iter().map(|f| (f.kind, f.payload)).collect();
+    state.push(frame(4));
+    switch.budget.store(1, Ordering::SeqCst);
+    tj.seal(&state).expect_err("killed before the commit");
+    drop(tj);
+
+    let (tj, frames, _) = TieredJournal::open(&hot, Arc::clone(&sim), PREFIX, quick_retry())
+        .unwrap_or_else(|e| panic!("reopen after the second crash: {e}"));
+    let got: Vec<(u16, Vec<u8>)> = frames.into_iter().map(|f| (f.kind, f.payload)).collect();
+    assert_eq!(
+        got,
+        (1..=4).map(frame).collect::<Vec<_>>(),
+        "acked frames lost"
+    );
+    for entry in &tj.manifest().entries {
+        tj.hydrate_epoch(entry.gen)
+            .unwrap_or_else(|e| panic!("generation {}: {e}", entry.gen));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The reference outcome of an unfaulted campaign: final resume state,
 /// the final hydrated epoch's frames, and how many storage ops it took.
 struct CleanRun {
@@ -201,16 +257,27 @@ fn clean_run() -> CleanRun {
     }
 }
 
+/// Kill the writer at every storage-op boundary, over an instantly
+/// consistent tier and over one whose plain puts stay invisible for two
+/// operations.
 #[test]
 fn kill_at_every_op_boundary_then_reboot_completes_bit_identical() {
     let clean = clean_run();
     let (want_state, want_sealed, total_ops) = (clean.state, clean.epoch_frames, clean.ops);
     assert!(total_ops > 0);
 
-    for kill in 0..total_ops {
+    let settings = [
+        ObjectChaos::none(seed()),
+        ObjectChaos::none(seed()).visibility(2),
+    ];
+    for (chaos, kill) in settings
+        .into_iter()
+        .flat_map(|chaos| (0..total_ops).map(move |kill| (chaos, kill)))
+    {
+        let at = format!("lag {} kill {kill}", chaos.visibility_lag);
         let dir = scratch(&format!("kill{kill}"));
         let hot = dir.join("hot.fnrj");
-        let sim = Arc::new(ObjectSim::new(ObjectChaos::none(seed())).unwrap());
+        let sim = Arc::new(ObjectSim::new(chaos).unwrap());
         let switch: Arc<dyn Storage> =
             Arc::new(KillSwitch::new(Arc::clone(&sim) as Arc<dyn Storage>, kill));
 
@@ -223,7 +290,7 @@ fn kill_at_every_op_boundary_then_reboot_completes_bit_identical() {
         let e = crashed.expect_err("a kill inside the op budget must surface");
         assert!(
             matches!(e, Error::Storage { .. } | Error::Exhausted { .. }),
-            "kill {kill}: untyped crash error {e}"
+            "{at}: untyped crash error {e}"
         );
 
         // Reboot against the intact tier: recovery must land on a state
@@ -236,25 +303,18 @@ fn kill_at_every_op_boundary_then_reboot_completes_bit_identical() {
             quick_retry(),
             meta(),
         )
-        .unwrap_or_else(|e| panic!("kill {kill}: reboot failed: {e}"));
+        .unwrap_or_else(|e| panic!("{at}: reboot failed: {e}"));
         let resumed = sink.state().next_sweep;
-        assert!(
-            resumed <= SWEEPS,
-            "kill {kill}: recovered beyond the campaign"
-        );
+        assert!(resumed <= SWEEPS, "{at}: recovered beyond the campaign");
         for (i, row) in sink.state().rows.iter().enumerate() {
             assert_eq!(
                 row,
                 &checkpoint(i).row,
-                "kill {kill}: recovered row {i} is not bit-identical"
+                "{at}: recovered row {i} is not bit-identical"
             );
         }
-        run_campaign(&mut sink).unwrap_or_else(|e| panic!("kill {kill}: replay failed: {e}"));
-        assert_eq!(
-            sink.state(),
-            &want_state,
-            "kill {kill}: final state diverged"
-        );
+        run_campaign(&mut sink).unwrap_or_else(|e| panic!("{at}: replay failed: {e}"));
+        assert_eq!(sink.state(), &want_state, "{at}: final state diverged");
 
         let sealed: Vec<(u16, Vec<u8>)> = hydrate_latest(sim.as_ref(), PREFIX, &quick_retry())
             .unwrap()
@@ -263,7 +323,7 @@ fn kill_at_every_op_boundary_then_reboot_completes_bit_identical() {
             .into_iter()
             .map(|f| (f.kind, f.payload))
             .collect();
-        assert_eq!(sealed, want_sealed, "kill {kill}: sealed epoch diverged");
+        assert_eq!(sealed, want_sealed, "{at}: sealed epoch diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

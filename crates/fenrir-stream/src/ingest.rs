@@ -480,9 +480,7 @@ impl StreamIngestor {
 
 impl StreamIngestor {
     /// The sequencing and fold core behind [`StreamHandler::submit`],
-    /// with typed errors: a replicated leader needs to *see*
-    /// [`Error::Fenced`] to step down, which a stringified protocol
-    /// reply would hide. Duplicate and gap outcomes are data, not
+    /// with typed errors. Duplicate and gap outcomes are data, not
     /// errors; a codes-length mismatch is [`Error::InvalidParameter`].
     pub fn submit_typed(
         &self,
@@ -490,6 +488,21 @@ impl StreamIngestor {
         time: i64,
         codes: &[u16],
         health: CampaignHealth,
+    ) -> Result<(SubmitOutcome, Vec<StreamEvent>)> {
+        self.submit_durable(seq, time, codes, health, |_| Ok(()))
+    }
+
+    /// One submit: the sequencing and shape checks, then `durable`,
+    /// then the fold. A replicated leader passes its WAL append as
+    /// `durable`, so a duplicate, a gap or a malformed row never reaches
+    /// the WAL, and a failed append folds nothing.
+    pub(crate) fn submit_durable(
+        &self,
+        seq: u64,
+        time: i64,
+        codes: &[u16],
+        health: CampaignHealth,
+        durable: impl FnOnce(&CampaignHealth) -> Result<()>,
     ) -> Result<(SubmitOutcome, Vec<StreamEvent>)> {
         self.metrics.submits.inc();
         let start = Instant::now();
@@ -515,12 +528,37 @@ impl StreamIngestor {
                 ),
             });
         }
+        durable(&health)?;
         let (outcome, events) = self.fold(&mut inner, time, codes, health)?;
         self.metrics.acks.inc();
         self.metrics
             .fold_latency
             .observe(start.elapsed().as_micros() as u64);
         Ok((outcome, events))
+    }
+}
+
+/// The protocol reply to a typed submit: a refused row is a bad
+/// request, any other failure an internal error.
+pub(crate) fn submit_reply(
+    seq: u64,
+    result: Result<(SubmitOutcome, Vec<StreamEvent>)>,
+) -> (Reply, Vec<StreamEvent>) {
+    match result {
+        Ok((outcome, events)) => (Reply::SubmitAck { seq, outcome }, events),
+        Err(e) => {
+            let code = match e {
+                Error::InvalidParameter { .. } => ERR_BAD_REQUEST,
+                _ => ERR_INTERNAL,
+            };
+            (
+                Reply::Error {
+                    code,
+                    message: e.to_string(),
+                },
+                Vec::new(),
+            )
+        }
     }
 }
 
@@ -532,23 +570,7 @@ impl StreamHandler for StreamIngestor {
         codes: &[u16],
         health: CampaignHealth,
     ) -> (Reply, Vec<StreamEvent>) {
-        match self.submit_typed(seq, time, codes, health) {
-            Ok((outcome, events)) => (Reply::SubmitAck { seq, outcome }, events),
-            Err(e @ Error::InvalidParameter { .. }) => (
-                Reply::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: e.to_string(),
-                },
-                Vec::new(),
-            ),
-            Err(e) => (
-                Reply::Error {
-                    code: ERR_INTERNAL,
-                    message: e.to_string(),
-                },
-                Vec::new(),
-            ),
-        }
+        submit_reply(seq, self.submit_typed(seq, time, codes, health))
     }
 
     fn boundary_count(&self) -> u64 {

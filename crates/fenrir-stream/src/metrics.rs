@@ -40,7 +40,8 @@ pub struct StreamMetrics {
     /// Mode transitions emitted.
     pub transitions: Counter,
     /// Latency of accepted folds (journal append + incremental
-    /// re-derivation), microseconds.
+    /// re-derivation, and a replicated leader's WAL append),
+    /// microseconds.
     pub fold_latency: Histogram,
 }
 

@@ -46,11 +46,10 @@ use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
 use fenrir_data::storage::{FencedWal, Lease, ObsRecord, RetryPolicy, Storage};
-use fenrir_serve::protocol::{ERR_BAD_REQUEST, ERR_INTERNAL};
 use fenrir_serve::sync::Mutex;
-use fenrir_serve::{Reply, StreamEvent, StreamHandler, SubmitOutcome};
+use fenrir_serve::{Reply, StreamEvent, StreamHandler};
 
-use crate::ingest::{StreamConfig, StreamIngestor};
+use crate::ingest::{submit_reply, StreamConfig, StreamIngestor};
 use crate::metrics::FailoverMetrics;
 
 #[allow(unused_imports)] // doc links
@@ -357,87 +356,27 @@ impl StreamHandler for ReplicatedIngestor {
         let Role::Leader { wal, ingestor, .. } = &mut node.role else {
             return (self.not_leader(&mut node), Vec::new());
         };
-
-        // Sequencing and shape checks precede the WAL: a duplicate is
-        // already durable (ack it again, write nothing), a gap or a
-        // malformed row must never become durable at all.
-        let expected = ingestor.expected_seq();
-        if seq < expected {
-            return (
-                Reply::SubmitAck {
-                    seq,
-                    outcome: SubmitOutcome::Duplicate,
-                },
-                Vec::new(),
-            );
-        }
-        if seq > expected {
-            return (
-                Reply::SubmitAck {
-                    seq,
-                    outcome: SubmitOutcome::Gap { expected },
-                },
-                Vec::new(),
-            );
-        }
-        if codes.len() != self.cfg.networks {
-            return (
-                Reply::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: format!(
-                        "observation carries {} codes, stream expects {}",
-                        codes.len(),
-                        self.cfg.networks
-                    ),
-                },
-                Vec::new(),
-            );
-        }
-
-        // WAL first: the head CAS is the ack linearization point, and
-        // it doubles as the deposition check — a higher fence here
-        // means another leader exists, so step down and redirect.
-        let rec = ObsRecord {
-            time,
-            codes: codes.to_vec(),
-            health: health.clone(),
-        };
-        if let Err(e) = wal.append(&rec) {
-            return match e {
-                Error::Fenced { .. } => {
-                    self.metrics.fenced_rejects.inc();
-                    self.step_down(&mut node);
-                    (self.not_leader(&mut node), Vec::new())
-                }
-                other => (
-                    Reply::Error {
-                        code: ERR_INTERNAL,
-                        message: other.to_string(),
-                    },
-                    Vec::new(),
-                ),
+        // The WAL append sits between the ingestor's checks and its
+        // fold: its head CAS is the ack linearization point, and it
+        // doubles as the deposition check. A fence refusal there, or
+        // mid-fold (a tiered seal lost to a successor), means another
+        // leader exists, so step down and redirect. A row refused
+        // mid-fold is already WAL-durable: the successor's replay owns
+        // it, and the client's retry earns a Duplicate ack there.
+        let result = ingestor.submit_durable(seq, time, codes, health, |health| {
+            let rec = ObsRecord {
+                time,
+                codes: codes.to_vec(),
+                health: health.clone(),
             };
+            wal.append(&rec).map(|_| ())
+        });
+        if let Err(Error::Fenced { .. }) = result {
+            self.metrics.fenced_rejects.inc();
+            self.step_down(&mut node);
+            return (self.not_leader(&mut node), Vec::new());
         }
-
-        // Then the fold. A fence refusal mid-fold (a tiered seal lost
-        // to a successor) also steps down — the observation is already
-        // WAL-durable, so the successor's replay owns it and the
-        // client's retry will earn a Duplicate ack there.
-        match ingestor.submit_typed(seq, time, codes, health) {
-            Ok((outcome, events)) => (Reply::SubmitAck { seq, outcome }, events),
-            Err(Error::Fenced { .. }) => {
-                self.metrics.fenced_rejects.inc();
-                self.step_down(&mut node);
-                (self.not_leader(&mut node), Vec::new())
-            }
-            Err(e) => (
-                Reply::Error {
-                    code: ERR_INTERNAL,
-                    message: e.to_string(),
-                },
-                Vec::new(),
-            ),
-        }
+        submit_reply(seq, result)
     }
 
     fn boundary_count(&self) -> u64 {

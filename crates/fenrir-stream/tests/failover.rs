@@ -569,3 +569,47 @@ fn submit_error_reply_is_returned_without_retry() {
     server.shutdown();
     let _ = fs::remove_dir_all(path.parent().unwrap());
 }
+
+/// A leader answers duplicate and gap submits from its ingestor's own
+/// sequencing, so its stream metrics count them as a single node does.
+#[test]
+fn a_leader_counts_duplicate_and_gap_acks() {
+    let rows = synthetic_rows();
+    let dir = scratch("leader-acks");
+    let store = sim_store();
+    let (_t, clock) = test_clock();
+    let a = node(&store, &dir, "a", "10.0.0.1:4477", clock);
+    assert!(a.tick().unwrap());
+
+    accept(&a, &rows[0]);
+    let submit = |row: &SubmitRow| {
+        a.submit(row.seq, row.time, &row.codes, row.health.clone())
+            .0
+    };
+    assert_eq!(
+        submit(&rows[0]),
+        Reply::SubmitAck {
+            seq: 0,
+            outcome: SubmitOutcome::Duplicate
+        }
+    );
+    assert_eq!(
+        submit(&rows[2]),
+        Reply::SubmitAck {
+            seq: 2,
+            outcome: SubmitOutcome::Gap { expected: 1 }
+        }
+    );
+    let m = a.ingestor().expect("leader pipeline").metrics().clone();
+    assert_eq!(
+        [
+            m.submits.get(),
+            m.acks.get(),
+            m.duplicates.get(),
+            m.gaps.get()
+        ],
+        [3, 3, 1, 1],
+        "submits, acks, duplicates, gaps"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
