@@ -15,7 +15,7 @@
 //! [`TieredJournal::seal`] commits in three ordered steps:
 //!
 //! 1. `put` the new epoch's segment at
-//!    `{prefix}/segments/seg-<gen>.<fence>`;
+//!    `{prefix}/segments/seg-<gen>.<fence>.<len>.<hash>`;
 //! 2. compare-and-swap the manifest now referencing it against the
 //!    manifest bytes last observed ([`Storage::put_if`]) — **the commit
 //!    point**;
@@ -32,9 +32,10 @@
 //!
 //! * after 1, before 2 — the manifest never mentions the new segment;
 //!   [`TieredJournal::open`] sees `manifest.latest == hot base` and
-//!   resumes the old epoch with its deltas intact. The same writer's
-//!   next seal of that generation overwrites the orphan segment. An
-//!   orphan left by a deposed leader stays in the tier, unreferenced.
+//!   resumes the old epoch with its deltas intact. The orphan stays in
+//!   the tier, unreferenced: a later seal of that generation puts its
+//!   own bytes under its own key (the key names the segment's length and
+//!   hash), so no reader can be served the orphan in its place.
 //! * after 2, before 3 — the manifest's latest generation is *ahead* of
 //!   the hot tail's base. The deltas still sitting in the tail are by
 //!   construction already in that newer epoch (a seal always seals the
@@ -70,13 +71,21 @@ pub fn manifest_key(prefix: &str) -> String {
     format!("{prefix}/manifest")
 }
 
-/// The key a writer holding `fence` seals epoch `gen` under. The fence
-/// in the key makes a deposed leader's in-flight segment put land on
-/// its own key instead of clobbering the committed segment the new
-/// leader's manifest references. Readers never compute this — they
-/// fetch whatever key the manifest entry records.
-pub fn segment_key(prefix: &str, gen: u64, fence: u64) -> String {
-    format!("{prefix}/segments/seg-{gen:08}.{fence:08}")
+/// The key a writer holding `fence` seals epoch `gen` with contents
+/// `bytes` under. The fence in the key makes a deposed leader's in-flight
+/// segment put land on its own key instead of clobbering the committed
+/// segment the new leader's manifest references; the length and the
+/// 64-bit FNV-1a hash of the bytes make a reseal of a generation whose
+/// earlier seal never committed land beside that orphan, so a store that
+/// still serves an older version of a key never serves the orphan's
+/// bytes for it. Readers never compute this — they fetch whatever key
+/// the manifest entry records.
+pub fn segment_key(prefix: &str, gen: u64, fence: u64, bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let len = bytes.len();
+    format!("{prefix}/segments/seg-{gen:08}.{fence:08}.{len}.{hash:016x}")
 }
 
 /// One sealed epoch as the manifest records it.
@@ -493,7 +502,7 @@ impl TieredJournal {
         }
         let gen = self.manifest.latest_gen() + 1;
         let bytes = journal::encode_frames(frames)?;
-        let key = segment_key(&self.prefix, gen, self.fence);
+        let key = segment_key(&self.prefix, gen, self.fence, &bytes);
         self.retry
             .run("segment seal", || self.store.put(&key, &bytes))?;
         let entry = SegmentEntry {
@@ -767,7 +776,7 @@ mod tests {
             TieredJournal::open(&hot, dyn_store.clone(), "tier", quick_retry()).unwrap();
         tj.seal(&[(0x12, b"epoch-1".to_vec())]).unwrap();
         // Flip a byte inside the stored segment behind the tier's back.
-        let key = segment_key("tier", 1, 0);
+        let key = tj.manifest().entries[0].key.clone();
         let mut bytes = store.get(&key).unwrap().unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;

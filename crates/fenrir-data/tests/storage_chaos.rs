@@ -216,6 +216,57 @@ fn a_reboot_inside_the_visibility_window_keeps_every_acked_frame() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A writer that crashed between a seal's segment put and its commit
+/// left an orphan; after a reboot it reseals that generation with other
+/// bytes. Were the reseal to reuse the orphan's key, a reader inside the
+/// tier's visibility window would be served the orphan and refuse an
+/// intact tier as corrupted.
+#[test]
+fn a_reseal_after_a_crash_before_its_commit_is_read_back_intact() {
+    let dir = scratch("reseal");
+    let hot = dir.join("hot.fnrj");
+    let sim: Arc<dyn Storage> =
+        Arc::new(ObjectSim::new(ObjectChaos::none(7).visibility(5)).unwrap());
+    let frame = |i: u8| (0x21u16, vec![i; 4]);
+    let switch = Arc::new(KillSwitch::new(Arc::clone(&sim), u64::MAX));
+    let (mut tj, _, _) = TieredJournal::open(
+        &hot,
+        Arc::clone(&switch) as Arc<dyn Storage>,
+        PREFIX,
+        quick_retry(),
+    )
+    .unwrap();
+    tj.seal(&[frame(1)]).unwrap();
+    tj.append(0x21, &frame(2).1).unwrap();
+    // Crash between the second seal's segment put and its commit.
+    switch.budget.store(1, Ordering::SeqCst);
+    tj.seal(&[frame(1), frame(2)])
+        .expect_err("killed before the commit");
+    drop(tj);
+
+    // Reboot, read the sealed epoch back, append, and reseal generation 2.
+    let (mut tj, _, _) =
+        TieredJournal::open(&hot, Arc::clone(&sim), PREFIX, quick_retry()).unwrap();
+    for _ in 0..2 {
+        tj.hydrate_epoch(1).unwrap();
+    }
+    tj.append(0x21, &frame(3).1).unwrap();
+    assert_eq!(tj.seal(&[frame(1), frame(2), frame(3)]).unwrap(), 2);
+    drop(tj);
+
+    for attempt in 0..2 {
+        let (_, frames, _) = TieredJournal::open(&hot, Arc::clone(&sim), PREFIX, quick_retry())
+            .unwrap_or_else(|e| panic!("open {attempt}: {e}"));
+        let got: Vec<(u16, Vec<u8>)> = frames.into_iter().map(|f| (f.kind, f.payload)).collect();
+        assert_eq!(
+            got,
+            (1..=3).map(frame).collect::<Vec<_>>(),
+            "open {attempt}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The reference outcome of an unfaulted campaign: final resume state,
 /// the final hydrated epoch's frames, and how many storage ops it took.
 struct CleanRun {

@@ -12,7 +12,9 @@
 //! inside UDP inside IPv4 — the simulated site parses the datagram, answers
 //! with its identifier string, and the campaign decodes and maps it. Sites
 //! answer with identifiers like `"b4-lax"`; an unknown identifier (a site
-//! the mapping has not learned) decodes to [`Catchment::Other`].
+//! the mapping has not learned) decodes to [`Catchment::Other`]. The
+//! campaign writes the query and the response, all three layers, into two
+//! buffers it owns and reads both in place, so a probe does not allocate.
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
@@ -27,9 +29,9 @@ use fenrir_netsim::anycast::AnycastService;
 use fenrir_netsim::events::Scenario;
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::topology::{AsId, Tier, Topology};
-use fenrir_wire::dns::{Message, QClass, Rcode, Record};
-use fenrir_wire::ipv4::Ipv4Packet;
-use fenrir_wire::udp::{UdpDatagram, DNS_PORT};
+use fenrir_wire::dns::{Message, MessageReader, MessageWriter, QClass, Rcode};
+use fenrir_wire::ipv4::{protocol, Ipv4Header};
+use fenrir_wire::udp::{UdpHeader, DNS_PORT};
 use std::collections::HashMap;
 
 /// Configuration of an Atlas-style campaign.
@@ -138,14 +140,30 @@ impl AtlasCampaign {
         }
         let vp_ases = self.place_vps(topo);
         let sites = SiteTable::from_names(base.sites().iter().map(|s| s.name.as_str()));
-        // Identifier mapping: "b4-<lowercase site>" -> site, as built from
-        // prior work's identifier surveys.
-        let mapping: HashMap<String, SiteId> = base
+        // What each site answers: "b4-<lowercase site>", or "anon-<index>"
+        // for an identifier the mapping has not learned. A scenario keeps
+        // its sites' names, so these hold for the whole campaign.
+        let idents: Vec<(Vec<u8>, Vec<u8>)> = base
             .sites()
             .iter()
             .enumerate()
-            .map(|(i, s)| (format!("b4-{}", s.name.to_lowercase()), SiteId(i as u16)))
+            .map(|(i, s)| {
+                let known = format!("b4-{}", s.name.to_lowercase());
+                (known.into_bytes(), format!("anon-{i}").into_bytes())
+            })
             .collect();
+        // Identifier mapping -> site, as built from prior work's identifier
+        // surveys, keyed by the TXT bytes the VP reads.
+        let mapping: HashMap<&[u8], SiteId> = idents
+            .iter()
+            .enumerate()
+            .map(|(i, (known, _))| (known.as_slice(), SiteId(i as u16)))
+            .collect();
+        let mut chaos = Message::chaos_hostname_bind(0);
+        let mut dns = MessageWriter::default();
+        // The query and the response of every probe are written into,
+        // mangled in and read from these two buffers.
+        let (mut query, mut response) = (Vec::with_capacity(64), Vec::with_capacity(96));
 
         let mut live = crate::routes::ScenarioRoutes::new();
         let (rows, health) = run_campaign(
@@ -159,7 +177,7 @@ impl AtlasCampaign {
                 if runner.divergence_scheduled() {
                     live.poison(topo);
                 }
-                let (svc, routes) = live.at(topo, base, scenario, t.as_secs());
+                let (_svc, routes) = live.at(topo, base, scenario, t.as_secs());
                 let mut codes = vec![CODE_UNKNOWN; vp_ases.len()];
                 for (n, &vp) in vp_ases.iter().enumerate() {
                     let outcome = runner.probe(n, |wire| {
@@ -171,21 +189,27 @@ impl AtlasCampaign {
                         // prefix, and may be mangled in either direction.
                         let vp_addr = [100, 64, (n >> 8) as u8, n as u8];
                         let service_addr = [192, 0, 2, 1];
-                        let query = Message::chaos_hostname_bind(n as u16);
-                        let qbytes = query.encode().expect("query encodes");
-                        let dgram = UdpDatagram::new(33_000 + n as u16, DNS_PORT, qbytes)
-                            .into_ipv4(vp_addr, service_addr)
-                            .expect("datagram fits");
-                        let mut on_wire = dgram.encode().expect("packet encodes");
-                        wire.corrupt(&mut on_wire);
-                        let (udp_in, at_server) = match Ipv4Packet::decode(&on_wire)
-                            .and_then(|ip| UdpDatagram::from_ipv4(&ip))
-                            .and_then(|udp| Message::decode(&udp.payload).map(|m| (udp, m)))
-                        {
-                            Ok(parsed) => parsed,
+                        chaos.header.id = n as u16;
+                        query.clear();
+                        Ipv4Header::new(protocol::UDP, vp_addr, service_addr)
+                            .write(&mut query, |out| {
+                                UdpHeader {
+                                    src_port: 33_000 + n as u16,
+                                    dst_port: DNS_PORT,
+                                }
+                                .write(
+                                    out,
+                                    vp_addr,
+                                    service_addr,
+                                    |out| dns.message(out, &chaos),
+                                )
+                            })
+                            .expect("query fits");
+                        wire.corrupt(&mut query);
+                        let Ok((udp_in, at_server)) = read_dns(&query) else {
                             // The site could not parse the query: it never
                             // answers, and the VP records a failure.
-                            Err(_) => return ProbeReply::DecodeFailure,
+                            return ProbeReply::DecodeFailure;
                         };
                         if udp_in.dst_port != DNS_PORT {
                             return ProbeReply::DecodeFailure;
@@ -197,40 +221,44 @@ impl AtlasCampaign {
                         // ... identifier back. Occasionally a site announces
                         // an identifier the mapping has not learned.
                         let unmapped = rng.gen_bool(self.unmapped_identifier_prob);
-                        let ident = if unmapped {
-                            format!("anon-{site}")
-                        } else {
-                            format!("b4-{}", svc.sites()[site as usize].name.to_lowercase())
+                        let (known, anon) = &idents[site as usize];
+                        let ident = if unmapped { anon } else { known };
+                        // The answer is named after the first question; a
+                        // query without one gets no answer.
+                        let Some(asked) = at_server.questions().next() else {
+                            return ProbeReply::DecodeFailure;
                         };
-                        let mut resp = at_server.response_to(Rcode::NoError);
-                        resp.answers.push(Record::txt(
-                            at_server.questions[0].name.clone(),
-                            QClass::Chaos,
-                            0,
-                            ident.as_bytes(),
-                        ));
-                        let rbytes = resp.encode().expect("response encodes");
-                        let rdgram = UdpDatagram::new(DNS_PORT, udp_in.src_port, rbytes)
-                            .into_ipv4(service_addr, vp_addr)
-                            .expect("datagram fits");
-                        let mut back_wire = rdgram.encode().expect("packet encodes");
-                        wire.corrupt(&mut back_wire);
-                        let at_vp = match Ipv4Packet::decode(&back_wire)
-                            .and_then(|ip| UdpDatagram::from_ipv4(&ip))
-                            .and_then(|udp| Message::decode(&udp.payload))
-                        {
-                            Ok(m) => m,
-                            Err(_) => return ProbeReply::DecodeFailure,
+                        response.clear();
+                        Ipv4Header::new(protocol::UDP, service_addr, vp_addr)
+                            .write(&mut response, |out| {
+                                UdpHeader {
+                                    src_port: DNS_PORT,
+                                    dst_port: udp_in.src_port,
+                                }
+                                .write(
+                                    out,
+                                    service_addr,
+                                    vp_addr,
+                                    |out| {
+                                        dns.response_to(out, &at_server, Rcode::NoError, 1);
+                                        dns.txt(out, asked.name.labels(), QClass::Chaos, 0, ident)
+                                    },
+                                )
+                            })
+                            .expect("response fits");
+                        wire.corrupt(&mut response);
+                        let Ok((_, at_vp)) = read_dns(&response) else {
+                            return ProbeReply::DecodeFailure;
                         };
                         // A mangled-but-parseable answer that lost its TXT or
                         // its transaction id is discarded, never mapped.
-                        if at_vp.header.id != n as u16 {
+                        if at_vp.header().id != n as u16 {
                             return ProbeReply::DecodeFailure;
                         }
                         let Some(got) = at_vp.first_txt() else {
                             return ProbeReply::DecodeFailure;
                         };
-                        match mapping.get(&got) {
+                        match mapping.get(got) {
                             Some(&sid) => ProbeReply::Response(Catchment::Site(sid)),
                             None => ProbeReply::Response(Catchment::Other),
                         }
@@ -249,6 +277,13 @@ impl AtlasCampaign {
             health,
         })
     }
+}
+
+/// Read a DNS message in place from an IPv4 packet carrying UDP.
+fn read_dns(packet: &[u8]) -> fenrir_wire::Result<(UdpHeader, MessageReader<'_>)> {
+    let (ip, payload) = Ipv4Header::parse(packet)?;
+    let (udp, dns) = UdpHeader::parse_in(&ip, payload)?;
+    Ok((udp, MessageReader::new(dns)?))
 }
 
 #[cfg(test)]

@@ -121,6 +121,12 @@ pub trait CampaignSink<Row> {
     fn resume(&mut self) -> Result<Option<ResumeState<Row>>>;
     /// Persist one completed sweep.
     fn record(&mut self, ck: SweepCheckpoint<Row>) -> Result<()>;
+    /// Whether [`CampaignSink::record`] keeps anything. The runner does
+    /// not package checkpoints (copies of the row and the cross-sweep
+    /// state) for a sink that keeps nothing.
+    fn keeps_checkpoints(&self) -> bool {
+        true
+    }
 }
 
 /// A sink that persists nothing — the plain, non-recoverable entry
@@ -134,6 +140,9 @@ impl<Row> CampaignSink<Row> for NullSink {
     }
     fn record(&mut self, _ck: SweepCheckpoint<Row>) -> Result<()> {
         Ok(())
+    }
+    fn keeps_checkpoints(&self) -> bool {
+        false
     }
 }
 

@@ -585,7 +585,9 @@ pub(crate) fn run_campaign<Row: SweepRow>(
         runner.begin_sweep(t);
         let mut row = sweep(&mut runner, &mut rng, t, &rows);
         runner.tamper(&mut row, &rows);
-        sink.record(runner.checkpoint(row.clone(), rng.get_word_pos() as u64))?;
+        if sink.keeps_checkpoints() {
+            sink.record(runner.checkpoint(row.clone(), rng.get_word_pos() as u64))?;
+        }
         rows.push(row);
     }
     let (order, health) = runner.finish();

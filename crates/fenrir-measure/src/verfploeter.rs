@@ -11,7 +11,9 @@
 //! The simulator reproduces all of that: each block gets a persistent
 //! responsiveness probability (some blocks are reliably pingable, some
 //! never answer), replies route to the block's AS's best anycast site, and
-//! every probe round-trips a real ICMP echo packet.
+//! every answered probe carries a real ICMP echo reply over the wire. The
+//! campaign writes each reply into one buffer it owns and reads it back
+//! in place, so a probe does not allocate.
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
@@ -27,7 +29,10 @@ use fenrir_netsim::events::Scenario;
 use fenrir_netsim::prefix::BlockId;
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::topology::{AsId, Topology};
-use fenrir_wire::icmp::{IcmpKind, IcmpPacket};
+use fenrir_wire::icmp::{IcmpKind, IcmpView};
+
+/// The payload of every Verfploeter echo request, mirrored by the reply.
+const PAYLOAD: &[u8] = b"fenrir-vp";
 
 /// Configuration of a Verfploeter campaign.
 #[derive(Debug, Clone)]
@@ -167,6 +172,9 @@ impl Verfploeter {
             .collect();
 
         let mut live = crate::routes::ScenarioRoutes::new();
+        // Every reply of the campaign is written into, mangled in and read
+        // from this one buffer.
+        let mut reply = Vec::with_capacity(8 + PAYLOAD.len());
         let (rows, health) = run_campaign(
             cfg,
             faults,
@@ -182,23 +190,25 @@ impl Verfploeter {
                 let mut codes = vec![CODE_UNKNOWN; blocks.len()];
                 for (n, (&block, &owner)) in blocks.iter().zip(&owners).enumerate() {
                     let outcome = runner.probe(n, |wire| {
-                        // Encode the probe exactly as Verfploeter does: block
-                        // id in the ICMP ident/seq so any site can attribute
-                        // the reply.
-                        let ident = (block.0 >> 16) as u16;
-                        let seq = block.0 as u16;
-                        let probe = IcmpPacket::echo_request(ident, seq, b"fenrir-vp".to_vec());
                         if !rng.gen_bool(response_prob[n]) {
                             return ProbeReply::NoResponse; // target silent
                         }
-                        // The target answers; the reply follows the target
-                        // AS's best route to the anycast prefix, possibly
-                        // mangled on the way.
-                        let mut reply_bytes = IcmpPacket::echo_reply_to(&probe).encode();
-                        wire.corrupt(&mut reply_bytes);
-                        let reply = match IcmpPacket::decode(&reply_bytes) {
-                            Ok(r) => r,
-                            Err(_) => return ProbeReply::DecodeFailure,
+                        // The target answers the echo request exactly as
+                        // Verfploeter encodes it: block id in the ICMP
+                        // ident/seq so any site can attribute the reply.
+                        // The reply follows the target AS's best route to
+                        // the anycast prefix, possibly mangled on the way.
+                        reply.clear();
+                        IcmpView {
+                            kind: IcmpKind::EchoReply,
+                            ident: (block.0 >> 16) as u16,
+                            seq: block.0 as u16,
+                            payload: PAYLOAD,
+                        }
+                        .encode_into(&mut reply);
+                        wire.corrupt(&mut reply);
+                        let Ok(reply) = IcmpView::parse(&reply) else {
+                            return ProbeReply::DecodeFailure;
                         };
                         // A corrupted-but-parseable reply that no longer
                         // matches the probe is discarded, never misattributed.

@@ -1,4 +1,4 @@
-//! The Internet checksum (RFC 1071) used by ICMPv4.
+//! The Internet checksum (RFC 1071) used by ICMPv4, IPv4 and UDP.
 //!
 //! One's-complement sum of 16-bit words, with odd trailing bytes padded by a
 //! zero octet, then complemented.
@@ -9,13 +9,27 @@
 /// before computing; verification of a received packet computes the sum over
 /// the packet as-is and checks for zero (see [`verify`]).
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    checksum_of(&[data])
+}
+
+/// The checksum of the concatenation of `parts`, summed where they lie:
+/// a pseudo-header beside its datagram, or the bytes on either side of a
+/// checksum field (which then counts as zero). Every part but the last
+/// must have an even length, so each starts on a word boundary.
+pub fn checksum_of(parts: &[&[u8]]) -> u16 {
+    let mut sum: u64 = 0;
+    for (i, part) in parts.iter().enumerate() {
+        debug_assert!(
+            part.len() % 2 == 0 || i + 1 == parts.len(),
+            "only the last part may have an odd length"
+        );
+        let mut chunks = part.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            sum += u64::from(u16::from_be_bytes([*last, 0]));
+        }
     }
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -61,6 +75,22 @@ mod tests {
         assert!(verify(&pkt));
         pkt[8] ^= 0xFF;
         assert!(!verify(&pkt));
+    }
+
+    #[test]
+    fn parts_sum_as_their_concatenation() {
+        let data = [0x45u8, 0x00, 0x12, 0x34, 0xAB, 0xCD, 0x01];
+        assert_eq!(
+            checksum_of(&[&data[..2], &data[2..6], &data[6..]]),
+            internet_checksum(&data)
+        );
+        // Leaving out a field sums as if it were zeroed.
+        let mut zeroed = data;
+        zeroed[2..4].fill(0);
+        assert_eq!(
+            checksum_of(&[&data[..2], &data[4..]]),
+            internet_checksum(&zeroed)
+        );
     }
 
     #[test]

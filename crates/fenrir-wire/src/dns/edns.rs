@@ -80,6 +80,18 @@ impl ClientSubnet {
 
     /// Decode the option payload.
     pub fn decode_payload(buf: &[u8]) -> Result<Self> {
+        let (family, source_prefix_len, scope_prefix_len, address) = Self::read_payload(buf)?;
+        Ok(ClientSubnet {
+            family,
+            source_prefix_len,
+            scope_prefix_len,
+            address: address.to_vec(),
+        })
+    }
+
+    /// Check the option payload in place: family, both prefix lengths,
+    /// and the address bytes it borrows.
+    fn read_payload(buf: &[u8]) -> Result<(u16, u8, u8, &[u8])> {
         if buf.len() < 4 {
             return Err(WireError::Truncated {
                 what: "client subnet option",
@@ -89,7 +101,7 @@ impl ClientSubnet {
         let family = u16::from_be_bytes([buf[0], buf[1]]);
         let source_prefix_len = buf[2];
         let scope_prefix_len = buf[3];
-        let address = buf[4..].to_vec();
+        let address = &buf[4..];
         let max_bits: usize = match family {
             AF_INET => 32,
             AF_INET6 => 128,
@@ -115,12 +127,7 @@ impl ClientSubnet {
                 max: expected,
             });
         }
-        Ok(ClientSubnet {
-            family,
-            source_prefix_len,
-            scope_prefix_len,
-            address,
-        })
+        Ok((family, source_prefix_len, scope_prefix_len, address))
     }
 }
 
@@ -164,24 +171,9 @@ impl EdnsOption {
     }
 
     /// Decode a sequence of options from an OPT RDATA buffer.
-    pub fn decode_all(mut buf: &[u8]) -> Result<Vec<EdnsOption>> {
+    pub fn decode_all(buf: &[u8]) -> Result<Vec<EdnsOption>> {
         let mut out = Vec::new();
-        while !buf.is_empty() {
-            if buf.len() < 4 {
-                return Err(WireError::Truncated {
-                    what: "edns option header",
-                    needed: 4 - buf.len(),
-                });
-            }
-            let code = u16::from_be_bytes([buf[0], buf[1]]);
-            let len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
-            if buf.len() < 4 + len {
-                return Err(WireError::Truncated {
-                    what: "edns option payload",
-                    needed: 4 + len - buf.len(),
-                });
-            }
-            let payload = &buf[4..4 + len];
+        for_each_option(buf, |code, payload| {
             out.push(match code {
                 OPT_NSID => EdnsOption::Nsid(payload.to_vec()),
                 OPT_CLIENT_SUBNET => {
@@ -192,10 +184,44 @@ impl EdnsOption {
                     data: payload.to_vec(),
                 },
             });
-            buf = &buf[4 + len..];
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
+
+    /// Check a sequence of options in place, failing exactly where
+    /// [`EdnsOption::decode_all`] fails, without building them.
+    pub(crate) fn check_all(buf: &[u8]) -> Result<()> {
+        for_each_option(buf, |code, payload| {
+            if code == OPT_CLIENT_SUBNET {
+                ClientSubnet::read_payload(payload)?;
+            }
+            Ok(())
+        })
+    }
+}
+
+/// Walk `code | length | payload` options in place, handing each to `f`.
+fn for_each_option(mut buf: &[u8], mut f: impl FnMut(u16, &[u8]) -> Result<()>) -> Result<()> {
+    while !buf.is_empty() {
+        if buf.len() < 4 {
+            return Err(WireError::Truncated {
+                what: "edns option header",
+                needed: 4 - buf.len(),
+            });
+        }
+        let code = u16::from_be_bytes([buf[0], buf[1]]);
+        let len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
+        if buf.len() < 4 + len {
+            return Err(WireError::Truncated {
+                what: "edns option payload",
+                needed: 4 + len - buf.len(),
+            });
+        }
+        f(code, &buf[4..4 + len])?;
+        buf = &buf[4 + len..];
+    }
+    Ok(())
 }
 
 #[cfg(test)]

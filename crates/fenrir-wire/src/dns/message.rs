@@ -1,11 +1,16 @@
 //! DNS message structure: header, questions, resource records, and the
-//! message-level encoder/decoder with name compression.
+//! message codec with name compression.
+//!
+//! [`MessageWriter`] writes every message into a caller's buffer,
+//! compressing names against one table it keeps across messages;
+//! [`MessageReader`] checks a whole message in place and then yields its
+//! header, questions and records borrowed from the input. The owned
+//! [`Message::encode`] and [`Message::decode`] wrap the two.
 
 use super::edns::{ClientSubnet, EdnsOption};
-use super::name::Name;
+use super::name::{write_compressed, Name, NameTable, WireName};
 use super::{QClass, QType};
 use crate::error::{Result, WireError};
-use std::collections::HashMap;
 
 /// Message opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,6 +114,20 @@ pub struct Header {
 }
 
 impl Header {
+    /// The header of a response to a query with this header: the id and
+    /// recursion-desired echoed, authoritative, recursion available.
+    pub fn response(self, rcode: Rcode) -> Header {
+        Header {
+            id: self.id,
+            qr: true,
+            aa: true,
+            rd: self.rd,
+            ra: true,
+            rcode,
+            ..Header::default()
+        }
+    }
+
     fn encode(self, counts: [u16; 4], out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut b2: u8 = 0;
@@ -248,29 +267,17 @@ impl Record {
             rdata: RData::Opt(options),
         }
     }
+}
 
-    fn encode(&self, out: &mut Vec<u8>, table: &mut HashMap<Vec<u8>, u16>) -> Result<()> {
-        self.name.encode_compressed(out, table);
-        out.extend_from_slice(&self.rtype.code().to_be_bytes());
-        out.extend_from_slice(&self.class.to_be_bytes());
-        out.extend_from_slice(&self.ttl.to_be_bytes());
-        let len_pos = out.len();
-        out.extend_from_slice(&[0, 0]);
-        let data_start = out.len();
-        match &self.rdata {
+impl RData {
+    /// Append the record data (names uncompressed).
+    fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
+        match self {
             RData::A(a) => out.extend_from_slice(a),
             RData::Aaaa(a) => out.extend_from_slice(a),
             RData::Txt(strings) => {
                 for s in strings {
-                    if s.len() > 255 {
-                        return Err(WireError::FieldOverflow {
-                            what: "txt string",
-                            value: s.len(),
-                            max: 255,
-                        });
-                    }
-                    out.push(s.len() as u8);
-                    out.extend_from_slice(s);
+                    write_character_string(out, s)?;
                 }
             }
             // RFC 1035 forbids compressing names in newer RR types' RDATA;
@@ -284,106 +291,229 @@ impl Record {
             }
             RData::Raw(d) => out.extend_from_slice(d),
         }
-        let rdlen = out.len() - data_start;
-        if rdlen > usize::from(u16::MAX) {
-            return Err(WireError::FieldOverflow {
-                what: "rdata",
-                value: rdlen,
-                max: usize::from(u16::MAX),
-            });
-        }
-        out[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
         Ok(())
     }
+}
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Record> {
-        let name = Name::decode(buf, pos)?;
-        if buf.len() < *pos + 10 {
-            return Err(WireError::Truncated {
-                what: "record fixed fields",
-                needed: *pos + 10 - buf.len(),
-            });
-        }
-        let rtype = QType::from_code(u16::from_be_bytes([buf[*pos], buf[*pos + 1]]));
-        let class = u16::from_be_bytes([buf[*pos + 2], buf[*pos + 3]]);
-        let ttl = u32::from_be_bytes([buf[*pos + 4], buf[*pos + 5], buf[*pos + 6], buf[*pos + 7]]);
-        let rdlen = usize::from(u16::from_be_bytes([buf[*pos + 8], buf[*pos + 9]]));
-        *pos += 10;
-        if buf.len() < *pos + rdlen {
-            return Err(WireError::Truncated {
-                what: "rdata",
-                needed: *pos + rdlen - buf.len(),
-            });
-        }
-        let rdata_buf = &buf[*pos..*pos + rdlen];
-        let rdata = match rtype {
-            QType::A => {
-                if rdlen != 4 {
-                    return Err(WireError::FieldOverflow {
-                        what: "A rdata",
-                        value: rdlen,
-                        max: 4,
-                    });
-                }
-                RData::A([rdata_buf[0], rdata_buf[1], rdata_buf[2], rdata_buf[3]])
-            }
-            QType::Aaaa => {
-                if rdlen != 16 {
-                    return Err(WireError::FieldOverflow {
-                        what: "AAAA rdata",
-                        value: rdlen,
-                        max: 16,
-                    });
-                }
-                let mut a = [0u8; 16];
-                a.copy_from_slice(rdata_buf);
-                RData::Aaaa(a)
-            }
-            QType::Txt => {
-                let mut strings = Vec::new();
-                let mut i = 0usize;
-                while i < rdata_buf.len() {
-                    let l = usize::from(rdata_buf[i]);
-                    i += 1;
-                    if i + l > rdata_buf.len() {
-                        return Err(WireError::Truncated {
-                            what: "txt string",
-                            needed: i + l - rdata_buf.len(),
-                        });
-                    }
-                    strings.push(rdata_buf[i..i + l].to_vec());
-                    i += l;
-                }
-                RData::Txt(strings)
-            }
-            QType::Cname | QType::Ns | QType::Ptr => {
-                // Names in RDATA may be compressed against the whole
-                // message, so decode with absolute positions.
-                let mut p = *pos;
-                let n = Name::decode(buf, &mut p)?;
-                if p != *pos + rdlen {
-                    return Err(WireError::TrailingBytes {
-                        count: (*pos + rdlen).abs_diff(p),
-                    });
-                }
-                match rtype {
-                    QType::Cname => RData::Cname(n),
-                    QType::Ns => RData::Ns(n),
-                    _ => RData::Ptr(n),
-                }
-            }
-            QType::Opt => RData::Opt(EdnsOption::decode_all(rdata_buf)?),
-            _ => RData::Raw(rdata_buf.to_vec()),
-        };
-        *pos += rdlen;
-        Ok(Record {
-            name,
-            rtype,
-            class,
-            ttl,
-            rdata,
-        })
+/// Append one TXT character-string: a length octet, then at most 255
+/// octets.
+fn write_character_string(out: &mut Vec<u8>, s: &[u8]) -> Result<()> {
+    if s.len() > 255 {
+        return Err(WireError::FieldOverflow {
+            what: "txt string",
+            value: s.len(),
+            max: 255,
+        });
     }
+    out.push(s.len() as u8);
+    out.extend_from_slice(s);
+    Ok(())
+}
+
+/// A question read in place by [`MessageReader`].
+#[derive(Debug, Clone, Copy)]
+pub struct QuestionRef<'a> {
+    /// Queried name.
+    pub name: WireName<'a>,
+    /// Queried type.
+    pub qtype: QType,
+    /// Queried class.
+    pub qclass: QClass,
+}
+
+impl QuestionRef<'_> {
+    /// An owned copy.
+    pub(crate) fn to_question(self) -> Question {
+        Question {
+            name: self.name.to_name(),
+            qtype: self.qtype,
+            qclass: self.qclass,
+        }
+    }
+}
+
+/// Record data read in place: [`RData`] with its bytes and names borrowed.
+#[derive(Debug, Clone)]
+pub enum RDataRef<'a> {
+    /// IPv4 address.
+    A([u8; 4]),
+    /// IPv6 address.
+    Aaaa([u8; 16]),
+    /// Text strings.
+    Txt(TxtStrings<'a>),
+    /// Canonical name.
+    Cname(WireName<'a>),
+    /// Name server.
+    Ns(WireName<'a>),
+    /// Pointer.
+    Ptr(WireName<'a>),
+    /// EDNS0 options, checked, as they lie in the RDATA.
+    Opt(&'a [u8]),
+    /// Uninterpreted RDATA for other types.
+    Raw(&'a [u8]),
+}
+
+/// The character-strings of a TXT record, read in place.
+#[derive(Debug, Clone)]
+pub struct TxtStrings<'a>(&'a [u8]);
+
+impl<'a> Iterator for TxtStrings<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        // Checked by the reader: every length fits the RDATA.
+        let (&len, rest) = self.0.split_first()?;
+        let (s, rest) = rest.split_at(usize::from(len));
+        self.0 = rest;
+        Some(s)
+    }
+}
+
+/// A resource record read in place by [`MessageReader`].
+#[derive(Debug, Clone)]
+pub struct RecordRef<'a> {
+    /// Record owner name.
+    pub name: WireName<'a>,
+    /// Record type.
+    pub rtype: QType,
+    /// Class (or UDP size for OPT).
+    pub class: u16,
+    /// Time to live (or extended rcode/flags for OPT).
+    pub ttl: u32,
+    /// Typed data.
+    pub rdata: RDataRef<'a>,
+}
+
+impl RecordRef<'_> {
+    /// An owned copy.
+    pub(crate) fn to_record(&self) -> Record {
+        let rdata = match &self.rdata {
+            RDataRef::A(a) => RData::A(*a),
+            RDataRef::Aaaa(a) => RData::Aaaa(*a),
+            RDataRef::Txt(t) => RData::Txt(t.clone().map(<[u8]>::to_vec).collect()),
+            RDataRef::Cname(n) => RData::Cname(n.to_name()),
+            RDataRef::Ns(n) => RData::Ns(n.to_name()),
+            RDataRef::Ptr(n) => RData::Ptr(n.to_name()),
+            RDataRef::Opt(o) => {
+                RData::Opt(EdnsOption::decode_all(o).expect("options checked by the reader"))
+            }
+            RDataRef::Raw(d) => RData::Raw(d.to_vec()),
+        };
+        Record {
+            name: self.name.to_name(),
+            rtype: self.rtype,
+            class: self.class,
+            ttl: self.ttl,
+            rdata,
+        }
+    }
+}
+
+fn read_question<'a>(buf: &'a [u8], pos: &mut usize) -> Result<QuestionRef<'a>> {
+    let name = WireName::parse(buf, pos)?;
+    if buf.len() < *pos + 4 {
+        return Err(WireError::Truncated {
+            what: "question fixed fields",
+            needed: *pos + 4 - buf.len(),
+        });
+    }
+    let p = *pos;
+    *pos += 4;
+    Ok(QuestionRef {
+        name,
+        qtype: QType::from_code(u16::from_be_bytes([buf[p], buf[p + 1]])),
+        qclass: QClass::from_code(u16::from_be_bytes([buf[p + 2], buf[p + 3]])),
+    })
+}
+
+fn read_record<'a>(buf: &'a [u8], pos: &mut usize) -> Result<RecordRef<'a>> {
+    let name = WireName::parse(buf, pos)?;
+    if buf.len() < *pos + 10 {
+        return Err(WireError::Truncated {
+            what: "record fixed fields",
+            needed: *pos + 10 - buf.len(),
+        });
+    }
+    let rtype = QType::from_code(u16::from_be_bytes([buf[*pos], buf[*pos + 1]]));
+    let class = u16::from_be_bytes([buf[*pos + 2], buf[*pos + 3]]);
+    let ttl = u32::from_be_bytes([buf[*pos + 4], buf[*pos + 5], buf[*pos + 6], buf[*pos + 7]]);
+    let rdlen = usize::from(u16::from_be_bytes([buf[*pos + 8], buf[*pos + 9]]));
+    *pos += 10;
+    if buf.len() < *pos + rdlen {
+        return Err(WireError::Truncated {
+            what: "rdata",
+            needed: *pos + rdlen - buf.len(),
+        });
+    }
+    let rdata_buf = &buf[*pos..*pos + rdlen];
+    let rdata = match rtype {
+        QType::A => {
+            if rdlen != 4 {
+                return Err(WireError::FieldOverflow {
+                    what: "A rdata",
+                    value: rdlen,
+                    max: 4,
+                });
+            }
+            RDataRef::A([rdata_buf[0], rdata_buf[1], rdata_buf[2], rdata_buf[3]])
+        }
+        QType::Aaaa => {
+            if rdlen != 16 {
+                return Err(WireError::FieldOverflow {
+                    what: "AAAA rdata",
+                    value: rdlen,
+                    max: 16,
+                });
+            }
+            let mut a = [0u8; 16];
+            a.copy_from_slice(rdata_buf);
+            RDataRef::Aaaa(a)
+        }
+        QType::Txt => {
+            let mut i = 0usize;
+            while i < rdata_buf.len() {
+                let l = usize::from(rdata_buf[i]);
+                i += 1;
+                if i + l > rdata_buf.len() {
+                    return Err(WireError::Truncated {
+                        what: "txt string",
+                        needed: i + l - rdata_buf.len(),
+                    });
+                }
+                i += l;
+            }
+            RDataRef::Txt(TxtStrings(rdata_buf))
+        }
+        QType::Cname | QType::Ns | QType::Ptr => {
+            // Names in RDATA may be compressed against the whole
+            // message, so decode with absolute positions.
+            let mut p = *pos;
+            let n = WireName::parse(buf, &mut p)?;
+            if p != *pos + rdlen {
+                return Err(WireError::TrailingBytes {
+                    count: (*pos + rdlen).abs_diff(p),
+                });
+            }
+            match rtype {
+                QType::Cname => RDataRef::Cname(n),
+                QType::Ns => RDataRef::Ns(n),
+                _ => RDataRef::Ptr(n),
+            }
+        }
+        QType::Opt => {
+            EdnsOption::check_all(rdata_buf)?;
+            RDataRef::Opt(rdata_buf)
+        }
+        _ => RDataRef::Raw(rdata_buf),
+    };
+    *pos += rdlen;
+    Ok(RecordRef {
+        name,
+        rtype,
+        class,
+        ttl,
+        rdata,
+    })
 }
 
 /// A complete DNS message.
@@ -435,15 +565,7 @@ impl Message {
     /// Build a response skeleton echoing this query's id and question.
     pub fn response_to(&self, rcode: Rcode) -> Message {
         Message {
-            header: Header {
-                id: self.header.id,
-                qr: true,
-                aa: true,
-                rd: self.header.rd,
-                ra: true,
-                rcode,
-                ..Header::default()
-            },
+            header: self.header.response(rcode),
             questions: self.questions.clone(),
             answers: Vec::new(),
             authorities: Vec::new(),
@@ -531,88 +653,231 @@ impl Message {
 
     /// Encode to wire bytes with name compression.
     pub fn encode(&self) -> Result<Vec<u8>> {
-        for counts in [
-            self.questions.len(),
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-        ] {
-            if counts > usize::from(u16::MAX) {
-                return Err(WireError::FieldOverflow {
-                    what: "section count",
-                    value: counts,
-                    max: usize::from(u16::MAX),
-                });
-            }
-        }
         let mut out = Vec::with_capacity(64);
-        self.header.encode(
-            [
-                self.questions.len() as u16,
-                self.answers.len() as u16,
-                self.authorities.len() as u16,
-                self.additionals.len() as u16,
-            ],
-            &mut out,
-        );
-        let mut table = HashMap::new();
-        for q in &self.questions {
-            q.name.encode_compressed(&mut out, &mut table);
-            out.extend_from_slice(&q.qtype.code().to_be_bytes());
-            out.extend_from_slice(&q.qclass.code().to_be_bytes());
-        }
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authorities)
-            .chain(&self.additionals)
-        {
-            r.encode(&mut out, &mut table)?;
-        }
+        MessageWriter::default().message(&mut out, self)?;
         Ok(out)
     }
 
     /// Decode from wire bytes. Rejects trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<Message> {
-        let (header, counts) = Header::decode(buf)?;
-        let mut pos = 12usize;
-        let mut questions = Vec::with_capacity(usize::from(counts[0]).min(16));
-        for _ in 0..counts[0] {
-            let name = Name::decode(buf, &mut pos)?;
-            if buf.len() < pos + 4 {
-                return Err(WireError::Truncated {
-                    what: "question fixed fields",
-                    needed: pos + 4 - buf.len(),
-                });
-            }
-            let qtype = QType::from_code(u16::from_be_bytes([buf[pos], buf[pos + 1]]));
-            let qclass = QClass::from_code(u16::from_be_bytes([buf[pos + 2], buf[pos + 3]]));
-            pos += 4;
-            questions.push(Question {
-                name,
-                qtype,
-                qclass,
+        let reader = MessageReader::new(buf)?;
+        let mut sections: [Vec<Record>; 3] = Default::default();
+        for (section, record) in reader.records() {
+            sections[section].push(record.to_record());
+        }
+        let [answers, authorities, additionals] = sections;
+        Ok(Message {
+            header: reader.header(),
+            questions: reader.questions().map(|q| q.to_question()).collect(),
+            answers,
+            authorities,
+            additionals,
+        })
+    }
+}
+
+/// Writes DNS messages at the end of a caller's buffer, compressing names
+/// against one table that it keeps, storage and all, across messages.
+#[derive(Debug, Clone, Default)]
+pub struct MessageWriter {
+    table: NameTable,
+    /// Offset of the current message in the caller's buffer.
+    start: usize,
+}
+
+impl MessageWriter {
+    /// Begin a message at the end of `out` with its header and section
+    /// counts; names written after it compress against this message only.
+    pub fn header(&mut self, out: &mut Vec<u8>, header: Header, counts: [u16; 4]) {
+        self.table.clear();
+        self.start = out.len();
+        header.encode(counts, out);
+    }
+
+    /// Append a question.
+    pub fn question<'l>(
+        &mut self,
+        out: &mut Vec<u8>,
+        name: impl Iterator<Item = &'l [u8]> + Clone,
+        qtype: QType,
+        qclass: QClass,
+    ) {
+        write_compressed(name, out, self.start, &mut self.table);
+        out.extend_from_slice(&qtype.code().to_be_bytes());
+        out.extend_from_slice(&qclass.code().to_be_bytes());
+    }
+
+    /// Append a resource record whose RDATA `rdata` appends.
+    pub fn record<'l>(
+        &mut self,
+        out: &mut Vec<u8>,
+        name: impl Iterator<Item = &'l [u8]> + Clone,
+        rtype: QType,
+        class: u16,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        write_compressed(name, out, self.start, &mut self.table);
+        out.extend_from_slice(&rtype.code().to_be_bytes());
+        out.extend_from_slice(&class.to_be_bytes());
+        out.extend_from_slice(&ttl.to_be_bytes());
+        let len_pos = out.len();
+        out.extend_from_slice(&[0, 0]);
+        rdata(out)?;
+        let rdlen = out.len() - len_pos - 2;
+        if rdlen > usize::from(u16::MAX) {
+            return Err(WireError::FieldOverflow {
+                what: "rdata",
+                value: rdlen,
+                max: usize::from(u16::MAX),
             });
         }
-        let mut sections: [Vec<Record>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (si, section) in sections.iter_mut().enumerate() {
-            for _ in 0..counts[si + 1] {
-                section.push(Record::decode(buf, &mut pos)?);
-            }
+        out[len_pos..len_pos + 2].copy_from_slice(&(rdlen as u16).to_be_bytes());
+        Ok(())
+    }
+
+    /// Append a TXT record of one character-string, as [`Record::txt`]
+    /// builds it.
+    pub fn txt<'l>(
+        &mut self,
+        out: &mut Vec<u8>,
+        name: impl Iterator<Item = &'l [u8]> + Clone,
+        class: QClass,
+        ttl: u32,
+        text: &[u8],
+    ) -> Result<()> {
+        self.record(out, name, QType::Txt, class.code(), ttl, |out| {
+            write_character_string(out, text)
+        })
+    }
+
+    /// Append a whole message.
+    pub fn message(&mut self, out: &mut Vec<u8>, m: &Message) -> Result<()> {
+        let mut counts = [0u16; 4];
+        for (c, len) in counts.iter_mut().zip([
+            m.questions.len(),
+            m.answers.len(),
+            m.authorities.len(),
+            m.additionals.len(),
+        ]) {
+            *c = u16::try_from(len).map_err(|_| WireError::FieldOverflow {
+                what: "section count",
+                value: len,
+                max: usize::from(u16::MAX),
+            })?;
+        }
+        self.header(out, m.header, counts);
+        for q in &m.questions {
+            self.question(
+                out,
+                q.name.labels().iter().map(Vec::as_slice),
+                q.qtype,
+                q.qclass,
+            );
+        }
+        for r in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
+            let name = r.name.labels().iter().map(Vec::as_slice);
+            self.record(out, name, r.rtype, r.class, r.ttl, |out| {
+                r.rdata.encode(out)
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Begin the response to `query` as [`Message::response_to`] builds
+    /// it — its header, then every question copied — ahead of `answers`
+    /// answer records.
+    pub fn response_to(
+        &mut self,
+        out: &mut Vec<u8>,
+        query: &MessageReader<'_>,
+        rcode: Rcode,
+        answers: u16,
+    ) {
+        self.header(
+            out,
+            query.header().response(rcode),
+            [query.counts[0], answers, 0, 0],
+        );
+        for q in query.questions() {
+            self.question(out, q.name.labels(), q.qtype, q.qclass);
+        }
+    }
+}
+
+/// Reads a DNS message in place. [`MessageReader::new`] checks the whole
+/// message, failing exactly where [`Message::decode`] fails; the
+/// accessors then borrow from the input.
+#[derive(Debug, Clone)]
+pub struct MessageReader<'a> {
+    buf: &'a [u8],
+    header: Header,
+    counts: [u16; 4],
+    /// Offset of the first record, past the questions.
+    records_at: usize,
+}
+
+impl<'a> MessageReader<'a> {
+    /// Check every section of `buf`, and that nothing trails them.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
+        let (header, counts) = Header::decode(buf)?;
+        let mut pos = 12usize;
+        for _ in 0..counts[0] {
+            read_question(buf, &mut pos)?;
+        }
+        let records_at = pos;
+        let records: u32 = counts[1..].iter().map(|&c| u32::from(c)).sum();
+        for _ in 0..records {
+            read_record(buf, &mut pos)?;
         }
         if pos != buf.len() {
             return Err(WireError::TrailingBytes {
                 count: buf.len() - pos,
             });
         }
-        let [answers, authorities, additionals] = sections;
-        Ok(Message {
+        Ok(MessageReader {
+            buf,
             header,
-            questions,
-            answers,
-            authorities,
-            additionals,
+            counts,
+            records_at,
         })
+    }
+
+    /// The header.
+    pub fn header(&self) -> Header {
+        self.header
+    }
+
+    /// The questions, in order.
+    pub fn questions(&self) -> impl Iterator<Item = QuestionRef<'a>> {
+        let (buf, mut pos) = (self.buf, 12);
+        (0..self.counts[0])
+            .map(move |_| read_question(buf, &mut pos).expect("question checked by the reader"))
+    }
+
+    /// Every record with its section: 0 answer, 1 authority, 2 additional.
+    pub fn records(&self) -> impl Iterator<Item = (usize, RecordRef<'a>)> {
+        let (buf, mut pos) = (self.buf, self.records_at);
+        let [_, an, ns, ar] = self.counts.map(usize::from);
+        let sections = [(0, an), (1, ns), (2, ar)];
+        sections
+            .into_iter()
+            .flat_map(|(section, n)| std::iter::repeat_n(section, n))
+            .map(move |section| {
+                let r = read_record(buf, &mut pos).expect("record checked by the reader");
+                (section, r)
+            })
+    }
+
+    /// The first string of the first TXT answer that has one, as
+    /// [`Message::first_txt`] finds it, but as bytes.
+    pub fn first_txt(&self) -> Option<&'a [u8]> {
+        self.records()
+            .take(usize::from(self.counts[1]))
+            .find_map(|(_, r)| match r.rdata {
+                RDataRef::Txt(mut strings) => strings.next(),
+                _ => None,
+            })
     }
 }
 
@@ -847,6 +1112,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn writer_answers_a_read_query_as_the_owned_response_does() {
+        let mut q = Message::query(42, "Hostname.BIND", QType::Txt, QClass::Chaos);
+        q.questions.push(q.questions[0].clone());
+        let qbytes = q.encode().unwrap();
+        let mut owned = q.response_to(Rcode::NoError);
+        owned.answers.push(Record::txt(
+            q.questions[0].name.clone(),
+            QClass::Chaos,
+            0,
+            b"b4-lax",
+        ));
+        let expected = owned.encode().unwrap();
+        // One writer, reused, with the response behind other bytes in the
+        // caller's buffer: compression offsets count from the message.
+        let mut w = MessageWriter::default();
+        for prefix in [0usize, 28, 3] {
+            let reader = MessageReader::new(&qbytes).unwrap();
+            let qname = reader.questions().next().unwrap().name;
+            let mut out = vec![0xEE; prefix];
+            w.response_to(&mut out, &reader, Rcode::NoError, 1);
+            w.txt(&mut out, qname.labels(), QClass::Chaos, 0, b"b4-lax")
+                .unwrap();
+            assert_eq!(&out[prefix..], expected.as_slice());
+            let back = MessageReader::new(&out[prefix..]).unwrap();
+            assert_eq!(back.header(), owned.header);
+            assert_eq!(back.first_txt(), Some(&b"b4-lax"[..]));
+        }
+    }
+
+    #[test]
+    fn reader_first_txt_matches_the_owned_lookup() {
+        let q = Message::query(1, "t.t", QType::Txt, QClass::In);
+        let mut r = q.response_to(Rcode::NoError);
+        for strings in [vec![], vec![b"two".to_vec(), b"three".to_vec()]] {
+            r.answers.push(Record {
+                name: Name::parse("t.t").unwrap(),
+                rtype: QType::Txt,
+                class: 1,
+                ttl: 60,
+                rdata: RData::Txt(strings),
+            });
+        }
+        r.authorities
+            .push(Record::txt(Name::root(), QClass::In, 0, b"not an answer"));
+        let bytes = r.encode().unwrap();
+        let reader = MessageReader::new(&bytes).unwrap();
+        assert_eq!(reader.first_txt(), Some(&b"two"[..]));
+        assert_eq!(r.first_txt().as_deref(), Some("two"));
+        assert_eq!(reader.records().count(), 3);
     }
 
     #[test]

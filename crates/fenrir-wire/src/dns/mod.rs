@@ -13,8 +13,11 @@ mod message;
 mod name;
 
 pub use edns::{ClientSubnet, EdnsOption, AF_INET, AF_INET6, OPT_CLIENT_SUBNET, OPT_NSID};
-pub use message::{Header, Message, Opcode, Question, RData, Rcode, Record};
-pub use name::Name;
+pub use message::{
+    Header, Message, MessageReader, MessageWriter, Opcode, Question, QuestionRef, RData, RDataRef,
+    Rcode, Record, RecordRef, TxtStrings,
+};
+pub use name::{Labels, Name, SuffixTable, WireName};
 
 /// Query/record type. Only the types Fenrir's measurements use get named
 /// variants; everything else round-trips through `Unknown`.

@@ -1,6 +1,10 @@
 //! DNS domain names: dotted-string parsing, wire encoding with RFC 1035
 //! message compression, and decompressing decoding hardened against
 //! malicious pointers.
+//!
+//! One compressor writes every name, owned or borrowed, against any
+//! [`SuffixTable`]; one parser, [`WireName::parse`], reads every name in
+//! place, and [`Name::decode`] copies what it reads.
 
 use crate::error::{Result, WireError};
 use std::collections::HashMap;
@@ -90,48 +94,143 @@ impl Name {
     /// from (lowercased) name suffixes to the offset where they were first
     /// written. New suffixes at pointer-representable offsets are added to
     /// the table.
-    pub fn encode_compressed(&self, out: &mut Vec<u8>, table: &mut HashMap<Vec<u8>, u16>) {
-        for i in 0..self.labels.len() {
-            let suffix = self.suffix_key(i);
-            if let Some(&off) = table.get(&suffix) {
-                out.extend_from_slice(&(0xC000u16 | off).to_be_bytes());
-                return;
-            }
-            let here = out.len();
-            if here <= 0x3FFF {
-                table.insert(suffix, here as u16);
-            }
-            out.push(self.labels[i].len() as u8);
-            out.extend_from_slice(&self.labels[i]);
-        }
-        out.push(0);
-    }
-
-    /// Lowercased wire form of the suffix starting at label `i` (the
-    /// compression-table key).
-    fn suffix_key(&self, i: usize) -> Vec<u8> {
-        let mut key = Vec::new();
-        for l in &self.labels[i..] {
-            key.push(l.len() as u8);
-            key.extend(l.iter().map(|b| b.to_ascii_lowercase()));
-        }
-        key
+    pub fn encode_compressed(&self, out: &mut Vec<u8>, table: &mut impl SuffixTable) {
+        write_compressed(self.labels.iter().map(Vec::as_slice), out, 0, table);
     }
 
     /// Decode a (possibly compressed) name from `buf` starting at `*pos`;
+    /// advances `*pos` past the name's storage (not past pointer targets).
+    /// Hardened as [`WireName::parse`] is.
+    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        WireName::parse(buf, pos).map(|n| n.to_name())
+    }
+}
+
+/// Where a name compressor looks up the suffixes a message already holds.
+pub trait SuffixTable {
+    /// The message offset `suffix` was first written at; when it is new,
+    /// records it at `here` if a pointer can reach that offset.
+    fn lookup_or_insert<'l>(
+        &mut self,
+        suffix: impl Iterator<Item = &'l [u8]>,
+        here: usize,
+    ) -> Option<u16>;
+}
+
+/// Appends the lowercased wire form of `labels` (the compression key).
+fn push_key<'l>(key: &mut Vec<u8>, labels: impl Iterator<Item = &'l [u8]>) {
+    for l in labels {
+        key.push(l.len() as u8);
+        key.extend(l.iter().map(u8::to_ascii_lowercase));
+    }
+}
+
+impl SuffixTable for HashMap<Vec<u8>, u16> {
+    fn lookup_or_insert<'l>(
+        &mut self,
+        suffix: impl Iterator<Item = &'l [u8]>,
+        here: usize,
+    ) -> Option<u16> {
+        let mut key = Vec::new();
+        push_key(&mut key, suffix);
+        if let Some(&off) = self.get(&key) {
+            return Some(off);
+        }
+        if here <= 0x3FFF {
+            self.insert(key, here as u16);
+        }
+        None
+    }
+}
+
+/// A compression table that keeps its storage across messages: keys live
+/// in one arena and are found by a linear scan over the handful of
+/// suffixes a message holds, so once warm it allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameTable {
+    keys: Vec<u8>,
+    /// `(key start, key end, offset)` per recorded suffix.
+    entries: Vec<(usize, usize, u16)>,
+}
+
+impl NameTable {
+    /// Forget every suffix, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.entries.clear();
+    }
+}
+
+impl SuffixTable for NameTable {
+    fn lookup_or_insert<'l>(
+        &mut self,
+        suffix: impl Iterator<Item = &'l [u8]>,
+        here: usize,
+    ) -> Option<u16> {
+        let start = self.keys.len();
+        push_key(&mut self.keys, suffix);
+        let (keys, key) = self.keys.split_at(start);
+        if let Some(&(_, _, off)) = self.entries.iter().find(|e| &keys[e.0..e.1] == key) {
+            self.keys.truncate(start);
+            return Some(off);
+        }
+        if here <= 0x3FFF {
+            self.entries.push((start, self.keys.len(), here as u16));
+        } else {
+            self.keys.truncate(start);
+        }
+        None
+    }
+}
+
+/// Append the name made of `labels` to `out`, whose message starts at
+/// `base`: each label is written until a suffix `table` already holds,
+/// which becomes a pointer.
+pub(crate) fn write_compressed<'l, I>(
+    labels: I,
+    out: &mut Vec<u8>,
+    base: usize,
+    table: &mut impl SuffixTable,
+) where
+    I: Iterator<Item = &'l [u8]> + Clone,
+{
+    let mut rest = labels;
+    loop {
+        let suffix = rest.clone();
+        let Some(label) = rest.next() else { break };
+        if let Some(off) = table.lookup_or_insert(suffix, out.len() - base) {
+            out.extend_from_slice(&(0xC000u16 | off).to_be_bytes());
+            return;
+        }
+        out.push(label.len() as u8);
+        out.extend_from_slice(label);
+    }
+    out.push(0);
+}
+
+/// A name as it lies in a message, checked by [`WireName::parse`]: its
+/// labels are read in place, following compression pointers.
+#[derive(Clone, Copy)]
+pub struct WireName<'a> {
+    msg: &'a [u8],
+    at: usize,
+}
+
+impl<'a> WireName<'a> {
+    /// Read a (possibly compressed) name from `msg` starting at `*pos`;
     /// advances `*pos` past the name's storage (not past pointer targets).
     ///
     /// Hardened: pointers must point strictly backwards, at most
     /// `MAX_NAME` total octets of labels are accepted, and at most 126
     /// pointer hops are followed — so hostile inputs cannot loop.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let mut labels = Vec::new();
+    pub fn parse(msg: &'a [u8], pos: &mut usize) -> Result<Self> {
+        let name = WireName { msg, at: *pos };
         let mut cursor = *pos;
         let mut jumped = false;
         let mut hops = 0usize;
         let mut total = 0usize;
         loop {
-            let len = *buf.get(cursor).ok_or(WireError::Truncated {
+            let len = *msg.get(cursor).ok_or(WireError::Truncated {
                 what: "name",
                 needed: 1,
             })?;
@@ -140,10 +239,10 @@ impl Name {
                     if !jumped {
                         *pos = cursor + 1;
                     }
-                    return Ok(Name { labels });
+                    return Ok(name);
                 }
                 l if l & 0xC0 == 0xC0 => {
-                    let second = *buf.get(cursor + 1).ok_or(WireError::Truncated {
+                    let second = *msg.get(cursor + 1).ok_or(WireError::Truncated {
                         what: "name pointer",
                         needed: 1,
                     })?;
@@ -170,16 +269,14 @@ impl Name {
                     });
                 }
                 l => {
-                    let l = usize::from(l);
-                    let start = cursor + 1;
-                    let end = start + l;
-                    if end > buf.len() {
+                    let end = cursor + 1 + usize::from(l);
+                    if end > msg.len() {
                         return Err(WireError::Truncated {
                             what: "label",
-                            needed: end - buf.len(),
+                            needed: end - msg.len(),
                         });
                     }
-                    total += l + 1;
+                    total += usize::from(l) + 1;
                     if total > MAX_NAME {
                         return Err(WireError::FieldOverflow {
                             what: "name",
@@ -187,10 +284,59 @@ impl Name {
                             max: MAX_NAME,
                         });
                     }
-                    labels.push(buf[start..end].to_vec());
                     cursor = end;
                 }
             }
+        }
+    }
+
+    /// The labels, in order, borrowed from the message.
+    pub fn labels(&self) -> Labels<'a> {
+        Labels {
+            msg: self.msg,
+            at: self.at,
+        }
+    }
+
+    /// An owned copy.
+    pub(crate) fn to_name(self) -> Name {
+        Name {
+            labels: self.labels().map(<[u8]>::to_vec).collect(),
+        }
+    }
+}
+
+impl fmt::Debug for WireName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WireName({})", self.to_name())
+    }
+}
+
+/// The labels of a [`WireName`], read in place.
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    msg: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        // The name was checked by `WireName::parse`, so every length and
+        // pointer here lies inside the message.
+        loop {
+            let len = self.msg[self.at];
+            if len & 0xC0 == 0xC0 {
+                self.at = (usize::from(len & 0x3F) << 8) | usize::from(self.msg[self.at + 1]);
+                continue;
+            }
+            if len == 0 {
+                return None;
+            }
+            let start = self.at + 1;
+            self.at = start + usize::from(len);
+            return Some(&self.msg[start..self.at]);
         }
     }
 }
@@ -403,6 +549,48 @@ mod tests {
             Name::decode(&buf, &mut pos),
             Err(WireError::UnknownValue { .. })
         ));
+    }
+
+    #[test]
+    fn wire_name_reads_labels_through_pointers() {
+        let mut buf = Vec::new();
+        let mut table = HashMap::new();
+        Name::parse("www.Example.org")
+            .unwrap()
+            .encode_compressed(&mut buf, &mut table);
+        let second = buf.len();
+        Name::parse("mail.example.ORG")
+            .unwrap()
+            .encode_compressed(&mut buf, &mut table);
+        let mut pos = second;
+        let n = WireName::parse(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        let labels: Vec<&[u8]> = n.labels().collect();
+        assert_eq!(labels, [&b"mail"[..], b"Example", b"org"]);
+        assert_eq!(n.to_name().to_string(), "mail.Example.org");
+    }
+
+    #[test]
+    fn name_table_compresses_as_a_hash_map_does() {
+        let names = [
+            "b.root-servers.net",
+            "a.ROOT-servers.net",
+            "net",
+            "x.y",
+            "b.root-servers.net",
+        ];
+        let mut reused = NameTable::default();
+        for _ in 0..2 {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut map = HashMap::new();
+            reused.clear();
+            for n in names {
+                let n = Name::parse(n).unwrap();
+                n.encode_compressed(&mut a, &mut map);
+                n.encode_compressed(&mut b, &mut reused);
+            }
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

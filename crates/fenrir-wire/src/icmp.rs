@@ -5,8 +5,12 @@
 //! catchment the reply goes to"; traceroute elicits *time exceeded* from
 //! intermediate hops. The measurement simulators encode these packets,
 //! carry them through the simulated topology, and decode the replies.
+//!
+//! [`IcmpView`] is the codec: [`IcmpView::encode_into`] appends a packet
+//! to a caller's buffer and [`IcmpView::parse`] reads one in place,
+//! borrowing its payload. The owned [`IcmpPacket`] wraps both.
 
-use crate::checksum::{internet_checksum, verify};
+use crate::checksum::{checksum_of, internet_checksum, verify};
 use crate::error::{Result, WireError};
 
 /// ICMP type/code pairs Fenrir uses; everything else is rejected (the
@@ -103,23 +107,64 @@ impl IcmpPacket {
         }
     }
 
+    /// The packet as a view borrowing its payload.
+    pub fn view(&self) -> IcmpView<'_> {
+        IcmpView {
+            kind: self.kind,
+            ident: self.ident,
+            seq: self.seq,
+            payload: &self.payload,
+        }
+    }
+
     /// Encode with a valid checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let (t, c) = self.kind.type_code();
         let mut out = Vec::with_capacity(8 + self.payload.len());
-        out.push(t);
-        out.push(c);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        let ck = internet_checksum(&out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
+        self.view().encode_into(&mut out);
         out
     }
 
     /// Decode and verify the checksum.
     pub fn decode(buf: &[u8]) -> Result<Self> {
+        IcmpView::parse(buf).map(|v| IcmpPacket {
+            kind: v.kind,
+            ident: v.ident,
+            seq: v.seq,
+            payload: v.payload.to_vec(),
+        })
+    }
+}
+
+/// An ICMPv4 packet whose payload lies in someone else's buffer: what
+/// [`IcmpView::parse`] reads off the wire, or what
+/// [`IcmpView::encode_into`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IcmpView<'a> {
+    /// Message kind.
+    pub kind: IcmpKind,
+    /// Echo identifier (0 for error messages).
+    pub ident: u16,
+    /// Echo sequence number (0 for error messages).
+    pub seq: u16,
+    /// Echo payload or quoted datagram.
+    pub payload: &'a [u8],
+}
+
+impl<'a> IcmpView<'a> {
+    /// Append the packet, with a valid checksum, to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        let (t, c) = self.kind.type_code();
+        out.extend_from_slice(&[t, c, 0, 0]); // checksum placeholder
+        out.extend_from_slice(&self.ident.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        out.extend_from_slice(self.payload);
+        let ck = internet_checksum(&out[start..]);
+        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    /// Read a packet in place, verifying its checksum.
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
         if buf.len() < 8 {
             return Err(WireError::Truncated {
                 what: "icmp packet",
@@ -127,21 +172,16 @@ impl IcmpPacket {
             });
         }
         if !verify(buf) {
-            let found = u16::from_be_bytes([buf[2], buf[3]]);
-            let mut zeroed = buf.to_vec();
-            zeroed[2] = 0;
-            zeroed[3] = 0;
             return Err(WireError::BadChecksum {
-                found,
-                computed: internet_checksum(&zeroed),
+                found: u16::from_be_bytes([buf[2], buf[3]]),
+                computed: checksum_of(&[&buf[..2], &buf[4..]]),
             });
         }
-        let kind = IcmpKind::from_type_code(buf[0], buf[1])?;
-        Ok(IcmpPacket {
-            kind,
+        Ok(IcmpView {
+            kind: IcmpKind::from_type_code(buf[0], buf[1])?,
             ident: u16::from_be_bytes([buf[4], buf[5]]),
             seq: u16::from_be_bytes([buf[6], buf[7]]),
-            payload: buf[8..].to_vec(),
+            payload: &buf[8..],
         })
     }
 }
@@ -234,6 +274,29 @@ mod tests {
         };
         let back = IcmpPacket::decode(&pkt.encode()).unwrap();
         assert_eq!(back.kind, IcmpKind::DestUnreachable(3));
+    }
+
+    #[test]
+    fn view_encodes_in_place_after_earlier_bytes() {
+        let pkt = IcmpPacket::echo_request(7, 9, b"fenrir-vp".to_vec());
+        let mut buf = vec![0xEE; 3];
+        pkt.view().encode_into(&mut buf);
+        assert_eq!(&buf[3..], pkt.encode().as_slice());
+        assert_eq!(IcmpView::parse(&buf[3..]).unwrap(), pkt.view());
+    }
+
+    #[test]
+    fn bad_checksum_reports_the_sum_without_its_field() {
+        let mut bytes = IcmpPacket::echo_request(1, 2, vec![5; 5]).encode();
+        let good = u16::from_be_bytes([bytes[2], bytes[3]]);
+        bytes[2] ^= 0x10;
+        assert_eq!(
+            IcmpPacket::decode(&bytes),
+            Err(WireError::BadChecksum {
+                found: good ^ 0x1000,
+                computed: good,
+            })
+        );
     }
 
     #[test]

@@ -19,6 +19,20 @@
 //! the bytes through the simulated network, and decode them on the other
 //! side — exercising the same parsing paths a live deployment would.
 //!
+//! ## One writer and one reader per layer
+//!
+//! Each layer has one writer that appends to a caller's `Vec<u8>` and one
+//! reader that borrows its input and verifies checksums where the bytes
+//! lie: [`icmp::IcmpView`], [`ipv4::Ipv4Header`], [`udp::UdpHeader`] and
+//! [`dns::MessageWriter`] / [`dns::MessageReader`]. The IPv4 and UDP
+//! writers take the payload as a closure that appends it, so a whole
+//! IPv4 + UDP + DNS datagram is written into one buffer with no copy; a
+//! [`dns::MessageWriter`] keeps its name-compression table across
+//! messages. A probe loop that reuses its buffers therefore does not
+//! allocate. The owned types ([`icmp::IcmpPacket`], [`ipv4::Ipv4Packet`],
+//! [`udp::UdpDatagram`], [`dns::Message`]) encode and decode through the
+//! same writers and readers, so the bytes are the same either way.
+//!
 //! ## Example: an EDNS Client-Subnet query
 //!
 //! ```

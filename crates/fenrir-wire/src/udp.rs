@@ -3,16 +3,112 @@
 //! DNS probes (CHAOS identification, EDNS Client-Subnet lookups) ride UDP;
 //! the simulators encode full IPv4+UDP+DNS datagrams and parse them on the
 //! receiving side.
+//!
+//! [`UdpHeader`] is the codec: [`UdpHeader::write`] appends a header, lets
+//! the caller append the payload, then fills in the length and the
+//! checksum; [`UdpHeader::parse`] reads a datagram in place. Both sum the
+//! pseudo-header and the datagram where they lie. The owned
+//! [`UdpDatagram`] wraps both.
 
-use crate::checksum::internet_checksum;
+use crate::checksum::checksum_of;
 use crate::error::{Result, WireError};
-use crate::ipv4::{protocol, Ipv4Packet};
+use crate::ipv4::{protocol, Ipv4Header, Ipv4Packet};
 
 /// UDP header length in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
 
 /// The DNS port.
 pub const DNS_PORT: u16 = 53;
+
+/// The ports of a UDP header; its length and checksum derive from the
+/// payload and the pseudo-header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpHeader {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+}
+
+impl UdpHeader {
+    /// Append this header to `out`, then whatever `payload` appends, then
+    /// fill in the length and the checksum over the RFC 768 pseudo-header
+    /// (`src`/`dst`/protocol/length) plus header and payload.
+    pub fn write(
+        &self,
+        out: &mut Vec<u8>,
+        src: [u8; 4],
+        dst: [u8; 4],
+        payload: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        let start = out.len();
+        out.extend_from_slice(&self.src_port.to_be_bytes());
+        out.extend_from_slice(&self.dst_port.to_be_bytes());
+        out.extend_from_slice(&[0, 0, 0, 0]); // length, checksum placeholder
+        payload(out)?;
+        let len = out.len() - start;
+        if len > usize::from(u16::MAX) {
+            return Err(WireError::FieldOverflow {
+                what: "udp length",
+                value: len,
+                max: usize::from(u16::MAX),
+            });
+        }
+        out[start + 4..start + 6].copy_from_slice(&(len as u16).to_be_bytes());
+        let mut ck = checksum_of(&[&pseudo(src, dst, len), &out[start..]]);
+        if ck == 0 {
+            ck = 0xFFFF; // RFC 768: zero checksum means "none"; transmit 1s
+        }
+        out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
+        Ok(())
+    }
+
+    /// Read a datagram in place, verifying length and checksum against
+    /// the pseudo-header; the payload is what its length covers.
+    pub fn parse(buf: &[u8], src: [u8; 4], dst: [u8; 4]) -> Result<(UdpHeader, &[u8])> {
+        if buf.len() < UDP_HEADER_LEN {
+            return Err(WireError::Truncated {
+                what: "udp header",
+                needed: UDP_HEADER_LEN - buf.len(),
+            });
+        }
+        let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
+        if len < UDP_HEADER_LEN || len > buf.len() {
+            return Err(WireError::Truncated {
+                what: "udp payload",
+                needed: len.saturating_sub(buf.len()),
+            });
+        }
+        let claimed = u16::from_be_bytes([buf[6], buf[7]]);
+        // A zero checksum means the sender computed none.
+        if claimed != 0 {
+            let pseudo = pseudo(src, dst, len);
+            if checksum_of(&[&pseudo, &buf[..len]]) != 0 {
+                return Err(WireError::BadChecksum {
+                    found: claimed,
+                    computed: checksum_of(&[&pseudo, &buf[..6], &buf[8..len]]),
+                });
+            }
+        }
+        let header = UdpHeader {
+            src_port: u16::from_be_bytes([buf[0], buf[1]]),
+            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
+        };
+        Ok((header, &buf[UDP_HEADER_LEN..len]))
+    }
+
+    /// Read the datagram an IPv4 packet carries: its protocol must be UDP,
+    /// and the checksum is verified against its addresses.
+    pub fn parse_in<'a>(ip: &Ipv4Header, payload: &'a [u8]) -> Result<(UdpHeader, &'a [u8])> {
+        if ip.protocol != protocol::UDP {
+            return Err(WireError::UnknownValue {
+                what: "ip protocol (expected udp)",
+                value: u32::from(ip.protocol),
+            });
+        }
+        UdpHeader::parse(payload, ip.src, ip.dst)
+    }
+}
 
 /// A UDP datagram (header + payload, addresses supplied externally for the
 /// pseudo-header).
@@ -36,64 +132,32 @@ impl UdpDatagram {
         }
     }
 
+    fn header(&self) -> UdpHeader {
+        UdpHeader {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+        }
+    }
+
+    fn from_parts(h: UdpHeader, payload: &[u8]) -> Self {
+        UdpDatagram::new(h.src_port, h.dst_port, payload.to_vec())
+    }
+
     /// Encode with a checksum over the RFC 768 pseudo-header
     /// (`src`/`dst`/protocol/length) plus header and payload.
     pub fn encode(&self, src: [u8; 4], dst: [u8; 4]) -> Result<Vec<u8>> {
-        let len = UDP_HEADER_LEN + self.payload.len();
-        if len > usize::from(u16::MAX) {
-            return Err(WireError::FieldOverflow {
-                what: "udp length",
-                value: len,
-                max: usize::from(u16::MAX),
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.payload);
-        let mut ck = internet_checksum(&pseudo(src, dst, &out));
-        if ck == 0 {
-            ck = 0xFFFF; // RFC 768: zero checksum means "none"; transmit 1s
-        }
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
+        let mut out = Vec::with_capacity(UDP_HEADER_LEN + self.payload.len());
+        self.header().write(&mut out, src, dst, |out| {
+            out.extend_from_slice(&self.payload);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Decode, verifying length and checksum against the pseudo-header.
     pub fn decode(buf: &[u8], src: [u8; 4], dst: [u8; 4]) -> Result<Self> {
-        if buf.len() < UDP_HEADER_LEN {
-            return Err(WireError::Truncated {
-                what: "udp header",
-                needed: UDP_HEADER_LEN - buf.len(),
-            });
-        }
-        let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
-        if len < UDP_HEADER_LEN || len > buf.len() {
-            return Err(WireError::Truncated {
-                what: "udp payload",
-                needed: len.saturating_sub(buf.len()),
-            });
-        }
-        let claimed = u16::from_be_bytes([buf[6], buf[7]]);
-        if claimed != 0 {
-            // Verify: checksum over pseudo-header + datagram must be 0.
-            if internet_checksum(&pseudo(src, dst, &buf[..len])) != 0 {
-                let mut zeroed = buf[..len].to_vec();
-                zeroed[6] = 0;
-                zeroed[7] = 0;
-                return Err(WireError::BadChecksum {
-                    found: claimed,
-                    computed: internet_checksum(&pseudo(src, dst, &zeroed)),
-                });
-            }
-        }
-        Ok(UdpDatagram {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: buf[UDP_HEADER_LEN..len].to_vec(),
-        })
+        let (h, payload) = UdpHeader::parse(buf, src, dst)?;
+        Ok(UdpDatagram::from_parts(h, payload))
     }
 
     /// Wrap into a full IPv4 packet.
@@ -105,26 +169,17 @@ impl UdpDatagram {
     /// Extract from an IPv4 packet, checking the protocol field and
     /// verifying the checksum against the packet's addresses.
     pub fn from_ipv4(packet: &Ipv4Packet) -> Result<Self> {
-        if packet.protocol != protocol::UDP {
-            return Err(WireError::UnknownValue {
-                what: "ip protocol (expected udp)",
-                value: u32::from(packet.protocol),
-            });
-        }
-        Self::decode(&packet.payload, packet.src, packet.dst)
+        let (h, payload) = UdpHeader::parse_in(&packet.header(), &packet.payload)?;
+        Ok(UdpDatagram::from_parts(h, payload))
     }
 }
 
-/// Pseudo-header + datagram buffer for checksumming.
-fn pseudo(src: [u8; 4], dst: [u8; 4], datagram: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(12 + datagram.len());
-    v.extend_from_slice(&src);
-    v.extend_from_slice(&dst);
-    v.push(0);
-    v.push(protocol::UDP);
-    v.extend_from_slice(&(datagram.len() as u16).to_be_bytes());
-    v.extend_from_slice(datagram);
-    v
+/// The RFC 768 pseudo-header for a datagram of `len` bytes.
+fn pseudo(src: [u8; 4], dst: [u8; 4], len: usize) -> [u8; 12] {
+    let [s0, s1, s2, s3] = src;
+    let [d0, d1, d2, d3] = dst;
+    let [l0, l1] = (len as u16).to_be_bytes();
+    [s0, s1, s2, s3, d0, d1, d2, d3, 0, protocol::UDP, l0, l1]
 }
 
 #[cfg(test)]
@@ -200,6 +255,40 @@ mod tests {
             UdpDatagram::from_ipv4(&pkt),
             Err(WireError::UnknownValue { .. })
         ));
+    }
+
+    #[test]
+    fn header_writes_inside_an_ipv4_packet_in_one_buffer() {
+        let d = UdpDatagram::new(5_353, DNS_PORT, b"dns-bytes".to_vec());
+        let mut buf = Vec::new();
+        Ipv4Header::new(protocol::UDP, SRC, DST)
+            .write(&mut buf, |out| {
+                d.header().write(out, SRC, DST, |out| {
+                    out.extend_from_slice(&d.payload);
+                    Ok(())
+                })
+            })
+            .unwrap();
+        let owned = d.clone().into_ipv4(SRC, DST).unwrap().encode().unwrap();
+        assert_eq!(buf, owned);
+        let (ip, inner) = Ipv4Header::parse(&buf).unwrap();
+        let (h, payload) = UdpHeader::parse_in(&ip, inner).unwrap();
+        assert_eq!((h, payload), (d.header(), &b"dns-bytes"[..]));
+    }
+
+    #[test]
+    fn bad_checksum_reports_the_sum_without_its_field() {
+        let d = UdpDatagram::new(1, 2, vec![0xAB; 9]);
+        let mut bytes = d.encode(SRC, DST).unwrap();
+        let good = u16::from_be_bytes([bytes[6], bytes[7]]);
+        bytes[7] ^= 0x01;
+        assert_eq!(
+            UdpDatagram::decode(&bytes, SRC, DST),
+            Err(WireError::BadChecksum {
+                found: good ^ 0x0001,
+                computed: good,
+            })
+        );
     }
 
     #[test]

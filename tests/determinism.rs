@@ -2,7 +2,14 @@
 //! and the same fault plan, must produce identical series *and* identical
 //! health records — fault injection must never introduce hidden
 //! nondeterminism (wall clocks, hash-map iteration order, ...).
+//!
+//! Two runs of one build agree even when a codec change shifts which
+//! probes a corruption draw breaks, so each wire campaign's faulted
+//! result is also pinned to a digest: any moved byte on the wire, or any
+//! moved draw from the campaign or fault streams, changes it.
 
+use fenrir::core::health::CampaignHealth;
+use fenrir::core::series::VectorSeries;
 use fenrir::core::time::Timestamp;
 use fenrir::measure::atlas::AtlasCampaign;
 use fenrir::measure::ednscs::{EdnsCsCampaign, FrontendPolicy};
@@ -69,6 +76,40 @@ fn full_plan() -> FaultPlan {
         })
 }
 
+/// FNV-1a over every series code and the `Debug` text of every health
+/// record.
+fn digest<'a>(
+    series: impl IntoIterator<Item = &'a VectorSeries>,
+    health: &[CampaignHealth],
+) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for s in series {
+        for v in s.vectors() {
+            for code in v.codes() {
+                eat(&code.to_le_bytes());
+            }
+        }
+    }
+    for record in health {
+        eat(format!("{record:?}").as_bytes());
+    }
+    h
+}
+
+/// Checks a faulted run against its pinned digest, and that the plan's
+/// corruption reached the decoders at all.
+fn assert_pinned(got: u64, health: &[CampaignHealth], expected: u64) {
+    let failures: usize = health.iter().map(|h| h.decode_failures).sum();
+    assert!(failures > 0, "no corrupted packet reached a decoder");
+    assert_eq!(got, expected, "digest {got:#018x}, pinned {expected:#018x}");
+}
+
 fn cfg() -> RunnerConfig {
     RunnerConfig {
         max_retries: 2,
@@ -94,6 +135,11 @@ fn verfploeter_is_deterministic_under_faults() {
     assert_eq!(a.series.vectors(), b.series.vectors());
     assert_eq!(a.health, b.health);
     assert_eq!(a.health.len(), 8);
+    assert_pinned(
+        digest([&a.series], &a.health),
+        &a.health,
+        0xd497_8efc_f361_a5dd,
+    );
 }
 
 #[test]
@@ -111,6 +157,11 @@ fn atlas_is_deterministic_under_faults() {
     let (a, b) = (run(), run());
     assert_eq!(a.series.vectors(), b.series.vectors());
     assert_eq!(a.health, b.health);
+    assert_pinned(
+        digest([&a.series], &a.health),
+        &a.health,
+        0x17f1_aa4b_4779_4061,
+    );
 }
 
 #[test]
@@ -132,6 +183,11 @@ fn traceroute_is_deterministic_under_faults() {
         assert_eq!(sa.vectors(), sb.vectors());
     }
     assert_eq!(a.health, b.health);
+    assert_pinned(
+        digest(&a.hop_series, &a.health),
+        &a.health,
+        0x6f8c_ace3_98c4_5923,
+    );
 }
 
 #[test]
@@ -153,6 +209,11 @@ fn ednscs_is_deterministic_under_faults() {
     let (a, b) = (run(), run());
     assert_eq!(a.series.vectors(), b.series.vectors());
     assert_eq!(a.health, b.health);
+    assert_pinned(
+        digest([&a.series], &a.health),
+        &a.health,
+        0x9f0a_e633_24d4_a3f2,
+    );
 }
 
 #[test]
