@@ -103,7 +103,7 @@ pub enum Error {
         /// Human-readable description of the failure.
         message: String,
     },
-    /// A storage-tier operation (put/get/list/delete/put_if over named
+    /// A storage-tier operation (put/get/delete/put_if over named
     /// segments) failed. `retryable` carries the backend's own verdict:
     /// `true` for transient conditions a caller should retry with
     /// backoff (an S3-style `SlowDown` throttle, a network blip, an
@@ -111,8 +111,8 @@ pub enum Error {
     /// ones (a key that cannot exist, an invalid argument). Retry loops
     /// branch on the flag; everything else just prints it.
     Storage {
-        /// The storage operation that failed ("put", "get", "list",
-        /// "delete", "put_if").
+        /// The storage operation that failed ("put", "get", "delete",
+        /// "put_if").
         op: &'static str,
         /// The object key (or key prefix) involved.
         key: String,

@@ -141,33 +141,6 @@ impl LocalDisk {
         );
         storage_err(op, key, retryable, e.to_string())
     }
-
-    fn collect(
-        &self,
-        dir: &Path,
-        rel: &mut Vec<String>,
-        out: &mut Vec<String>,
-    ) -> std::io::Result<()> {
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let Some(name) = entry.file_name().to_str().map(String::from) else {
-                continue; // non-UTF-8 names cannot be keys
-            };
-            if entry.file_type()?.is_dir() {
-                rel.push(name);
-                self.collect(&entry.path(), rel, out)?;
-                rel.pop();
-            } else if !name.ends_with(TMP_SUFFIX) {
-                let mut key = rel.join("/");
-                if !key.is_empty() {
-                    key.push('/');
-                }
-                key.push_str(&name);
-                out.push(key);
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Storage for LocalDisk {
@@ -187,15 +160,6 @@ impl Storage for LocalDisk {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(Self::io("get", key, e)),
         }
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        self.collect(&self.root, &mut Vec::new(), &mut out)
-            .map_err(|e| Self::io("list", prefix, e))?;
-        out.retain(|k| k.starts_with(prefix));
-        out.sort();
-        Ok(out)
     }
 
     fn delete(&self, key: &str) -> Result<()> {
@@ -239,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn put_get_list_delete_roundtrip() {
+    fn put_get_delete_roundtrip() {
         let root = scratch("roundtrip");
         let disk = LocalDisk::open(&root).unwrap();
         disk.put("segments/seg-00000001", b"alpha").unwrap();
@@ -250,16 +214,17 @@ mod tests {
             b"alpha"
         );
         assert_eq!(disk.get("missing").unwrap(), None);
-        assert_eq!(
-            disk.list("segments/").unwrap(),
-            vec!["segments/seg-00000001", "segments/seg-00000002"]
-        );
         disk.delete("segments/seg-00000001").unwrap();
         disk.delete("segments/seg-00000001").unwrap(); // idempotent
-        assert_eq!(
-            disk.list("segments/").unwrap(),
-            vec!["segments/seg-00000002"]
-        );
+        assert_eq!(disk.get("segments/seg-00000001").unwrap(), None);
+        assert_eq!(disk.get("segments/seg-00000002").unwrap().unwrap(), b"beta");
+        // No staging file outlives its put.
+        let mut names: Vec<_> = fs::read_dir(root.join("segments"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["seg-00000002"]);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -281,7 +246,8 @@ mod tests {
         fs::write(root.join("live"), b"ok").unwrap();
         let disk = LocalDisk::open(&root).unwrap();
         assert!(!root.join("segments/seg-00000009.tmp").exists());
-        assert_eq!(disk.list("").unwrap(), vec!["live"]);
+        assert!(root.join("segments").read_dir().unwrap().next().is_none());
+        assert_eq!(disk.get("live").unwrap().unwrap(), b"ok");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -8,8 +8,8 @@
 //! layer applies to TCP is applied here to storage operations
 //! themselves.
 //!
-//! * [`Storage`] — the backend contract: `put`/`get`/`list`/`delete`/
-//!   `put_if` over named segments, every failure a typed
+//! * [`Storage`] — the backend contract: `put`/`get`/`delete`/`put_if`
+//!   over named segments, every failure a typed
 //!   [`Error::Storage`] carrying the backend's retryable/permanent
 //!   verdict.
 //! * [`local::LocalDisk`] — segment files under a root directory, with
@@ -104,7 +104,7 @@ pub enum CasOutcome {
 ///   honest `retryable` flag (see [`retry::RetryPolicy`]).
 ///
 /// Backends may be eventually consistent: an object `put` may stay
-/// invisible to `get`/`list` for a *bounded* window (the object tier
+/// invisible to `get` for a *bounded* window (the object tier
 /// simulation models this explicitly). Callers that need
 /// read-after-write certainty write with `put_if` — the tiered journal
 /// commits its manifest that way.
@@ -113,8 +113,6 @@ pub trait Storage: Send + Sync {
     fn put(&self, key: &str, bytes: &[u8]) -> Result<()>;
     /// Fetch the object at `key`; `Ok(None)` when no object is visible.
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>>;
-    /// All visible keys starting with `prefix`, in lexicographic order.
-    fn list(&self, prefix: &str) -> Result<Vec<String>>;
     /// Remove the object at `key` (succeeds when already absent).
     fn delete(&self, key: &str) -> Result<()>;
     /// Conditionally store `bytes` under `key`: commit only if the

@@ -2,7 +2,7 @@
 //! faults.
 //!
 //! [`ObjectSim`] behaves like a small S3 bucket: atomic per-key puts,
-//! lexicographic prefix listing, idempotent deletes — plus the failure
+//! idempotent deletes — plus the failure
 //! modes real object tiers exhibit and local files do not:
 //!
 //! * **Throttling.** A fraction of puts fail with a retryable
@@ -12,7 +12,7 @@
 //! * **Latency.** Every operation can carry an injected delay, so
 //!   benches can measure cold-path hydration under realistic RTTs.
 //! * **Bounded eventual visibility.** A put may stay invisible to
-//!   `get`/`list` for up to [`ObjectChaos::visibility_lag`] subsequent
+//!   `get` for up to [`ObjectChaos::visibility_lag`] subsequent
 //!   operations, during which readers see the *previous* object (or
 //!   nothing, for a fresh key). The window is bounded, never infinite —
 //!   the property tiered recovery is written against.
@@ -239,17 +239,6 @@ impl Storage for ObjectSim {
         }))
     }
 
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let ordinal = self.admit("list", prefix, false)?;
-        let s = self.state.lock().unwrap();
-        Ok(s.objects
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .filter(|(_, o)| ordinal >= o.visible_at || o.prior.is_some())
-            .map(|(k, _)| k.clone())
-            .collect())
-    }
-
     fn delete(&self, key: &str) -> Result<()> {
         validate_key("delete", key)?;
         self.admit("delete", key, false)?;
@@ -294,10 +283,10 @@ mod tests {
         sim.put("b/1", b"z").unwrap();
         assert_eq!(sim.get("a/1").unwrap().unwrap(), b"x");
         assert_eq!(sim.get("nope").unwrap(), None);
-        assert_eq!(sim.list("a/").unwrap(), vec!["a/1", "a/2"]);
         sim.delete("a/1").unwrap();
         sim.delete("a/1").unwrap();
-        assert_eq!(sim.list("a/").unwrap(), vec!["a/2"]);
+        assert_eq!(sim.get("a/1").unwrap(), None);
+        assert_eq!(sim.get("a/2").unwrap().unwrap(), b"y");
     }
 
     #[test]
@@ -317,11 +306,9 @@ mod tests {
             let _ = sim.get("k");
         }
         assert_eq!(sim.get("k").unwrap().unwrap(), b"new");
-        // A fresh key is invisible (None) during its window but listed
-        // never earlier than its put.
+        // A fresh key is invisible (None) during its window.
         sim.put("fresh", b"f").unwrap();
         assert_eq!(sim.get("fresh").unwrap(), None);
-        assert!(!sim.list("fresh").unwrap().contains(&"fresh".to_owned()));
         for _ in 0..3 {
             let _ = sim.get("fresh");
         }
@@ -379,8 +366,8 @@ mod tests {
         for result in [
             sim.put("k", b"w").err(),
             sim.get("k").err(),
-            sim.list("").err(),
             sim.delete("k").err(),
+            sim.put_if("k", None, b"w").err(),
         ] {
             assert!(matches!(
                 result,

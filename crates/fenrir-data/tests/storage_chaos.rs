@@ -143,10 +143,6 @@ impl Storage for KillSwitch {
         self.spend("get", key)?;
         self.inner.get(key)
     }
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.spend("list", prefix)?;
-        self.inner.list(prefix)
-    }
     fn delete(&self, key: &str) -> Result<()> {
         self.spend("delete", key)?;
         self.inner.delete(key)

@@ -852,10 +852,12 @@ pub enum Reply {
         /// Subscribers registered after this change.
         subscribers: u64,
         /// Mode boundaries this server has announced (or inherited as
-        /// journaled history) so far. The client records it as its
-        /// resume cursor: after a reconnect, `Subscribe { resume_from:
-        /// Some(cursor + transitions received) }` picks up exactly
-        /// where delivery stopped.
+        /// journaled history) so far: the boundary index at which a
+        /// new subscription's live stream starts, since the server
+        /// reads it with no submit in flight. The client records it as
+        /// its resume cursor: after a reconnect, `Subscribe {
+        /// resume_from: Some(cursor + transitions received + missed) }`
+        /// picks up exactly where delivery stopped on the same node.
         boundary_count: u64,
     },
     /// A pushed stream event — arrives on subscribed connections

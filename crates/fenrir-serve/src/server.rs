@@ -61,6 +61,22 @@ use crate::store::ModeStore;
 /// How often an idle connection wakes to poll the stop flag.
 const TICK: Duration = Duration::from_millis(100);
 
+/// Idle connections are closed after this long without a frame.
+const READ_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Base retry-after hint carried by `Overloaded` replies: slot-shed
+/// queries advertise this, accept-shed connections twice it (a full
+/// accept queue recovers slower than a busy service slot).
+const RETRY_AFTER_MS: u64 = 50;
+
+/// Slow-query trace ring capacity.
+const TRACE_CAPACITY: usize = 256;
+
+/// Per-subscriber pending-event queue depth. A subscriber that cannot
+/// keep up has events shed beyond this bound — explicitly, via an
+/// in-band [`StreamEvent::Lagged`] marker, never silently.
+const EVENT_QUEUE: usize = 64;
+
 /// How long a worker keeps answering a slot-holder's queries after
 /// shutdown began. Pipelined queries already on the wire are drained
 /// well within this; a peer that keeps *sending* cannot hold the
@@ -102,18 +118,12 @@ pub struct ServeConfig {
     /// Pending connections per worker: the one queue all workers pull
     /// from holds `backlog × workers` before the acceptor sheds.
     pub backlog: usize,
-    /// Idle connections are closed after this long without a frame.
-    pub read_deadline: Duration,
     /// Poll the store's source for growth this often, publishing at
     /// most one new snapshot per poll (None disables follow).
     pub follow: Option<Duration>,
     /// Replica id reported in `Health` replies (0 for a standalone
     /// server; a [`crate::replica::ReplicaSet`] numbers its members).
     pub replica: u64,
-    /// Base retry-after hint carried by `Overloaded` replies: slot-shed
-    /// queries advertise this, accept-shed connections twice it (a full
-    /// accept queue recovers slower than a busy service slot).
-    pub retry_after: Duration,
     /// Bind address for the plain-HTTP metrics scrape endpoint
     /// (`/metrics`, `/traces`); None disables it. The protocol-level
     /// `Metrics` frame works either way.
@@ -124,12 +134,6 @@ pub struct ServeConfig {
     /// Queries at least this slow leave a structured trace event in
     /// the ring; None disables slow-query tracing.
     pub slow_query: Option<Duration>,
-    /// Slow-query trace ring capacity (0 disables, counting drops).
-    pub trace_capacity: usize,
-    /// Per-subscriber pending-event queue depth. A subscriber that
-    /// cannot keep up has events shed beyond this bound — explicitly,
-    /// via an in-band [`StreamEvent::Lagged`] marker, never silently.
-    pub event_queue: usize,
 }
 
 impl Default for ServeConfig {
@@ -139,15 +143,11 @@ impl Default for ServeConfig {
             workers: 4,
             max_inflight: 64,
             backlog: 64,
-            read_deadline: Duration::from_secs(30),
             follow: None,
             replica: 0,
-            retry_after: Duration::from_millis(50),
             metrics_addr: None,
             admin_token: None,
             slow_query: Some(Duration::from_millis(250)),
-            trace_capacity: 256,
-            event_queue: 64,
         }
     }
 }
@@ -163,6 +163,12 @@ impl Default for ServeConfig {
 /// returned alongside the reply are broadcast to every subscriber
 /// *after* the decision, so a pushed transition always refers to
 /// durable state.
+///
+/// The server calls `submit` and then broadcasts under its announce
+/// lock, and reads `events_since` and `boundary_count` for a new
+/// subscription under the same lock. A handler therefore sees no
+/// submit between those reads, and must count in `boundary_count`, and
+/// replay from `events_since`, exactly the events its submits return.
 pub trait StreamHandler: Send + Sync {
     /// Apply one submitted observation; returns the ack to send and
     /// any events to broadcast.
@@ -194,25 +200,28 @@ pub trait StreamHandler: Send + Sync {
 /// One registered subscriber, as the broadcaster sees it.
 struct BroadcastHandle {
     id: u64,
-    tx: SyncSender<StreamEvent>,
-    /// Events shed since the pusher last delivered one; drained into an
-    /// in-band `Lagged` marker.
-    lagged: Arc<AtomicU64>,
+    /// Each queued event travels with this subscriber's shed count at
+    /// the moment it was queued, so the pusher can mark every shed
+    /// event exactly where it fell in the stream.
+    tx: SyncSender<(u64, StreamEvent)>,
     /// Events delivered to this subscriber's queue, for `Stats`.
     pushed: AtomicU64,
-    /// Cumulative shed count, for `Stats`. Unlike `lagged`, never
-    /// reset when the in-band marker goes out.
-    dropped: AtomicU64,
+    /// Events shed on a full queue, for `Stats`; shared with the pusher,
+    /// which marks the ones shed after its last event before `Closed`.
+    dropped: Arc<AtomicU64>,
 }
 
 /// Fan-out state for pushed stream events.
 ///
 /// Broadcasting never blocks on a slow subscriber: each subscriber has
 /// a bounded queue drained by its own pusher thread, and a full queue
-/// sheds the event while counting it on the subscriber's lag counter.
-/// The pusher converts that counter into an explicit
-/// [`StreamEvent::Lagged`] marker before its next delivery — loss is
-/// visible in-band, never silent.
+/// sheds the event while counting it on the subscriber's shed counter.
+/// The pusher writes an explicit [`StreamEvent::Lagged`] marker where
+/// the shed events fell — loss is visible in-band, never silent.
+///
+/// The hub does not order announces against subscribes: the server's
+/// announce lock does. Every delivery, replayed or live, happens under
+/// it, so each subscriber's queue holds its events in announce order.
 #[derive(Default)]
 struct SubscriberHub {
     subs: Mutex<Vec<BroadcastHandle>>,
@@ -223,42 +232,25 @@ struct SubscriberHub {
 }
 
 impl SubscriberHub {
-    #[cfg(test)]
-    fn add(&self, tx: SyncSender<StreamEvent>, lagged: Arc<AtomicU64>) -> u64 {
-        self.add_with_replay(tx, lagged, Vec::new)
-    }
-
-    /// Register a subscriber, first seeding its queue with the events
-    /// `replay` returns (a reconnect's missed transitions).
-    ///
-    /// `replay` runs under the lock [`Self::broadcast`] takes, and the
-    /// subscriber is registered before it is released. So a transition
-    /// announced before `replay` reads the history is replayed, and one
-    /// announced later is broadcast to the registered subscriber: none is
-    /// lost, and no live event lands *between* replayed ones. One
-    /// announced before `replay` but broadcast after the lock is released
-    /// arrives twice — the protocol's at-least-once contract; clients
-    /// deduplicate. The lock adds no lock order: no caller holds a
-    /// handler's lock while broadcasting.
+    /// Register a subscriber, first seeding its queue with `replay` (a
+    /// resuming subscriber's missed transitions).
     fn add_with_replay(
         &self,
-        tx: SyncSender<StreamEvent>,
-        lagged: Arc<AtomicU64>,
-        replay: impl FnOnce() -> Vec<StreamEvent>,
+        tx: SyncSender<(u64, StreamEvent)>,
+        dropped: Arc<AtomicU64>,
+        replay: Vec<StreamEvent>,
     ) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let handle = BroadcastHandle {
             id,
             tx,
-            lagged,
             pushed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            dropped,
         };
-        let mut subs = self.subs.lock();
-        for event in replay() {
+        for event in replay {
             self.deliver(&handle, event);
         }
-        subs.push(handle);
+        self.subs.lock().push(handle);
         self.subscribers.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -266,14 +258,14 @@ impl SubscriberHub {
     /// Enqueue one event for one subscriber, shedding (with counters)
     /// instead of blocking when its queue is full.
     fn deliver(&self, sub: &BroadcastHandle, event: StreamEvent) {
-        match sub.tx.try_send(event) {
+        let shed = sub.dropped.load(Ordering::Acquire);
+        match sub.tx.try_send((shed, event)) {
             Ok(()) => {
                 sub.pushed.fetch_add(1, Ordering::Relaxed);
                 self.events_pushed.fetch_add(1, Ordering::Relaxed);
             }
             Err(TrySendError::Full(_)) => {
-                sub.lagged.fetch_add(1, Ordering::Relaxed);
-                sub.dropped.fetch_add(1, Ordering::Relaxed);
+                sub.dropped.fetch_add(1, Ordering::AcqRel);
                 self.lagged_drops.fetch_add(1, Ordering::Relaxed);
             }
             // A disconnected pusher means the connection is on its way
@@ -349,36 +341,35 @@ impl Drop for Subscription {
     }
 }
 
-/// Drain one subscriber's event queue onto its connection.
-fn pusher_loop(rx: Receiver<StreamEvent>, lagged: Arc<AtomicU64>, writer: SharedWriter) {
-    loop {
-        match rx.recv() {
-            Ok(event) => {
-                let missed = lagged.swap(0, Ordering::AcqRel);
-                let mut w = writer.lock();
-                if missed > 0
-                    && w.write_all(&Reply::Event(StreamEvent::Lagged { missed }).encode())
-                        .is_err()
-                {
-                    return;
-                }
-                if w.write_all(&Reply::Event(event).encode()).is_err() || w.flush().is_err() {
-                    // The peer is gone; the worker notices on its next
-                    // read and unregisters the subscription.
-                    return;
-                }
-            }
-            Err(_) => {
-                // Queue closed: unsubscribe, drain, or shutdown. Say
-                // goodbye explicitly so the client can tell a clean
-                // close from a cut wire.
-                let mut w = writer.lock();
-                let _ = w.write_all(&Reply::Event(StreamEvent::Closed).encode());
-                let _ = w.flush();
-                return;
-            }
+/// Drain one subscriber's event queue onto its connection. An event
+/// queued after sheds this pusher has not yet reported goes out behind
+/// a `Lagged` marker counting them, which is where they fell in the
+/// stream; sheds after the last queued event are marked before the
+/// final `Closed`.
+fn pusher_loop(rx: Receiver<(u64, StreamEvent)>, dropped: Arc<AtomicU64>, writer: SharedWriter) {
+    let mut reported = 0;
+    let mut push = |shed: u64, event: StreamEvent| -> std::io::Result<()> {
+        let mut w = writer.lock();
+        if shed > reported {
+            let missed = shed - reported;
+            w.write_all(&Reply::Event(StreamEvent::Lagged { missed }).encode())?;
+            reported = shed;
+        }
+        w.write_all(&Reply::Event(event).encode())?;
+        w.flush()
+    };
+    while let Ok((shed, event)) = rx.recv() {
+        if push(shed, event).is_err() {
+            // The peer is gone; the worker notices on its next read and
+            // unregisters the subscription.
+            return;
         }
     }
+    // Queue closed: unsubscribe, drain, or shutdown. Every shed came
+    // before the hub dropped the sender, so the count is final. Say
+    // goodbye explicitly so the client can tell a clean close from a
+    // cut wire.
+    let _ = push(dropped.load(Ordering::Acquire), StreamEvent::Closed);
 }
 
 /// Monotonic counters reported by `Stats`.
@@ -413,9 +404,7 @@ struct Shared {
     counters: Arc<Counters>,
     live: Arc<LiveState>,
     stop: AtomicBool,
-    read_deadline: Duration,
     replica: u64,
-    retry_after_ms: u64,
     registry: Arc<Registry>,
     traces: Arc<TraceRing>,
     admin_token: Option<String>,
@@ -425,8 +414,14 @@ struct Shared {
     stream: Option<Arc<dyn StreamHandler>>,
     /// Event fan-out to subscribed connections.
     hub: Arc<SubscriberHub>,
-    /// Per-subscriber pending-event queue depth.
-    event_queue: usize,
+    /// Orders every announce against every subscribe, so each announced
+    /// transition reaches a subscriber once: in its replay or live,
+    /// never both and never neither. A submit holds it across
+    /// `handler.submit` and the broadcast; a subscribe across the
+    /// replay read, the hub registration and the `boundary_count`
+    /// read. Lock order: announce, then the handler's locks, then the
+    /// hub's. Queries and `Stats` never take it.
+    announce: Mutex<()>,
     /// `fenrir_serve_queries_total{kind}` handles, by kind index.
     queries_by_kind: Vec<ObsCounter>,
     /// `fenrir_serve_query_latency_us{kind}` handles, by kind index.
@@ -467,9 +462,9 @@ impl Shared {
         Reply::Overloaded {
             inflight: self.live.inflight.load(Ordering::Relaxed) as u64,
             retry_after_ms: if at_accept {
-                self.retry_after_ms * 2
+                RETRY_AFTER_MS * 2
             } else {
-                self.retry_after_ms
+                RETRY_AFTER_MS
             },
         }
     }
@@ -547,7 +542,7 @@ impl Server {
             message: e.to_string(),
         })?;
         let registry = Arc::new(Registry::new());
-        let traces = Arc::new(TraceRing::new(cfg.trace_capacity));
+        let traces = Arc::new(TraceRing::new(TRACE_CAPACITY));
         let counters = Arc::new(Counters::default());
         let live = Arc::new(LiveState {
             inflight: AtomicUsize::new(0),
@@ -579,16 +574,14 @@ impl Server {
             counters,
             live,
             stop: AtomicBool::new(false),
-            read_deadline: cfg.read_deadline,
             replica: cfg.replica,
-            retry_after_ms: cfg.retry_after.as_millis() as u64,
             registry: Arc::clone(&registry),
             traces: Arc::clone(&traces),
             admin_token: cfg.admin_token.clone(),
             slow_query: cfg.slow_query,
             stream,
             hub,
-            event_queue: cfg.event_queue.max(1),
+            announce: Mutex::new(()),
             queries_by_kind,
             latency_by_kind,
             overloaded_accept,
@@ -893,9 +886,7 @@ fn serve_connection(worker: usize, conn: TcpStream, shared: &Shared) {
                 // refused while draining: a drain must converge on zero
                 // subscribers, not accept new ones.
                 if kind == KIND_SUBSCRIBE {
-                    let reply =
-                        handle_subscribe(&payload, shared, &writer, &mut subscription, worker);
-                    if writer.lock().write_all(&reply.encode()).is_err() {
+                    if handle_subscribe(&payload, shared, &writer, &mut subscription).is_err() {
                         return;
                     }
                 }
@@ -974,7 +965,7 @@ fn serve_connection(worker: usize, conn: TcpStream, shared: &Shared) {
                 if shared.draining() && (slot.is_some() || subscription.is_some()) {
                     return;
                 }
-                if idle_since.elapsed() >= shared.read_deadline {
+                if idle_since.elapsed() >= READ_DEADLINE {
                     return; // idle past the deadline
                 }
             }
@@ -998,60 +989,66 @@ fn serve_connection(worker: usize, conn: TcpStream, shared: &Shared) {
 }
 
 /// Apply one `Subscribe` frame to this connection's subscription
-/// state, spawning or retiring its pusher thread.
+/// state and write its reply, spawning or retiring the pusher thread.
+///
+/// A new subscription is read and registered under the announce lock:
+/// its replay holds every transition announced before it, the live
+/// stream every one announced after, and `Subscribed.boundary_count`
+/// is exactly where that live stream starts. Its pusher starts only
+/// once the reply is written, so `Subscribed` is the first frame the
+/// subscriber reads.
 fn handle_subscribe(
     payload: &[u8],
     shared: &Shared,
     writer: &SharedWriter,
     subscription: &mut Option<Subscription>,
-    _worker: usize,
-) -> Reply {
+) -> std::io::Result<()> {
     let started = Instant::now();
     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
+    let mut queue = None;
     let reply = match Request::decode(KIND_SUBSCRIBE, payload) {
+        Ok(Request::Subscribe { enable: true, .. })
+            if shared.draining() || shared.stop.load(Ordering::SeqCst) =>
+        {
+            Reply::Error {
+                code: ERR_UNAVAILABLE,
+                message: "draining: not accepting new subscriptions".into(),
+            }
+        }
         Ok(Request::Subscribe {
             enable: true,
             resume_from,
         }) => {
-            if shared.draining() || shared.stop.load(Ordering::SeqCst) {
-                Reply::Error {
-                    code: ERR_UNAVAILABLE,
-                    message: "draining: not accepting new subscriptions".into(),
-                }
-            } else {
-                if subscription.is_none() {
-                    // A resuming client gets the transitions it missed
-                    // replayed into its queue before it goes live;
-                    // `events_since` starts with a `Lagged` marker when
-                    // the cursor predates retained history. The hub
-                    // reads the history under its lock, so no transition
-                    // slips between the replay and the live stream.
-                    let replay = || match (resume_from, &shared.stream) {
-                        (Some(from), Some(handler)) => handler.events_since(from),
-                        _ => Vec::new(),
-                    };
-                    let (tx, rx) = sync_channel::<StreamEvent>(shared.event_queue);
-                    let lagged = Arc::new(AtomicU64::new(0));
-                    let id = shared.hub.add_with_replay(tx, Arc::clone(&lagged), replay);
-                    let w = Arc::clone(writer);
-                    let pusher = std::thread::spawn(move || pusher_loop(rx, lagged, w));
-                    *subscription = Some(Subscription {
-                        id,
-                        hub: Arc::clone(&shared.hub),
-                        pusher: Some(pusher),
-                    });
-                }
-                Reply::Subscribed {
-                    active: true,
-                    subscribers: shared.hub.len(),
-                    boundary_count: stream_boundary_count(shared),
-                }
+            let _announce = shared.announce.lock();
+            if subscription.is_none() {
+                // A resuming client gets the transitions it missed
+                // queued ahead of the live stream; `events_since` starts
+                // with a `Lagged` marker when the cursor predates
+                // retained history.
+                let replay = match (resume_from, &shared.stream) {
+                    (Some(from), Some(handler)) => handler.events_since(from),
+                    _ => Vec::new(),
+                };
+                let (tx, rx) = sync_channel(EVENT_QUEUE);
+                let dropped = Arc::new(AtomicU64::new(0));
+                let id = shared.hub.add_with_replay(tx, Arc::clone(&dropped), replay);
+                *subscription = Some(Subscription {
+                    id,
+                    hub: Arc::clone(&shared.hub),
+                    pusher: None,
+                });
+                queue = Some((rx, dropped));
+            }
+            Reply::Subscribed {
+                active: true,
+                subscribers: shared.hub.len(),
+                boundary_count: stream_boundary_count(shared),
             }
         }
         Ok(Request::Subscribe { enable: false, .. }) => {
             // Dropping the subscription unregisters it and joins the
             // pusher after its final `Closed` frame hits the wire, so
-            // the client sees `Closed` alongside this reply.
+            // the client sees `Closed` ahead of this reply.
             *subscription = None;
             Reply::Subscribed {
                 active: false,
@@ -1071,7 +1068,12 @@ fn handle_subscribe(
         shared.queries_by_kind[i].inc();
         shared.latency_by_kind[i].observe(started.elapsed().as_micros() as u64);
     }
-    reply
+    writer.lock().write_all(&reply.encode())?;
+    if let (Some((rx, dropped)), Some(sub)) = (queue, subscription.as_mut()) {
+        let w = Arc::clone(writer);
+        sub.pusher = Some(std::thread::spawn(move || pusher_loop(rx, dropped, w)));
+    }
+    Ok(())
 }
 
 /// The handler's lifetime boundary count, or zero on a query-only
@@ -1148,10 +1150,12 @@ fn compute(worker: usize, req: Request, shared: &Shared) -> Reply {
             health,
         } => match &shared.stream {
             Some(handler) => {
-                let (reply, events) = handler.submit(seq, time, &codes, health);
                 // Broadcast only after the handler's durability
-                // decision: a pushed transition always refers to
-                // journaled state.
+                // decision, so a pushed transition always refers to
+                // journaled state, and under the announce lock, so no
+                // subscribe falls between the announce and its push.
+                let _announce = shared.announce.lock();
+                let (reply, events) = handler.submit(seq, time, &codes, health);
                 shared.hub.broadcast(&events);
                 reply
             }
@@ -1320,31 +1324,33 @@ mod tests {
     fn full_queue_sheds_with_counters_never_blocks() {
         let hub = SubscriberHub::default();
         let (tx, _rx) = sync_channel(1);
-        let lagged = Arc::new(AtomicU64::new(0));
-        hub.add(tx, Arc::clone(&lagged));
+        let dropped = Arc::new(AtomicU64::new(0));
+        hub.add_with_replay(tx, Arc::clone(&dropped), Vec::new());
         assert_eq!(hub.len(), 1);
 
         // Nothing drains the queue: the first event fills it, the rest
-        // shed onto the lag counters instead of blocking the broadcast.
+        // shed onto the shed counters instead of blocking the broadcast.
         hub.broadcast(&[transition(0), transition(1), transition(2)]);
         assert_eq!(hub.events_pushed.load(Ordering::Relaxed), 1);
         assert_eq!(hub.lagged_drops.load(Ordering::Relaxed), 2);
-        assert_eq!(lagged.load(Ordering::Relaxed), 2);
+        assert_eq!(dropped.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn replay_precedes_live_events_and_stats_count_per_subscriber() {
         let hub = SubscriberHub::default();
         let (tx, rx) = sync_channel(8);
-        let id = hub.add_with_replay(tx, Arc::new(AtomicU64::new(0)), || {
-            vec![transition(3), transition(4)]
-        });
+        let id = hub.add_with_replay(
+            tx,
+            Arc::new(AtomicU64::new(0)),
+            vec![transition(3), transition(4)],
+        );
 
         // Replayed history lands ahead of anything broadcast later.
         hub.broadcast(&[transition(5)]);
-        assert_eq!(rx.try_recv().expect("replayed"), transition(3));
-        assert_eq!(rx.try_recv().expect("replayed"), transition(4));
-        assert_eq!(rx.try_recv().expect("live"), transition(5));
+        for want in [transition(3), transition(4), transition(5)] {
+            assert_eq!(rx.try_recv().expect("queued"), (0, want));
+        }
 
         // Replayed and live deliveries both count on this subscriber's
         // Stats row.
@@ -1358,10 +1364,67 @@ mod tests {
         );
     }
 
+    /// The frames a subscribed connection reads up to its unsubscribe's
+    /// inactive `Subscribed` reply, which is not included.
+    fn frames_until_unsubscribed(sub: &mut Client) -> Vec<Reply> {
+        sub.send(&Request::Subscribe {
+            enable: false,
+            resume_from: None,
+        })
+        .unwrap();
+        sub.flush().unwrap();
+        let mut frames = Vec::new();
+        loop {
+            match sub.recv().expect("frame") {
+                Reply::Subscribed { active: false, .. } => return frames,
+                reply => frames.push(reply),
+            }
+        }
+    }
+
+    fn subscribed(boundary_count: u64) -> Reply {
+        Reply::Subscribed {
+            active: true,
+            subscribers: 1,
+            boundary_count,
+        }
+    }
+
+    fn accepted(seq: u64) -> (Reply, Vec<StreamEvent>) {
+        let outcome = SubmitOutcome::Accepted {
+            observations: seq + 1,
+            transitions: 1,
+        };
+        (Reply::SubmitAck { seq, outcome }, vec![transition(seq)])
+    }
+
+    fn submit_one(addr: SocketAddr) {
+        let mut client = Client::connect(addr).expect("connect");
+        let submit = Request::Submit {
+            seq: 1,
+            time: 86_400,
+            codes: vec![0],
+            health: CampaignHealth::new(Timestamp::from_secs(86_400), 1),
+        };
+        let _ = client.request(&submit);
+    }
+
+    fn stream_server(handler: Arc<dyn StreamHandler>) -> Server {
+        let pipe =
+            RecoverablePipeline::in_memory(SiteTable::from_names(["A"]), 1, PipelineConfig::new(1))
+                .unwrap();
+        let store = Arc::new(ModeStore::over(Arc::new(Mutex::new(pipe))).unwrap());
+        Server::start_with_stream(store, handler, ServeConfig::default()).unwrap()
+    }
+
+    /// How long a racing handler waits for the other side of its race.
+    /// The announce lock makes every such wait run out.
+    const RACE_WAIT: Duration = Duration::from_millis(200);
+
     /// A handler whose `events_since`, between reading the announce
     /// history and returning it, has another connection submit one more
-    /// transition and waits (at most a second) for its ack: the window in
-    /// which a resuming subscriber could miss a transition.
+    /// transition and waits for its ack: the window in which a resuming
+    /// subscriber could miss a transition.
     struct SubmitDuringReplay {
         announced: Mutex<Vec<StreamEvent>>,
         addr: std::sync::OnceLock<SocketAddr>,
@@ -1376,11 +1439,11 @@ mod tests {
             _health: CampaignHealth,
         ) -> (Reply, Vec<StreamEvent>) {
             self.announced.lock().push(transition(seq));
-            let outcome = SubmitOutcome::Accepted {
-                observations: seq + 1,
-                transitions: 1,
-            };
-            (Reply::SubmitAck { seq, outcome }, vec![transition(seq)])
+            accepted(seq)
+        }
+
+        fn boundary_count(&self) -> u64 {
+            self.announced.lock().len() as u64
         }
 
         fn events_since(&self, from: u64) -> Vec<StreamEvent> {
@@ -1388,33 +1451,21 @@ mod tests {
             let addr = *self.addr.get().expect("server address");
             let (acked, ack) = sync_channel(1);
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let submit = Request::Submit {
-                    seq: 1,
-                    time: 86_400,
-                    codes: vec![0],
-                    health: CampaignHealth::new(Timestamp::from_secs(86_400), 1),
-                };
-                let _ = client.request(&submit);
+                submit_one(addr);
                 let _ = acked.send(());
             });
-            let _ = ack.recv_timeout(Duration::from_secs(1));
+            let _ = ack.recv_timeout(RACE_WAIT);
             replay
         }
     }
 
     #[test]
     fn transition_announced_while_a_subscriber_resumes_is_delivered() {
-        let pipe =
-            RecoverablePipeline::in_memory(SiteTable::from_names(["A"]), 1, PipelineConfig::new(1))
-                .unwrap();
-        let store = Arc::new(ModeStore::over(Arc::new(Mutex::new(pipe))).unwrap());
         let handler = Arc::new(SubmitDuringReplay {
             announced: Mutex::new(vec![transition(0)]),
             addr: std::sync::OnceLock::new(),
         });
-        let server =
-            Server::start_with_stream(store, handler.clone(), ServeConfig::default()).unwrap();
+        let server = stream_server(handler.clone());
         handler.addr.set(server.addr()).unwrap();
 
         let mut sub = Client::connect(server.addr()).unwrap();
@@ -1425,18 +1476,90 @@ mod tests {
         })
         .unwrap();
         sub.flush().unwrap();
-        // The reply and the pushed events share the socket in any order.
-        let mut events = Vec::new();
-        while events.len() < 2 {
-            match sub.recv() {
-                Ok(Reply::Event(e)) => events.push(e),
-                Ok(Reply::Subscribed { .. }) => {}
-                other => panic!("after {events:?}: {other:?}"),
-            }
+        // The submit waits for the subscribe: transition 0 is replayed,
+        // and transition 1 arrives live instead of being lost.
+        assert_eq!(sub.recv().unwrap(), subscribed(1));
+        for want in [transition(0), transition(1)] {
+            assert_eq!(sub.recv().unwrap(), Reply::Event(want));
         }
-        // Transition 0 is replayed; transition 1, submitted while the
-        // replay was being read, arrives live instead of being lost.
-        assert_eq!(events, [transition(0), transition(1)]);
+        assert_eq!(
+            frames_until_unsubscribed(&mut sub),
+            [Reply::Event(StreamEvent::Closed)]
+        );
+        server.shutdown();
+    }
+
+    /// A handler whose `submit`, after recording its transition and
+    /// before returning it for broadcast, has a prepared connection
+    /// resume from boundary 0 and waits for that subscribe's replay
+    /// read: the window in which a subscriber could receive the
+    /// transition both replayed and live.
+    struct SubscribeDuringSubmit {
+        announced: Mutex<Vec<StreamEvent>>,
+        subscriber: Mutex<Option<Client>>,
+        replay_read: Mutex<Option<SyncSender<()>>>,
+    }
+
+    impl StreamHandler for SubscribeDuringSubmit {
+        fn submit(
+            &self,
+            seq: u64,
+            _time: i64,
+            _codes: &[u16],
+            _health: CampaignHealth,
+        ) -> (Reply, Vec<StreamEvent>) {
+            self.announced.lock().push(transition(seq));
+            let (read, wait) = sync_channel(1);
+            *self.replay_read.lock() = Some(read);
+            let mut guard = self.subscriber.lock();
+            let sub = guard.as_mut().expect("prepared subscriber");
+            sub.send(&Request::Subscribe {
+                enable: true,
+                resume_from: Some(0),
+            })
+            .unwrap();
+            sub.flush().unwrap();
+            drop(guard);
+            let _ = wait.recv_timeout(RACE_WAIT);
+            accepted(seq)
+        }
+
+        fn boundary_count(&self) -> u64 {
+            self.announced.lock().len() as u64
+        }
+
+        fn events_since(&self, from: u64) -> Vec<StreamEvent> {
+            if let Some(read) = self.replay_read.lock().take() {
+                let _ = read.send(());
+            }
+            self.announced.lock()[from as usize..].to_vec()
+        }
+    }
+
+    #[test]
+    fn transition_announced_while_a_subscriber_resumes_arrives_once() {
+        let handler = Arc::new(SubscribeDuringSubmit {
+            announced: Mutex::new(vec![transition(0)]),
+            subscriber: Mutex::new(None),
+            replay_read: Mutex::new(None),
+        });
+        let server = stream_server(handler.clone());
+        let mut sub = Client::connect(server.addr()).unwrap();
+        sub.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        *handler.subscriber.lock() = Some(sub);
+
+        submit_one(server.addr());
+        let mut sub = handler.subscriber.lock().take().unwrap();
+        // The subscribe waited for the submit's broadcast: both
+        // transitions are replayed, and neither is pushed again live.
+        assert_eq!(sub.recv().unwrap(), subscribed(2));
+        for want in [transition(0), transition(1)] {
+            assert_eq!(sub.recv().unwrap(), Reply::Event(want));
+        }
+        assert_eq!(
+            frames_until_unsubscribed(&mut sub),
+            [Reply::Event(StreamEvent::Closed)]
+        );
         server.shutdown();
     }
 
@@ -1444,7 +1567,7 @@ mod tests {
     fn remove_unregisters_once_and_ignores_unknown_ids() {
         let hub = SubscriberHub::default();
         let (tx, _rx) = sync_channel(1);
-        let id = hub.add(tx, Arc::new(AtomicU64::new(0)));
+        let id = hub.add_with_replay(tx, Arc::new(AtomicU64::new(0)), Vec::new());
         assert_eq!(hub.len(), 1);
         hub.remove(id + 1); // unknown id: no-op
         assert_eq!(hub.len(), 1);
@@ -1454,44 +1577,71 @@ mod tests {
         assert_eq!(hub.len(), 0);
     }
 
-    #[test]
-    fn pusher_marks_lag_in_band_before_next_event_and_says_goodbye() {
-        let (server_end, mut client_end) = tcp_pair();
-        let writer: SharedWriter = Arc::new(Mutex::new(BufWriter::new(server_end)));
-
+    /// A hub with one subscriber whose queue holds one event and whose
+    /// pusher has not started: the first broadcast queues, the second
+    /// sheds.
+    fn one_shed() -> (
+        SubscriberHub,
+        u64,
+        Receiver<(u64, StreamEvent)>,
+        Arc<AtomicU64>,
+    ) {
         let hub = SubscriberHub::default();
         let (tx, rx) = sync_channel(1);
-        let lagged = Arc::new(AtomicU64::new(0));
-        let id = hub.add(tx, Arc::clone(&lagged));
-
-        // Queue capacity 1 and no pusher yet: the first event queues,
-        // the second sheds.
+        let dropped = Arc::new(AtomicU64::new(0));
+        let id = hub.add_with_replay(tx, Arc::clone(&dropped), Vec::new());
         hub.broadcast(&[transition(0)]);
         hub.broadcast(&[transition(1)]);
-        assert_eq!(lagged.load(Ordering::Relaxed), 1);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
+        (hub, id, rx, dropped)
+    }
 
-        let pusher = std::thread::spawn(move || pusher_loop(rx, lagged, writer));
+    fn assert_closed(client_end: &mut TcpStream) {
+        assert_eq!(next_event(client_end), StreamEvent::Closed);
+        match read_frame(client_end) {
+            FrameEvent::Eof | FrameEvent::Io(_) => {}
+            other => panic!("expected the wire to close, got {other:?}"),
+        }
+    }
 
-        // The shed is surfaced as an explicit Lagged marker *before*
-        // the next delivered event — loss is in-band, never silent.
+    #[test]
+    fn pusher_marks_a_shed_just_before_the_next_event_and_says_goodbye() {
+        let (server_end, mut client_end) = tcp_pair();
+        let writer: SharedWriter = Arc::new(Mutex::new(BufWriter::new(server_end)));
+        let (hub, id, rx, dropped) = one_shed();
+        let pusher = std::thread::spawn(move || pusher_loop(rx, dropped, writer));
+
+        // Transition 0 was queued before the shed: it goes out unmarked.
+        assert_eq!(next_event(&mut client_end), transition(0));
+        // The shed is marked in-band where it fell, just before the next
+        // delivered event — loss is visible, never silent.
+        hub.broadcast(&[transition(2)]);
         assert_eq!(
             next_event(&mut client_end),
             StreamEvent::Lagged { missed: 1 }
         );
-        assert_eq!(next_event(&mut client_end), transition(0));
-
-        // With the queue drained, later events flow without markers.
-        hub.broadcast(&[transition(2)]);
         assert_eq!(next_event(&mut client_end), transition(2));
 
         // Unregistering drops the only sender; the pusher writes a
         // final Closed frame and exits.
         hub.remove(id);
-        assert_eq!(next_event(&mut client_end), StreamEvent::Closed);
         pusher.join().expect("pusher exits after goodbye");
-        match read_frame(&mut client_end) {
-            FrameEvent::Eof | FrameEvent::Io(_) => {}
-            other => panic!("expected the wire to close, got {other:?}"),
-        }
+        assert_closed(&mut client_end);
+    }
+
+    #[test]
+    fn pusher_marks_a_shed_after_its_last_event_before_goodbye() {
+        let (server_end, mut client_end) = tcp_pair();
+        let writer: SharedWriter = Arc::new(Mutex::new(BufWriter::new(server_end)));
+        let (hub, id, rx, dropped) = one_shed();
+        hub.remove(id);
+        pusher_loop(rx, dropped, writer);
+
+        assert_eq!(next_event(&mut client_end), transition(0));
+        assert_eq!(
+            next_event(&mut client_end),
+            StreamEvent::Lagged { missed: 1 }
+        );
+        assert_closed(&mut client_end);
     }
 }

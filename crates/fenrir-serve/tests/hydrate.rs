@@ -201,9 +201,6 @@ impl Storage for SealsOnSecondManifestRead {
         }
         self.sim.get(key)
     }
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.sim.list(prefix)
-    }
     fn delete(&self, key: &str) -> Result<()> {
         self.sim.delete(key)
     }

@@ -39,7 +39,6 @@ fn saturated_config() -> ServeConfig {
         workers: 1,
         max_inflight: 1,
         backlog: 1,
-        read_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     }
 }
@@ -101,7 +100,6 @@ fn a_new_connection_is_served_by_a_free_worker_not_behind_an_idle_one() {
         tiny_store(),
         ServeConfig {
             workers: 2,
-            read_deadline: Duration::from_secs(30),
             ..ServeConfig::default()
         },
     )

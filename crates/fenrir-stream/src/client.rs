@@ -10,15 +10,15 @@
 //! up after a few laps of the list, so a fully-down fleet fails fast
 //! instead of spinning.
 //!
-//! Both clients tolerate interleaving: once a connection subscribes,
-//! `Event` frames can land between any reply and the next, so every
-//! receive loop here skips what it is not waiting for instead of
-//! treating it as a protocol violation. In particular an unsubscribe's
-//! final `Closed` event may arrive *before* the `Subscribed` reply —
-//! the server tears the subscription down first so the goodbye is
-//! always on the wire.
+//! A subscription's first frame is its `Subscribed` reply: the server
+//! starts pushing only after writing it, so anything else first is a
+//! protocol error. After that, `Event` frames can land between any
+//! reply and the next, so the receive loops here skip what they are
+//! not waiting for. In particular an unsubscribe's final `Closed`
+//! event arrives *before* the inactive `Subscribed` reply — the server
+//! tears the subscription down first so the goodbye is always on the
+//! wire.
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -27,12 +27,6 @@ use fenrir_core::health::CampaignHealth;
 use fenrir_measure::submit::SubmitRow;
 use fenrir_serve::protocol::Request;
 use fenrir_serve::{Client, Reply, StreamEvent, SubmitOutcome};
-
-/// How many recently delivered transitions a [`Subscriber`] remembers
-/// for duplicate suppression. Resume replay is at-least-once: an event
-/// announced while the subscription was registering can arrive both
-/// replayed and live, and the window absorbs the overlap.
-const DEDUP_WINDOW: usize = 64;
 
 /// Laps of the candidate list one call may make before it gives up:
 /// every candidate gets a chance to have finished its takeover.
@@ -239,8 +233,10 @@ impl SubmitClient {
 /// stream (`Closed` on drain or shutdown) or the connection drops, the
 /// next candidate that accepts is subscribed with `resume_from` at the
 /// cursor, so the transitions announced during the outage are replayed
-/// rather than skipped, and a recent-event window suppresses the
-/// duplicates of the at-least-once replay overlap. `Closed` reaches the
+/// rather than skipped. One node pushes each transition exactly once,
+/// replayed or live, so the cursor alone accounts for delivery. A
+/// resume on a restarted or promoted node trusts that node's boundary
+/// count, which need not match the old one's. `Closed` reaches the
 /// caller only when no candidate accepts.
 #[derive(Debug)]
 pub struct Subscriber {
@@ -250,11 +246,6 @@ pub struct Subscriber {
     client: Option<Client>,
     read_timeout: Option<Duration>,
     cursor: u64,
-    recent: VecDeque<StreamEvent>,
-    /// Events that arrived on the wire before the `Subscribed`
-    /// confirmation: the resume replay is pushed by the server's
-    /// pusher thread, which can beat the confirmation onto the socket.
-    pending: VecDeque<StreamEvent>,
 }
 
 impl Subscriber {
@@ -271,8 +262,6 @@ impl Subscriber {
             client: None,
             read_timeout: None,
             cursor: 0,
-            recent: VecDeque::new(),
-            pending: VecDeque::new(),
         };
         this.subscribe(None)?;
         Ok(this)
@@ -300,36 +289,26 @@ impl Subscriber {
             resume_from,
         })?;
         client.flush()?;
-        let mut pending = VecDeque::new();
-        loop {
-            match client.recv()? {
-                Reply::Subscribed {
-                    active: true,
-                    boundary_count,
-                    ..
-                } => {
-                    // Resuming: replayed events advance the cursor
-                    // from the resume point. Fresh: nothing before the
-                    // live edge will be delivered, so start there.
-                    self.cursor = resume_from.unwrap_or(boundary_count);
-                    self.pending = pending;
-                    self.client = Some(client);
-                    return Ok(());
-                }
-                // The resume replay races the confirmation onto the
-                // wire; keep anything that won for the first
-                // `next_event` calls.
-                Reply::Event(ev) => pending.push_back(ev),
-                Reply::Error { code, message } => {
-                    return Err(server_error("stream subscribe", code, message))
-                }
-                other => {
-                    return Err(Error::Internal {
-                        what: "stream subscribe",
-                        message: format!("expected an active Subscribed reply, got {other:?}"),
-                    })
-                }
+        match client.recv()? {
+            Reply::Subscribed {
+                active: true,
+                boundary_count,
+                ..
+            } => {
+                // Resuming: replayed events advance the cursor from the
+                // resume point. Fresh: the live stream starts at the
+                // server's boundary count.
+                self.cursor = resume_from.unwrap_or(boundary_count);
+                self.client = Some(client);
+                Ok(())
             }
+            Reply::Error { code, message } => Err(server_error("stream subscribe", code, message)),
+            other => Err(Error::Internal {
+                what: "stream subscribe",
+                message: format!(
+                    "protocol error: expected an active Subscribed first, got {other:?}"
+                ),
+            }),
         }
     }
 
@@ -348,9 +327,7 @@ impl Subscriber {
     }
 
     /// Wait for the next pushed event, advancing the boundary cursor.
-    /// Replies to any queries the caller pipelined on this connection
-    /// are skipped, as are duplicate transition deliveries from the
-    /// at-least-once resume overlap. A wait that outlasts the read
+    /// Non-event frames are skipped. A wait that outlasts the read
     /// timeout returns its error; a connection that fails sooner is
     /// failed over.
     pub fn next_event(&mut self) -> Result<StreamEvent> {
@@ -360,20 +337,10 @@ impl Subscriber {
             if self.client.is_none() {
                 self.subscribe(Some(self.cursor))?;
             }
-            let reply = match self.pending.pop_front() {
-                Some(ev) => Ok(Reply::Event(ev)),
-                None => self.client.as_mut().expect("subscribed above").recv(),
-            };
+            let reply = self.client.as_mut().expect("subscribed above").recv();
             let lost = match reply {
                 Ok(Reply::Event(StreamEvent::Closed)) => None,
                 Ok(Reply::Event(ev @ StreamEvent::ModeTransition { .. })) => {
-                    if self.recent.contains(&ev) {
-                        continue; // replay/live overlap: already seen
-                    }
-                    if self.recent.len() == DEDUP_WINDOW {
-                        self.recent.pop_front();
-                    }
-                    self.recent.push_back(ev.clone());
                     self.cursor += 1;
                     return Ok(ev);
                 }
@@ -421,14 +388,10 @@ impl Subscriber {
     /// event and then confirms with an inactive `Subscribed` reply (in
     /// that order); both are consumed here.
     pub fn unsubscribe(mut self) -> Result<Vec<StreamEvent>> {
-        let mut missed: Vec<StreamEvent> = self
-            .pending
-            .drain(..)
-            .filter(|ev| !matches!(ev, StreamEvent::Closed))
-            .collect();
         let Some(client) = self.client.as_mut() else {
-            return Ok(missed); // nothing is registered anywhere
+            return Ok(Vec::new()); // nothing is registered anywhere
         };
+        let mut missed = Vec::new();
         client.send(&Request::Subscribe {
             enable: false,
             resume_from: None,

@@ -429,9 +429,8 @@ fn standby_redirects_submits_over_tcp() {
 
 /// The whole failover story over real sockets: a submitter and a
 /// subscriber ride through the leader's death. Every acked transition
-/// is delivered exactly once — the resume cursor replays the outage,
-/// the dedup window absorbs the overlap — and the books close with
-/// zero acked loss.
+/// is delivered exactly once — the resume cursor replays the outage on
+/// the new leader — and the books close with zero acked loss.
 #[test]
 fn failover_clients_ride_through_leader_death_exactly_once() {
     let rows = synthetic_rows();

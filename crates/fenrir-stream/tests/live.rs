@@ -226,7 +226,6 @@ fn drain_releases_subscriber_only_connections_promptly() {
     let path = temp_journal("live-drain");
     let cfg = ServeConfig {
         admin_token: Some("drain-test-token".into()),
-        read_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     };
     let server = start(&sc, &path, cfg);
