@@ -149,6 +149,79 @@ fn count_pairs(a: &[u16], b: &[u16], hit: impl Fn(u16, u16) -> bool) -> usize {
         .sum()
 }
 
+/// [`phi`] with the networks `excluded` marks weighted zero, given `kept`
+/// (positive): the other networks' weights summed in network order. Unit
+/// weights count the kept matches and other weights sum them in network
+/// order, so the result has the bits of [`phi`] under `w` with the
+/// excluded weights set to zero.
+pub(crate) fn phi_excluding(
+    a: &RoutingVector,
+    b: &RoutingVector,
+    w: &Weights,
+    excluded: &[bool],
+    kept: f64,
+    policy: UnknownPolicy,
+) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "vector lengths differ");
+    debug_assert_eq!(a.len(), w.len(), "weights length differs");
+    debug_assert_eq!(a.len(), excluded.len(), "mask length differs");
+    let (a, b) = (a.codes(), b.codes());
+    if w.is_unit() {
+        let same = count_kept(a, b, excluded, |ca, cb| (ca == cb) & (ca != CODE_UNKNOWN));
+        return match policy {
+            UnknownPolicy::Pessimistic => same as f64 / kept,
+            UnknownPolicy::KnownOnly => {
+                let known = count_kept(a, b, excluded, |ca, cb| {
+                    (ca != CODE_UNKNOWN) & (cb != CODE_UNKNOWN)
+                });
+                if known == 0 {
+                    0.0
+                } else {
+                    same as f64 / known as f64
+                }
+            }
+        };
+    }
+    let mut num = 0.0;
+    let mut den = 0.0;
+    let cells = a.iter().zip(b).zip(w.values()).zip(excluded);
+    for (((&ca, &cb), &wn), &ex) in cells {
+        if ex || ca == CODE_UNKNOWN || cb == CODE_UNKNOWN {
+            continue;
+        }
+        den += wn;
+        if ca == cb {
+            num += wn;
+        }
+    }
+    match policy {
+        UnknownPolicy::Pessimistic => num / kept,
+        UnknownPolicy::KnownOnly => {
+            if den == 0.0 {
+                0.0
+            } else {
+                num / den
+            }
+        }
+    }
+}
+
+/// [`count_pairs`] over only the positions `excluded` leaves unmarked.
+fn count_kept(a: &[u16], b: &[u16], excluded: &[bool], hit: impl Fn(u16, u16) -> bool) -> usize {
+    const CHUNK: usize = u16::MAX as usize;
+    let chunks = a
+        .chunks(CHUNK)
+        .zip(b.chunks(CHUNK))
+        .zip(excluded.chunks(CHUNK));
+    chunks
+        .map(|((ca, cb), ce)| {
+            let cells = ca.iter().zip(cb).zip(ce);
+            let hits: u16 = cells.map(|((&x, &y), &e)| u16::from(hit(x, y) & !e)).sum();
+            usize::from(hits)
+        })
+        .sum()
+}
+
 /// Fallible wrapper around [`phi`] validating shapes (for callers handling
 /// untrusted data).
 pub fn phi_checked(

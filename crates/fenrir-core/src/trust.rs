@@ -53,8 +53,8 @@ use crate::detect::{gate, ChangeDetector, GatedDetection, SuppressReason};
 use crate::error::{Error, Result};
 use crate::health::CampaignHealth;
 use crate::series::VectorSeries;
-use crate::similarity::phi;
-use crate::vector::{CODE_ERR, CODE_UNKNOWN};
+use crate::similarity::{phi, phi_excluding, UnknownPolicy};
+use crate::vector::{RoutingVector, CODE_ERR, CODE_UNKNOWN};
 use crate::weight::Weights;
 use std::collections::HashMap;
 
@@ -179,28 +179,92 @@ enum Status {
     Quarantined,
 }
 
-/// Per-sweep movement tally of one previous-value group.
+/// [`TrustModel::slot_of`] entry for a value with no cohort this sweep.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Index of `code` in [`TrustModel::slot_of`]: the three sentinel codes
+/// at the top of the `u16` range wrap to 0..3, so the table only grows
+/// as far as the largest site id a row holds.
+fn slot_key(code: u16) -> usize {
+    usize::from(code.wrapping_add(3))
+}
+
+/// The slot of `code` in this sweep's `cohorts`, opened on first sight.
+#[inline]
+fn slot(slot_of: &mut Vec<u32>, cohorts: &mut Vec<Cohort>, code: u16) -> usize {
+    match slot_of.get(slot_key(code)) {
+        Some(&s) if s != NO_SLOT => s as usize,
+        _ => open_slot(slot_of, cohorts, code),
+    }
+}
+
+/// [`slot`] for a value seen first this sweep.
+#[cold]
+#[inline(never)]
+fn open_slot(slot_of: &mut Vec<u32>, cohorts: &mut Vec<Cohort>, code: u16) -> usize {
+    let k = slot_key(code);
+    if k >= slot_of.len() {
+        slot_of.resize(k + 1, NO_SLOT);
+    }
+    let s = cohorts.len();
+    cohorts.push(Cohort::new(code));
+    slot_of[k] = s as u32;
+    s
+}
+
+/// Per-sweep tally of one cohort: the trusted VPs, known on both sides of
+/// the step, that reported the same previous value.
 #[derive(Debug, Clone)]
-struct Group {
+struct Cohort {
+    /// The previous value the members share.
+    code: u16,
+    /// How many members the cohort has, and how many of them flipped.
+    members: u32,
+    movers: u32,
+    /// Identity-capped voting weight of the members and of the movers,
+    /// each summed in VP index order (under unit vote weights, the
+    /// counts).
     total: f64,
     moved: f64,
-    // Destination tallies of the group's movers, and the running
-    // heaviest one. Updated in VP index order with a strictly-greater
-    // test, so the winner is deterministic.
-    dest: Vec<(u16, f64)>,
-    best_dest: Option<(u16, f64)>,
+    /// Whether a member that stayed may be corroborated, so the stayers
+    /// need a verdict too.
+    flagged: bool,
+    /// The movers' heaviest destination, once a verdict has asked.
+    best: Option<Option<u16>>,
+    /// Scratch: this value's tally as a destination while one cohort's
+    /// heaviest destination is computed.
+    dest_w: f64,
+}
+
+impl Cohort {
+    fn new(code: u16) -> Self {
+        Cohort {
+            code,
+            members: 0,
+            movers: 0,
+            total: 0.0,
+            moved: 0.0,
+            flagged: false,
+            best: None,
+            dest_w: 0.0,
+        }
+    }
 }
 
 /// Cross-VP agreement scoring over a sliding window.
 ///
 /// Feed one row of catchment codes per sweep via
 /// [`observe`](Self::observe); read back per-step exclusions, quarantine
-/// state, and weight vectors.
+/// state, and the step's trust-weighted Φ ([`step_phi`](Self::step_phi)).
 #[derive(Debug, Clone)]
 pub struct TrustModel {
     cfg: TrustConfig,
     /// Identity-capped voting weights (never used for Φ).
     vote_w: Vec<f64>,
+    /// Every voting weight is exactly 1.0, so cohort tallies are counts.
+    unit_votes: bool,
+    /// The largest voting weight, for the per-cohort prefilter.
+    max_vote: f64,
     prev: Option<Vec<u16>>,
     /// Each VP's last `window` verdicts, one bit each (1 = disagreed),
     /// newest in bit 0; bits at and above `window` are always clear.
@@ -210,13 +274,32 @@ pub struct TrustModel {
     clean_streak: Vec<usize>,
     /// Whether each VP is excluded from the *current* step's Φ.
     excluded: Vec<bool>,
-    /// Scratch: each VP's group index in the current sweep's grouping
-    /// pass (`u32::MAX` = not grouped), so the per-VP verdict loop never
-    /// re-scans the group list.
-    gidx: Vec<u32>,
-    /// Scratch: the per-sweep group tallies, retained so steady-state
-    /// sweeps reuse its allocation.
-    groups_scratch: Vec<(u16, Group)>,
+    /// Whether each VP is calm: trusted, unexcluded, with a clear window
+    /// and no catch-up flip owed. A calm VP unknown on a side of the step
+    /// takes a verdict that changes nothing.
+    calm: Vec<bool>,
+    /// Whether each VP is calm and its hist ring is saturated with
+    /// `hist_last`. A quiet VP's verdict changes nothing unless it flips,
+    /// reports a value other than `hist_last`, or its cohort moved. Both
+    /// flags change only in a verdict.
+    quiet: Vec<bool>,
+    quiet_count: usize,
+    /// Scratch: cohort slot of each value seen this sweep, by
+    /// [`slot_key`]; [`NO_SLOT`] otherwise.
+    slot_of: Vec<u32>,
+    /// Scratch: this sweep's cohorts, by slot.
+    cohorts: Vec<Cohort>,
+    /// Scratch: per VP, whether it counts toward its cohort this sweep,
+    /// and whether it needs a verdict.
+    counted: Vec<bool>,
+    need: Vec<bool>,
+    /// Scratch: the VPs that need a verdict this sweep, in index order
+    /// (the quiet stayers of a moved cohort last); only the first
+    /// entries, as many as the tally pass selects, are live.
+    cand: Vec<u32>,
+    /// Scratch: the trusted VPs known on both sides that flipped this
+    /// sweep, in index order.
+    movers: Vec<u32>,
     /// `suspicion_threshold * window`, precomputed: the strike test
     /// compares the windowed disagreement *count* against this once per
     /// VP per sweep, avoiding a division on the hot path.
@@ -242,7 +325,7 @@ pub struct TrustModel {
     /// re-scan the exclusion flags.
     excluded_now: usize,
     /// The value each pending catch-up flip is owed *to* (the modal
-    /// destination of the VP's group when it failed to move). Only a
+    /// destination of the VP's cohort when it failed to move). Only a
     /// late flip to this value is an echo; a corroborated flip anywhere
     /// else is a genuine new transition.
     pending_to: Vec<Option<u16>>,
@@ -250,11 +333,6 @@ pub struct TrustModel {
     /// none owed).
     pending_until: Vec<usize>,
     sweep: usize,
-    /// True when the previous sweep left every VP trusted, unexcluded,
-    /// with clear disagreement windows, saturated single-value hist
-    /// rings, and no pending catch-up — the precondition for the
-    /// steady-state shortcut in [`observe`](Self::observe).
-    steady: bool,
 }
 
 impl TrustModel {
@@ -266,7 +344,7 @@ impl TrustModel {
     pub fn new(cfg: TrustConfig, base: &Weights, identities: Option<&[u64]>) -> Result<Self> {
         cfg.validate()?;
         let n = base.len();
-        let vote_w = match identities {
+        let vote_w: Vec<f64> = match identities {
             Some(ids) => {
                 if ids.len() != n {
                     return Err(Error::ShapeMismatch {
@@ -285,6 +363,8 @@ impl TrustModel {
         };
         Ok(TrustModel {
             cfg,
+            unit_votes: vote_w.iter().all(|&w| w == 1.0),
+            max_vote: vote_w.iter().copied().fold(0.0, f64::max),
             vote_w,
             prev: None,
             win: vec![0; n],
@@ -292,8 +372,15 @@ impl TrustModel {
             status: vec![Status::Trusted; n],
             clean_streak: vec![0; n],
             excluded: vec![false; n],
-            gidx: vec![u32::MAX; n],
-            groups_scratch: Vec::new(),
+            calm: vec![false; n],
+            quiet: vec![false; n],
+            quiet_count: 0,
+            slot_of: Vec::new(),
+            cohorts: Vec::new(),
+            counted: vec![false; n],
+            need: vec![false; n],
+            cand: vec![0; n],
+            movers: Vec::with_capacity(n),
             excluded_now: 0,
             strike_bar: cfg.suspicion_threshold * cfg.window as f64,
             hist: vec![0; n * cfg.window],
@@ -305,7 +392,6 @@ impl TrustModel {
             pending_to: vec![None; n],
             pending_until: vec![0; n],
             sweep: 0,
-            steady: false,
         })
     }
 
@@ -322,6 +408,14 @@ impl TrustModel {
     /// Feed one observation row. `known` says whether a value is a real
     /// observation (unknown values carry no agreement evidence either
     /// way). Updates per-step exclusions, suspicion, and quarantine.
+    ///
+    /// Two passes. The tally pass visits every VP: it adds each trusted
+    /// VP known on both sides to the cohort of its previous value, and
+    /// selects the VPs whose state can change this step. The verdict pass
+    /// judges only those. Every other VP is calm and unknown on a side of
+    /// the step, or quiet, stayed on its settled value and its cohort did
+    /// not move (see `calm` and `quiet`): its verdict would change
+    /// nothing.
     pub fn observe(&mut self, row: &[u16], known: impl Fn(u16) -> bool) -> Result<()> {
         let n = self.len();
         if row.len() != n {
@@ -343,17 +437,19 @@ impl TrustModel {
         };
         self.sweep += 1;
 
-        if self.steady {
-            // Steady-state shortcut. Every VP is trusted and unexcluded,
-            // its disagreement window is clear (pushing another agreement
-            // is a no-op), its hist ring is uniformly its settled value
-            // `hist_last` (pushing that value again is a no-op), and no
-            // catch-up flip is owed. A known previous value therefore
-            // equals `hist_last`, so if every known cell of this row also
-            // matches `hist_last` no VP flipped, no group vote can
-            // exclude anyone, and not one piece of state changes: the
-            // whole update is this read-only scan. This is the
-            // overwhelmingly common sweep of a healthy campaign.
+        if self.quiet_count == n {
+            // Steady-state shortcut. Every VP is quiet: trusted and
+            // unexcluded, its disagreement window clear (pushing another
+            // agreement is a no-op), its hist ring uniformly its settled
+            // value `hist_last` (pushing that value again is a no-op),
+            // and no catch-up flip owed. If every known cell of this row
+            // matches `hist_last`, not one piece of state changes: the
+            // whole update is this read-only scan, the overwhelmingly
+            // common sweep of a healthy campaign. The scan does not read
+            // the previous row, so a VP whose previous cell was a known
+            // value it never pushed (the cell before that was unknown)
+            // and that returns to `hist_last` now takes no verdict, where
+            // the passes below would charge it a disagreement.
             let unchanged = (0..n).all(|v| !known(row[v]) || row[v] == self.hist_last[v]);
             if unchanged {
                 prev.clear();
@@ -363,98 +459,210 @@ impl TrustModel {
             }
         }
 
-        // Group the trusted, fully-observed VPs by previous value and
-        // accumulate identity-capped moved/total weight per group.
-        // Association lists, not hash maps: the value alphabet is tiny
-        // (a handful of sites or bands), and this runs per VP per sweep
-        // on the hot detection path, where a linear scan over a few
-        // entries is several times cheaper than hashing every key. The
-        // list itself is a reusable scratch so steady-state sweeps
-        // allocate nothing.
-        let mut groups: Vec<(u16, Group)> = std::mem::take(&mut self.groups_scratch);
-        groups.clear();
-        let mut stayed = 0usize;
-        let mut moved_count = 0usize;
+        let (selected, population_rate) = self.tally(&prev, row, &known);
+        let cand = std::mem::take(&mut self.cand);
+        let mut excluded_now = 0usize;
+        for &v in &cand[..selected] {
+            let v = v as usize;
+            self.judge(v, &prev, row, &known, population_rate);
+            excluded_now += usize::from(self.excluded[v]);
+        }
+        self.cand = cand;
+        // A VP left out of the verdict pass is quiet, so unexcluded.
+        self.excluded_now = excluded_now;
+        for g in &self.cohorts {
+            self.slot_of[slot_key(g.code)] = NO_SLOT;
+        }
+        self.cohorts.clear();
+        // Reuse the previous-row buffer instead of allocating per sweep.
+        prev.clear();
+        prev.extend_from_slice(row);
+        self.prev = Some(prev);
+        Ok(())
+    }
+
+    /// The tally pass. Fills the cohorts, the mover list and the first
+    /// entries of `cand` with the VPs that need a verdict; returns how
+    /// many it selected, and the population-wide movement rate.
+    fn tally(&mut self, prev: &[u16], row: &[u16], known: &impl Fn(u16) -> bool) -> (usize, f64) {
+        let n = row.len();
+        let TrustModel {
+            status,
+            calm,
+            quiet,
+            hist_last,
+            vote_w,
+            slot_of,
+            cohorts,
+            need,
+            counted,
+            cand,
+            movers,
+            unit_votes,
+            ..
+        } = self;
+        let (status, calm, quiet) = (&status[..n], &calm[..n], &quiet[..n]);
+        let (hist_last, vote_w) = (&hist_last[..n], &vote_w[..n]);
+        let (prev, row, counted) = (&prev[..n], &row[..n], &mut counted[..n]);
+        // Which VPs count toward their cohort (trusted, known on both
+        // sides), and which need a verdict: branch-free, so the compiler
+        // vectorizes it.
+        let need = &mut need[..n];
         for v in 0..n {
-            if self.status[v] != Status::Trusted || !known(prev[v]) || !known(row[v]) {
-                self.gidx[v] = u32::MAX;
-                continue;
+            let (p, c) = (prev[v], row[v]);
+            let both = known(p) & known(c);
+            counted[v] = both & (status[v] == Status::Trusted);
+            let settled = quiet[v] & (c == p) & (c == hist_last[v]);
+            need[v] = !calm[v] | (both & !settled);
+        }
+        // Every VP visits the cohort of its previous value, counted or
+        // not, so the loop does not branch on the unpredictable unknown
+        // cells. The sums accumulate in VP index order, so they have the
+        // bits of one sum per cohort.
+        let mut tallied = 0usize;
+        for v in 0..n {
+            let s = slot(slot_of, cohorts, prev[v]);
+            let g = &mut cohorts[s];
+            g.members += u32::from(counted[v]);
+            if !*unit_votes {
+                g.total += if counted[v] { vote_w[v] } else { 0.0 };
             }
-            if row[v] != prev[v] {
-                moved_count += 1;
-            } else {
-                stayed += 1;
-            }
-            let gi = match groups.iter().position(|(k, _)| *k == prev[v]) {
-                Some(i) => i,
-                None => {
-                    groups.push((
-                        prev[v],
-                        Group {
-                            total: 0.0,
-                            moved: 0.0,
-                            dest: Vec::new(),
-                            best_dest: None,
-                        },
-                    ));
-                    groups.len() - 1
-                }
-            };
-            self.gidx[v] = gi as u32;
-            let g = &mut groups[gi].1;
-            g.total += self.vote_w[v];
-            if row[v] != prev[v] {
-                g.moved += self.vote_w[v];
-                let w = match g.dest.iter_mut().find(|(k, _)| *k == row[v]) {
-                    Some((_, w)) => {
-                        *w += self.vote_w[v];
-                        *w
-                    }
-                    None => {
-                        g.dest.push((row[v], self.vote_w[v]));
-                        self.vote_w[v]
-                    }
-                };
-                if g.best_dest.is_none_or(|(_, bw)| w > bw) {
-                    g.best_dest = Some((row[v], w));
-                }
+            tallied += usize::from(counted[v]);
+        }
+        // The VPs that need a verdict, in index order, gathered without a
+        // branch per VP.
+        let mut selected = 0;
+        for (v, &flag) in need.iter().enumerate() {
+            cand[selected] = v as u32;
+            selected += usize::from(flag);
+        }
+        // A mover flipped, so it is among them.
+        movers.clear();
+        for &v in &cand[..selected] {
+            let v = v as usize;
+            if counted[v] & (row[v] != prev[v]) {
+                movers.push(v as u32);
+                let g = &mut cohorts[slot_of[slot_key(prev[v])] as usize];
+                g.movers += 1;
+                g.moved += vote_w[v];
             }
         }
-        // Robust population-wide movement rate, for VPs whose group is
+        // Robust population-wide movement rate, for VPs whose cohort is
         // too small to out-vote them (a singleton would otherwise
         // corroborate its own lie). The trimmed mean over per-VP flip
         // indicators discards the tails, so a minority of liars cannot
         // drag the rate across the majority threshold. Indicators are
         // 0/1, so the trimmed mean reduces to counting — no per-step
         // sort (this runs once per sweep on the hot detection path).
-        let population_rate = trimmed_indicator_mean(stayed, moved_count, self.cfg.trim_frac);
+        let moved_count = self.movers.len();
+        let population_rate =
+            trimmed_indicator_mean(tallied - moved_count, moved_count, self.cfg.trim_frac);
 
-        for v in 0..n {
-            let quarantined = self.status[v] == Status::Quarantined;
-            let was_excluded = self.excluded[v];
-            self.excluded[v] = quarantined;
-            if !known(prev[v]) || !known(row[v]) {
-                // Absent either side: no agreement evidence.
-                if !quarantined {
-                    self.push_disagreement(v, false);
+        // A stayer `v` is corroborated when `moved > 0.5 * (total -
+        // vote_w[v])`, or, with no other weight in its cohort, when the
+        // population rate passes 0.5. Both tests only grow easier as
+        // `vote_w[v]` grows, so `max_vote` bounds them per cohort; under
+        // unit vote weights the bound is each stayer's exact test.
+        let mut any_flagged = false;
+        for g in &mut self.cohorts {
+            if self.unit_votes {
+                g.total = f64::from(g.members);
+            }
+            g.flagged = g.members > g.movers
+                && (g.moved > 0.5 * (g.total - self.max_vote)
+                    || (population_rate > 0.5 && self.max_vote >= g.total));
+            any_flagged |= g.flagged;
+        }
+        if any_flagged {
+            // The quiet stayers of a flagged cohort: exactly its
+            // members the flags above did not select.
+            for v in 0..n {
+                let (p, c) = (prev[v], row[v]);
+                if self.quiet[v]
+                    && c == p
+                    && c == self.hist_last[v]
+                    && known(c)
+                    && self.cohorts[self.slot_of[slot_key(p)] as usize].flagged
+                {
+                    self.cand[selected] = v as u32;
+                    selected += 1;
                 }
+            }
+        }
+        (selected, population_rate)
+    }
+
+    /// The heaviest destination among the movers of cohort `s`: their
+    /// tallies grow in VP index order, and a destination takes the lead
+    /// only with a strictly greater tally, so the winner is
+    /// deterministic. Computed once per cohort and sweep.
+    fn best_dest(&mut self, s: usize, prev: &[u16], row: &[u16]) -> Option<u16> {
+        if let Some(best) = self.cohorts[s].best {
+            return best;
+        }
+        let code = self.cohorts[s].code;
+        let mut best: Option<(u16, f64)> = None;
+        for i in 0..self.movers.len() {
+            let m = self.movers[i] as usize;
+            if prev[m] != code {
                 continue;
             }
+            let d = slot(&mut self.slot_of, &mut self.cohorts, row[m]);
+            self.cohorts[d].dest_w += self.vote_w[m];
+            let w = self.cohorts[d].dest_w;
+            if best.is_none_or(|(_, bw)| w > bw) {
+                best = Some((row[m], w));
+            }
+        }
+        for &m in &self.movers {
+            let m = m as usize;
+            if prev[m] == code {
+                let d = self.slot_of[slot_key(row[m])] as usize;
+                self.cohorts[d].dest_w = 0.0;
+            }
+        }
+        let best = best.map(|(t, _)| t);
+        self.cohorts[s].best = Some(best);
+        best
+    }
+
+    /// One VP's verdict for the current step.
+    fn judge(
+        &mut self,
+        v: usize,
+        prev: &[u16],
+        row: &[u16],
+        known: &impl Fn(u16) -> bool,
+        population_rate: f64,
+    ) {
+        let quarantined = self.status[v] == Status::Quarantined;
+        let was_excluded = self.excluded[v];
+        self.excluded[v] = quarantined;
+        if !known(prev[v]) || !known(row[v]) {
+            // Absent either side: no agreement evidence.
+            if !quarantined {
+                self.push_disagreement(v, false);
+            }
+        } else {
             let flipped = row[v] != prev[v];
+            let cohort = match self.slot_of.get(slot_key(prev[v])) {
+                Some(&s) if s != NO_SLOT => Some(s as usize),
+                _ => None,
+            };
             // Corroboration excludes the VP's own vote and demands a
             // strict majority of the *rest* of its previous catchment:
             // an exact split never corroborates either side.
             let corroborated = if quarantined {
-                // Quarantined VPs are not in the group stats; judge them
-                // against the trusted group as-is.
-                match groups.iter().find(|(k, _)| *k == prev[v]).map(|(_, g)| g) {
+                // Quarantined VPs are not in the cohort tallies; judge
+                // them against the trusted cohort as-is.
+                match cohort.map(|s| &self.cohorts[s]) {
                     Some(g) if g.total > 0.0 => g.moved > 0.5 * g.total,
                     _ => population_rate > 0.5,
                 }
             } else {
-                // Trusted with both sides known: the grouping pass above
-                // indexed this VP, so its group is a direct lookup.
-                let g = &groups[self.gidx[v] as usize].1;
+                // Trusted with both sides known: the tally pass counted
+                // this VP into its cohort.
+                let g = &self.cohorts[cohort.expect("a tallied VP has a cohort")];
                 let others_total = g.total - self.vote_w[v];
                 let others_moved = if flipped {
                     g.moved - self.vote_w[v]
@@ -491,18 +699,15 @@ impl TrustModel {
                 }
                 // The catchment moved and this VP claims it did not:
                 // stale or constant. It now owes a catch-up flip to
-                // wherever its group went.
+                // wherever its cohort went.
                 (false, true) => {
                     self.excluded[v] = true;
                     self.pending_until[v] = self.sweep + self.cfg.window;
-                    self.pending_to[v] = groups
-                        .iter()
-                        .find(|(k, _)| *k == prev[v])
-                        .and_then(|(_, g)| g.best_dest.map(|(t, _)| t));
+                    self.pending_to[v] = cohort.and_then(|s| self.best_dest(s, prev, row));
                     true
                 }
                 // A flip while a catch-up is owed. Landing on the value
-                // the group moved to is the owed flip arriving late — an
+                // the cohort moved to is the owed flip arriving late — an
                 // echo of a transition already detected, not a new
                 // event. A corroborated flip anywhere *else* is a
                 // genuine transition (e.g. a recovery the VP observes on
@@ -539,30 +744,18 @@ impl TrustModel {
             } else {
                 self.push_disagreement(v, disagree);
             }
-            if !self.excluded[v] && known(row[v]) {
+            if !self.excluded[v] {
                 self.push_hist(v, row[v]);
             }
         }
-        let w = self.cfg.window;
-        let mut excluded_now = 0usize;
-        let mut steady = true;
-        for v in 0..n {
-            excluded_now += usize::from(self.excluded[v]);
-            steady = steady
-                && self.status[v] == Status::Trusted
-                && !self.excluded[v]
-                && self.pending_until[v] <= self.sweep
-                && self.win[v] == 0
-                && self.hist_run[v] as usize >= w;
-        }
-        self.excluded_now = excluded_now;
-        self.steady = steady;
-        // Reuse the previous-row buffer instead of allocating per sweep.
-        prev.clear();
-        prev.extend_from_slice(row);
-        self.prev = Some(prev);
-        self.groups_scratch = groups;
-        Ok(())
+        let calm = self.status[v] == Status::Trusted
+            && !self.excluded[v]
+            && self.pending_until[v] <= self.sweep
+            && self.win[v] == 0;
+        let quiet = calm && self.hist_run[v] as usize >= self.cfg.window;
+        self.quiet_count = self.quiet_count + usize::from(quiet) - usize::from(self.quiet[v]);
+        self.calm[v] = calm;
+        self.quiet[v] = quiet;
     }
 
     /// Whether VP `v`'s recurrence ring holds `val`.
@@ -659,11 +852,38 @@ impl TrustModel {
         self.fabricated
     }
 
-    /// Φ weights for the current step: `base` with excluded VPs zeroed.
-    pub fn step_weights(&self, base: &Weights) -> Vec<f64> {
-        (0..self.len().min(base.len()))
-            .map(|v| if self.excluded[v] { 0.0 } else { base.get(v) })
-            .collect()
+    /// The current step priced under its verdicts: Φ between the
+    /// previous row `a` and this row `b` with every excluded VP weighted
+    /// zero, and the fraction of total base weight the step kept.
+    ///
+    /// Φ is `None` when the step kept no weight. With no VP excluded it is
+    /// [`phi`] under `base`. Otherwise unit base weights count the kept
+    /// matches and other weights sum them in network order, so Φ has the
+    /// bits of [`phi`] under `base` with the excluded weights set to zero.
+    pub fn step_phi(
+        &self,
+        a: &RoutingVector,
+        b: &RoutingVector,
+        base: &Weights,
+        policy: UnknownPolicy,
+    ) -> (Option<f64>, f64) {
+        if self.excluded_now == 0 {
+            return (Some(phi(a, b, base, policy)), 1.0);
+        }
+        let kept = if base.is_unit() {
+            (self.len() - self.excluded_now) as f64
+        } else {
+            let kept_w = base.values().iter().zip(&self.excluded);
+            kept_w
+                .filter(|(_, &e)| !e)
+                .fold(0.0, |sum, (&w, _)| sum + w)
+        };
+        let trusted = kept / base.total();
+        if kept == 0.0 {
+            return (None, trusted);
+        }
+        let p = phi_excluding(a, b, base, &self.excluded, kept, policy);
+        (Some(p), trusted)
     }
 
     /// Fraction of total base weight not currently quarantined.
@@ -730,7 +950,7 @@ pub struct TrustedDetection {
 /// Run trust-weighted change detection over a catchment-code series.
 ///
 /// Per step, VPs excluded by the [`TrustModel`] get weight zero in that
-/// step's Φ; the resulting step series feeds
+/// step's Φ ([`TrustModel::step_phi`]); the resulting step series feeds
 /// [`ChangeDetector::detect_from_steps`]. Detections then go through
 /// the gate of [`ChangeDetector::detect_gated`], which checks
 /// measurement coverage (floor `coverage_floor`) first and the trusted
@@ -777,31 +997,14 @@ pub fn detect_trusted(
                     excluded_fraction: fabricated,
                 });
             }
-            let distrusted = model.step_excluded_count();
-            step_health.distrusted = distrusted;
-            let (p, trusted) = if distrusted == 0 {
-                // Nobody excluded — the overwhelmingly common step on a
-                // healthy substrate: Φ under the base weights, no
-                // per-step weight vector to build and re-validate.
-                (
-                    phi(series.get(i - 1), series.get(i), base, detector.policy),
-                    1.0,
-                )
-            } else {
-                let step_w = model.step_weights(base);
-                let trusted = step_w.iter().sum::<f64>() / base.total();
-                let p = match Weights::from_values(step_w) {
-                    Ok(w) => phi(series.get(i - 1), series.get(i), &w, detector.policy),
-                    // Nobody trustworthy observed the step: no similarity
-                    // evidence at all. Record a full drop so the step
-                    // surfaces as a detection — which the trust gate then
-                    // suppresses explicitly instead of silently skipping.
-                    Err(Error::ZeroWeight) => 0.0,
-                    Err(e) => return Err(e),
-                };
-                (p, trusted)
-            };
-            steps.push(p);
+            step_health.distrusted = model.step_excluded_count();
+            let (p, trusted) =
+                model.step_phi(series.get(i - 1), series.get(i), base, detector.policy);
+            // With no trusted weight left, nobody trustworthy observed
+            // the step: no similarity evidence at all. Record a full drop
+            // so the step surfaces as a detection — which the trust gate
+            // then suppresses explicitly instead of silently skipping.
+            steps.push(p.unwrap_or(0.0));
             step_trusted.push(trusted);
         }
         let trusted_fraction = model.trusted_fraction(base);
@@ -853,7 +1056,7 @@ mod tests {
     use super::*;
     use crate::ids::SiteTable;
     use crate::time::Timestamp;
-    use crate::vector::RoutingVector;
+    use crate::vector::CODE_OTHER;
 
     fn ts(d: i64) -> Timestamp {
         Timestamp::from_days(d)
@@ -1204,16 +1407,28 @@ mod tests {
     }
 
     #[test]
-    fn step_weights_zero_the_right_vps() {
-        let rows = vec![vec![0u16; 4], vec![2, 0, 0, 0]];
-        let base = Weights::uniform(4);
-        let mut m: TrustModel = TrustModel::new(TrustConfig::default(), &base, None).unwrap();
-        for row in &rows {
-            m.observe(row, |c| c != CODE_UNKNOWN).unwrap();
+    fn step_phi_weighs_the_excluded_vps_zero() {
+        let rows = vec![vec![0u16, 0, 0, 1], vec![2, 0, 0, 0]];
+        let series = series_from(&rows);
+        let (a, b) = (series.get(0), series.get(1));
+        for base in [
+            Weights::uniform(4),
+            Weights::from_values(vec![1.0, 2.0, 3.0, 4.0]).unwrap(),
+        ] {
+            let mut m: TrustModel = TrustModel::new(TrustConfig::default(), &base, None).unwrap();
+            for row in &rows {
+                m.observe(row, |c| c != CODE_UNKNOWN).unwrap();
+            }
+            // VPs 0 and 3 flipped alone: both are out of the step.
+            assert_eq!(m.step_excluded(), &[true, false, false, true]);
+            let kept = base.get(1) + base.get(2);
+            let (p, trusted) = m.step_phi(a, b, &base, UnknownPolicy::Pessimistic);
+            assert_eq!(p, Some(1.0));
+            assert_eq!(trusted, kept / base.total());
+            // Excluded for one step, not quarantined: all weight stays
+            // trusted.
+            assert_eq!(m.trusted_fraction(&base), 1.0);
         }
-        assert_eq!(m.step_weights(&base), vec![0.0, 1.0, 1.0, 1.0]);
-        // Excluded for one step, not quarantined: all weight stays trusted.
-        assert!((m.trusted_fraction(&base) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1370,6 +1585,530 @@ mod tests {
             "{:?}",
             trusted.gated.events
         );
+    }
+
+    /// The oracle of `trust_model_matches_the_reference`: a plain model
+    /// that judges every VP on every sweep.
+    mod reference {
+        use super::super::*;
+
+        /// Per-sweep movement tally of one previous-value group.
+        #[derive(Debug, Clone)]
+        struct Group {
+            total: f64,
+            moved: f64,
+            // Destination tallies of the group's movers, and the running
+            // heaviest one. Updated in VP index order with a strictly-greater
+            // test, so the winner is deterministic.
+            dest: Vec<(u16, f64)>,
+            best_dest: Option<(u16, f64)>,
+        }
+
+        /// Every VP judged on every sweep, cohorts kept as association
+        /// lists.
+        #[derive(Debug, Clone)]
+        pub(super) struct RefModel {
+            cfg: TrustConfig,
+            /// Identity-capped voting weights (never used for Φ).
+            vote_w: Vec<f64>,
+            prev: Option<Vec<u16>>,
+            /// Each VP's last `window` verdicts, one bit each (1 = disagreed),
+            /// newest in bit 0; bits at and above `window` are always clear.
+            win: Vec<u64>,
+            strikes: Vec<usize>,
+            status: Vec<Status>,
+            clean_streak: Vec<usize>,
+            /// Whether each VP is excluded from the *current* step's Φ.
+            excluded: Vec<bool>,
+            /// Scratch: each VP's group index in the current sweep's grouping
+            /// pass (`u32::MAX` = not grouped), so the per-VP verdict loop never
+            /// re-scans the group list.
+            gidx: Vec<u32>,
+            /// Scratch: the per-sweep group tallies, retained so steady-state
+            /// sweeps reuse its allocation.
+            groups_scratch: Vec<(u16, Group)>,
+            /// `suspicion_threshold * window`, precomputed: the strike test
+            /// compares the windowed disagreement *count* against this once per
+            /// VP per sweep, avoiding a division on the hot path.
+            strike_bar: f64,
+            /// Recent values each VP reported while trusted, for the recurrence
+            /// rule: one flat `n × window` block of rings — contiguous, so the
+            /// per-VP sweep loop streams instead of chasing one heap pointer per
+            /// VP (slots past `hist_len` are stale and never read).
+            hist: Vec<u16>,
+            hist_len: Vec<u32>,
+            hist_pos: Vec<u32>,
+            /// The value of each VP's most recent hist push, and how many
+            /// consecutive pushes held it: once a ring is uniformly one value,
+            /// pushing that value again is a no-op, which is every VP on every
+            /// stable sweep.
+            hist_last: Vec<u16>,
+            hist_run: Vec<u32>,
+            /// How many trusted VPs the current step excluded for uncorroborated
+            /// flips — the contested-step signal.
+            fabricated: usize,
+            /// How many VPs the current step excluded in total (quarantined or
+            /// step-disagreeing) — maintained so per-step callers need not
+            /// re-scan the exclusion flags.
+            excluded_now: usize,
+            /// The value each pending catch-up flip is owed *to* (the modal
+            /// destination of the VP's group when it failed to move). Only a
+            /// late flip to this value is an echo; a corroborated flip anywhere
+            /// else is a genuine new transition.
+            pending_to: Vec<Option<u16>>,
+            /// Sweep index until which an owed catch-up flip is tracked (0 =
+            /// none owed).
+            pending_until: Vec<usize>,
+            sweep: usize,
+            /// True when the previous sweep left every VP trusted, unexcluded,
+            /// with clear disagreement windows, saturated single-value hist
+            /// rings, and no pending catch-up — the precondition for the
+            /// steady-state shortcut in [`observe`](Self::observe).
+            steady: bool,
+        }
+
+        impl RefModel {
+            /// Build a model for the population described by `base` weights.
+            ///
+            /// `identities`, when given (one per VP), caps each identity's total
+            /// *voting* weight at its base share: the voting weight of VP `v`
+            /// becomes `base[v] / multiplicity(identity[v])`.
+            pub(super) fn new(
+                cfg: TrustConfig,
+                base: &Weights,
+                identities: Option<&[u64]>,
+            ) -> Result<Self> {
+                cfg.validate()?;
+                let n = base.len();
+                let vote_w = match identities {
+                    Some(ids) => {
+                        if ids.len() != n {
+                            return Err(Error::ShapeMismatch {
+                                what: "identities",
+                                expected: n,
+                                actual: ids.len(),
+                            });
+                        }
+                        let mut mult: HashMap<u64, f64> = HashMap::new();
+                        for &id in ids {
+                            *mult.entry(id).or_insert(0.0) += 1.0;
+                        }
+                        (0..n).map(|v| base.get(v) / mult[&ids[v]]).collect()
+                    }
+                    None => base.values().to_vec(),
+                };
+                Ok(RefModel {
+                    cfg,
+                    vote_w,
+                    prev: None,
+                    win: vec![0; n],
+                    strikes: vec![0; n],
+                    status: vec![Status::Trusted; n],
+                    clean_streak: vec![0; n],
+                    excluded: vec![false; n],
+                    gidx: vec![u32::MAX; n],
+                    groups_scratch: Vec::new(),
+                    excluded_now: 0,
+                    strike_bar: cfg.suspicion_threshold * cfg.window as f64,
+                    hist: vec![0; n * cfg.window],
+                    hist_len: vec![0; n],
+                    hist_pos: vec![0; n],
+                    hist_last: vec![0; n],
+                    hist_run: vec![0; n],
+                    fabricated: 0,
+                    pending_to: vec![None; n],
+                    pending_until: vec![0; n],
+                    sweep: 0,
+                    steady: false,
+                })
+            }
+
+            /// Number of vantage points.
+            fn len(&self) -> usize {
+                self.vote_w.len()
+            }
+
+            /// Feed one observation row. `known` says whether a value is a real
+            /// observation (unknown values carry no agreement evidence either
+            /// way). Updates per-step exclusions, suspicion, and quarantine.
+            pub(super) fn observe(
+                &mut self,
+                row: &[u16],
+                known: impl Fn(u16) -> bool,
+            ) -> Result<()> {
+                let n = self.len();
+                if row.len() != n {
+                    return Err(Error::ShapeMismatch {
+                        what: "observation row",
+                        expected: n,
+                        actual: row.len(),
+                    });
+                }
+                self.fabricated = 0;
+                let Some(mut prev) = self.prev.take() else {
+                    for (v, &c) in row.iter().enumerate() {
+                        if known(c) {
+                            self.push_hist(v, c);
+                        }
+                    }
+                    self.prev = Some(row.to_vec());
+                    return Ok(());
+                };
+                self.sweep += 1;
+
+                if self.steady {
+                    // Steady-state shortcut. Every VP is trusted and unexcluded,
+                    // its disagreement window is clear (pushing another agreement
+                    // is a no-op), its hist ring is uniformly its settled value
+                    // `hist_last` (pushing that value again is a no-op), and no
+                    // catch-up flip is owed. A known previous value therefore
+                    // equals `hist_last`, so if every known cell of this row also
+                    // matches `hist_last` no VP flipped, no group vote can
+                    // exclude anyone, and not one piece of state changes: the
+                    // whole update is this read-only scan. This is the
+                    // overwhelmingly common sweep of a healthy campaign.
+                    let unchanged = (0..n).all(|v| !known(row[v]) || row[v] == self.hist_last[v]);
+                    if unchanged {
+                        prev.clear();
+                        prev.extend_from_slice(row);
+                        self.prev = Some(prev);
+                        return Ok(());
+                    }
+                }
+
+                // Group the trusted, fully-observed VPs by previous value and
+                // accumulate identity-capped moved/total weight per group.
+                // Association lists, not hash maps: the value alphabet is tiny
+                // (a handful of sites or bands), and this runs per VP per sweep
+                // on the hot detection path, where a linear scan over a few
+                // entries is several times cheaper than hashing every key. The
+                // list itself is a reusable scratch so steady-state sweeps
+                // allocate nothing.
+                let mut groups: Vec<(u16, Group)> = std::mem::take(&mut self.groups_scratch);
+                groups.clear();
+                let mut stayed = 0usize;
+                let mut moved_count = 0usize;
+                for v in 0..n {
+                    if self.status[v] != Status::Trusted || !known(prev[v]) || !known(row[v]) {
+                        self.gidx[v] = u32::MAX;
+                        continue;
+                    }
+                    if row[v] != prev[v] {
+                        moved_count += 1;
+                    } else {
+                        stayed += 1;
+                    }
+                    let gi = match groups.iter().position(|(k, _)| *k == prev[v]) {
+                        Some(i) => i,
+                        None => {
+                            groups.push((
+                                prev[v],
+                                Group {
+                                    total: 0.0,
+                                    moved: 0.0,
+                                    dest: Vec::new(),
+                                    best_dest: None,
+                                },
+                            ));
+                            groups.len() - 1
+                        }
+                    };
+                    self.gidx[v] = gi as u32;
+                    let g = &mut groups[gi].1;
+                    g.total += self.vote_w[v];
+                    if row[v] != prev[v] {
+                        g.moved += self.vote_w[v];
+                        let w = match g.dest.iter_mut().find(|(k, _)| *k == row[v]) {
+                            Some((_, w)) => {
+                                *w += self.vote_w[v];
+                                *w
+                            }
+                            None => {
+                                g.dest.push((row[v], self.vote_w[v]));
+                                self.vote_w[v]
+                            }
+                        };
+                        if g.best_dest.is_none_or(|(_, bw)| w > bw) {
+                            g.best_dest = Some((row[v], w));
+                        }
+                    }
+                }
+                // Robust population-wide movement rate, for VPs whose group is
+                // too small to out-vote them (a singleton would otherwise
+                // corroborate its own lie). The trimmed mean over per-VP flip
+                // indicators discards the tails, so a minority of liars cannot
+                // drag the rate across the majority threshold. Indicators are
+                // 0/1, so the trimmed mean reduces to counting — no per-step
+                // sort (this runs once per sweep on the hot detection path).
+                let population_rate =
+                    trimmed_indicator_mean(stayed, moved_count, self.cfg.trim_frac);
+
+                for v in 0..n {
+                    let quarantined = self.status[v] == Status::Quarantined;
+                    let was_excluded = self.excluded[v];
+                    self.excluded[v] = quarantined;
+                    if !known(prev[v]) || !known(row[v]) {
+                        // Absent either side: no agreement evidence.
+                        if !quarantined {
+                            self.push_disagreement(v, false);
+                        }
+                        continue;
+                    }
+                    let flipped = row[v] != prev[v];
+                    // Corroboration excludes the VP's own vote and demands a
+                    // strict majority of the *rest* of its previous catchment:
+                    // an exact split never corroborates either side.
+                    let corroborated = if quarantined {
+                        // Quarantined VPs are not in the group stats; judge them
+                        // against the trusted group as-is.
+                        match groups.iter().find(|(k, _)| *k == prev[v]).map(|(_, g)| g) {
+                            Some(g) if g.total > 0.0 => g.moved > 0.5 * g.total,
+                            _ => population_rate > 0.5,
+                        }
+                    } else {
+                        // Trusted with both sides known: the grouping pass above
+                        // indexed this VP, so its group is a direct lookup.
+                        let g = &groups[self.gidx[v] as usize].1;
+                        let others_total = g.total - self.vote_w[v];
+                        let others_moved = if flipped {
+                            g.moved - self.vote_w[v]
+                        } else {
+                            g.moved
+                        };
+                        if others_total > 0.0 {
+                            others_moved > 0.5 * others_total
+                        } else {
+                            population_rate > 0.5
+                        }
+                    };
+                    let pending = self.pending_until[v] > self.sweep;
+                    let disagree = match (flipped, corroborated) {
+                        // A flip nobody else in the catchment saw. If it returns
+                        // the VP to a catchment it recently reported while
+                        // trusted, it is a recurrence (a minority recovering its
+                        // old mode — e.g. a restored site's former clients
+                        // flowing back against a vote-stuffed group) and stays
+                        // in Φ, though it still costs a disagreement. Otherwise:
+                        // fabricated, excluded. The previous step must have been
+                        // trusted, so a lie-then-"return" ping-pong never earns
+                        // the recurrence discount.
+                        (true, false) => {
+                            if !quarantined && !was_excluded && self.hist_contains(v, row[v]) {
+                                self.pending_until[v] = 0;
+                            } else {
+                                self.excluded[v] = true;
+                                if !quarantined {
+                                    self.fabricated += 1;
+                                }
+                            }
+                            true
+                        }
+                        // The catchment moved and this VP claims it did not:
+                        // stale or constant. It now owes a catch-up flip to
+                        // wherever its group went.
+                        (false, true) => {
+                            self.excluded[v] = true;
+                            self.pending_until[v] = self.sweep + self.cfg.window;
+                            self.pending_to[v] = groups
+                                .iter()
+                                .find(|(k, _)| *k == prev[v])
+                                .and_then(|(_, g)| g.best_dest.map(|(t, _)| t));
+                            true
+                        }
+                        // A flip while a catch-up is owed. Landing on the value
+                        // the group moved to is the owed flip arriving late — an
+                        // echo of a transition already detected, not a new
+                        // event. A corroborated flip anywhere *else* is a
+                        // genuine transition (e.g. a recovery the VP observes on
+                        // time) and clears the debt.
+                        (true, true) if pending => {
+                            if self.pending_to[v] == Some(row[v]) {
+                                self.excluded[v] = true;
+                                self.pending_until[v] = 0;
+                                true
+                            } else {
+                                self.pending_until[v] = 0;
+                                false
+                            }
+                        }
+                        _ => false,
+                    };
+                    if quarantined {
+                        // Probation: consistent behaviour earns re-admission.
+                        if !disagree {
+                            self.clean_streak[v] += 1;
+                            if self.clean_streak[v] >= self.cfg.probation {
+                                self.status[v] = Status::Trusted;
+                                self.strikes[v] = 0;
+                                self.win[v] = 0;
+                                self.hist_len[v] = 0;
+                                self.hist_pos[v] = 0;
+                                self.hist_run[v] = 0;
+                                self.pending_until[v] = 0;
+                                self.clean_streak[v] = 0;
+                            }
+                        } else {
+                            self.clean_streak[v] = 0;
+                        }
+                    } else {
+                        self.push_disagreement(v, disagree);
+                    }
+                    if !self.excluded[v] && known(row[v]) {
+                        self.push_hist(v, row[v]);
+                    }
+                }
+                let w = self.cfg.window;
+                let mut excluded_now = 0usize;
+                let mut steady = true;
+                for v in 0..n {
+                    excluded_now += usize::from(self.excluded[v]);
+                    steady = steady
+                        && self.status[v] == Status::Trusted
+                        && !self.excluded[v]
+                        && self.pending_until[v] <= self.sweep
+                        && self.win[v] == 0
+                        && self.hist_run[v] as usize >= w;
+                }
+                self.excluded_now = excluded_now;
+                self.steady = steady;
+                // Reuse the previous-row buffer instead of allocating per sweep.
+                prev.clear();
+                prev.extend_from_slice(row);
+                self.prev = Some(prev);
+                self.groups_scratch = groups;
+                Ok(())
+            }
+
+            /// Whether VP `v`'s recurrence ring holds `val`.
+            fn hist_contains(&self, v: usize, val: u16) -> bool {
+                let base = v * self.cfg.window;
+                self.hist[base..base + self.hist_len[v] as usize].contains(&val)
+            }
+
+            /// Record a trusted value in VP `v`'s recurrence ring (overwriting
+            /// the oldest once `cfg.window` entries are held).
+            fn push_hist(&mut self, v: usize, val: u16) {
+                let w = self.cfg.window;
+                if self.hist_run[v] as usize >= w && val == self.hist_last[v] {
+                    // The ring is already uniformly `val`: another push moves
+                    // the cursor around identical slots — a no-op. This is every
+                    // VP on every stable sweep.
+                    return;
+                }
+                let pos = self.hist_pos[v] as usize;
+                self.hist[v * w + pos] = val;
+                self.hist_pos[v] = ((pos + 1) % w) as u32;
+                if (self.hist_len[v] as usize) < w {
+                    self.hist_len[v] += 1;
+                }
+                if val == self.hist_last[v] {
+                    self.hist_run[v] += 1;
+                } else {
+                    self.hist_last[v] = val;
+                    self.hist_run[v] = 1;
+                }
+            }
+
+            fn push_disagreement(&mut self, v: usize, disagreed: bool) {
+                if !disagreed && self.win[v] == 0 {
+                    // A clear window absorbing another agreement: nothing can
+                    // change — not the bits, not the strike state (a zero count
+                    // is below the bar, so strikes would reset, and a clear
+                    // window implies they already are). The steady-state VP costs
+                    // one load here and no stores.
+                    return;
+                }
+                let mask = u64::MAX >> (64 - self.cfg.window);
+                self.win[v] = ((self.win[v] << 1) | u64::from(disagreed)) & mask;
+                if f64::from(self.win[v].count_ones()) >= self.strike_bar {
+                    self.strikes[v] += 1;
+                    if self.strikes[v] >= self.cfg.quarantine_strikes {
+                        self.status[v] = Status::Quarantined;
+                        self.excluded[v] = true;
+                        self.clean_streak[v] = 0;
+                        self.pending_until[v] = 0;
+                    }
+                } else {
+                    self.strikes[v] = 0;
+                }
+            }
+
+            /// Windowed disagreement rate of VP `v`, normalised by window
+            /// *capacity* so early observations cannot dominate.
+            pub(super) fn suspicion(&self, v: usize) -> f64 {
+                f64::from(self.win[v].count_ones()) / self.cfg.window as f64
+            }
+
+            /// Whether VP `v` is currently quarantined.
+            pub(super) fn is_quarantined(&self, v: usize) -> bool {
+                self.status[v] == Status::Quarantined
+            }
+
+            /// Number of currently-quarantined VPs.
+            pub(super) fn quarantined_count(&self) -> usize {
+                self.status
+                    .iter()
+                    .filter(|&&s| s == Status::Quarantined)
+                    .count()
+            }
+
+            /// Which VPs are excluded from the current step's Φ (quarantined or
+            /// step-disagreeing).
+            pub(super) fn step_excluded(&self) -> &[bool] {
+                &self.excluded
+            }
+
+            /// How many VPs the current step excluded — `step_excluded` counted,
+            /// without the scan.
+            pub(super) fn step_excluded_count(&self) -> usize {
+                self.excluded_now
+            }
+
+            /// How many trusted VPs the current step excluded for uncorroborated
+            /// flips. A large value means the group vote rejected a mass
+            /// movement — on a healthy population that never happens, so it is
+            /// evidence the vote itself was captured (see
+            /// [`TrustConfig::contested_frac`]).
+            pub(super) fn step_fabricated(&self) -> usize {
+                self.fabricated
+            }
+
+            /// The step priced plainly: `base` with the excluded VPs zeroed,
+            /// validated into weights, and Φ under them (`None` when no weight
+            /// is left), with the fraction of base weight kept.
+            pub(super) fn step_price(
+                &self,
+                a: &RoutingVector,
+                b: &RoutingVector,
+                base: &Weights,
+                policy: UnknownPolicy,
+            ) -> (Option<f64>, f64) {
+                if self.excluded_now == 0 {
+                    return (Some(phi(a, b, base, policy)), 1.0);
+                }
+                let step_w: Vec<f64> = (0..self.len().min(base.len()))
+                    .map(|v| if self.excluded[v] { 0.0 } else { base.get(v) })
+                    .collect();
+                let trusted = step_w.iter().sum::<f64>() / base.total();
+                match Weights::from_values(step_w) {
+                    Ok(w) => (Some(phi(a, b, &w, policy)), trusted),
+                    Err(Error::ZeroWeight) => (None, trusted),
+                    Err(e) => panic!("step weights: {e}"),
+                }
+            }
+
+            /// Fraction of total base weight not currently quarantined.
+            pub(super) fn trusted_fraction(&self, base: &Weights) -> f64 {
+                if base.total() == 0.0 {
+                    return 0.0;
+                }
+                (0..self.len().min(base.len()))
+                    .filter(|&v| !self.is_quarantined(v))
+                    .map(|v| base.get(v))
+                    .sum::<f64>()
+                    / base.total()
+            }
+        }
     }
 
     /// SplitMix64: the seeded draws of [`adversarial_rows`].
@@ -1556,5 +2295,154 @@ mod tests {
             (0xc9ce_13e6_c89d_1725, 0xf112_5d6c_28ae_5984),
         ];
         assert_eq!(got, expected, "got {got:#x?}");
+    }
+
+    /// Rows for the differential test: `n` VPs over the site values
+    /// `0..values`. Each VP has a home value. Now and then most VPs move
+    /// to one value (a mass move, which lifts the population rate over
+    /// 0.5), one cohort moves, or two cohorts scatter over two values.
+    /// One VP in six reports its home a sweep late. The run comes in
+    /// phases of 70 sweeps, each with its own noise: none (so the model
+    /// settles and the steady-state shortcut runs), a few flaps and
+    /// unknown, err or other cells, or liars at work (at random,
+    /// constantly, stale).
+    fn differential_rows(rng: &mut Draws, n: usize, values: u64, steps: usize) -> Vec<Vec<u16>> {
+        let site = |rng: &mut Draws| rng.below(values) as u16;
+        let mut home: Vec<u16> = (0..n).map(|_| site(rng)).collect();
+        let mut last = home.clone();
+        let liar: Vec<u64> = (0..n).map(|_| rng.below(6)).collect();
+        let mut rows: Vec<Vec<u16>> = Vec::with_capacity(steps);
+        let mut noise = 0;
+        for step in 0..steps {
+            if step % 70 == 0 {
+                noise = rng.below(3);
+            }
+            let before = home.clone();
+            match rng.below(25) {
+                0 => {
+                    let to = site(rng);
+                    for h in home.iter_mut() {
+                        if rng.below(6) != 0 {
+                            *h = to;
+                        }
+                    }
+                }
+                1 => {
+                    let (from, to) = (site(rng), site(rng));
+                    for h in home.iter_mut().filter(|h| **h == from) {
+                        *h = to;
+                    }
+                }
+                2 => {
+                    let from = [site(rng), site(rng)];
+                    let to = [site(rng), site(rng)];
+                    for h in home.iter_mut().filter(|h| from.contains(h)) {
+                        match rng.below(6) {
+                            0..=2 => *h = to[0],
+                            3 | 4 => *h = to[1],
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            }
+            let mut row = home.clone();
+            for (v, cell) in row.iter_mut().enumerate() {
+                if liar[v] == 3 {
+                    *cell = last[v];
+                }
+                if noise == 2 {
+                    match liar[v] {
+                        0 if rng.below(2) == 0 => *cell = site(rng),
+                        1 => *cell = 0,
+                        2 => *cell = rows.get(step.saturating_sub(3)).map_or(*cell, |r| r[v]),
+                        _ => {}
+                    }
+                }
+                let odds = [400, 30, 30][noise as usize];
+                match rng.below(odds) {
+                    0 => *cell = CODE_UNKNOWN,
+                    1 => *cell = CODE_ERR,
+                    2 => *cell = CODE_OTHER,
+                    3 => *cell = site(rng),
+                    _ => {}
+                }
+            }
+            rows.push(row);
+            last = before;
+        }
+        rows
+    }
+
+    #[test]
+    fn trust_model_matches_the_reference() {
+        // The tally and verdict passes must leave every piece of
+        // observable state, and the step's Φ, bit-identical to the model
+        // that judges every VP on every sweep.
+        let mut rng = Draws(0x7275_7374);
+        let mut steady_sweeps = 0;
+        for case in 0..48u64 {
+            let window = [1, 8, 64][case as usize % 3];
+            let unit = case % 2 == 0;
+            let sybils = (case / 2) % 2 == 1;
+            let n = 1 + rng.below(40) as usize;
+            let values = 2 + rng.below(5);
+            let cfg = TrustConfig {
+                window,
+                trim_frac: [0.0, 0.25, 0.4][rng.below(3) as usize],
+                suspicion_threshold: [0.2, 0.3, 0.5][rng.below(3) as usize],
+                quarantine_strikes: 1 + rng.below(3) as usize,
+                probation: 1 + rng.below(4) as usize,
+                ..TrustConfig::default()
+            };
+            let base = if unit {
+                Weights::uniform(n)
+            } else {
+                let w = (0..n).map(|_| [0.0, 0.5, 1.0, 2.0, 3.0][rng.below(5) as usize]);
+                let mut w: Vec<f64> = w.collect();
+                w[0] = 1.5;
+                Weights::from_values(w).unwrap()
+            };
+            // Sybil blocs: a few identities shared by many VPs.
+            let ids: Vec<u64> = (0..n).map(|v| rng.below(1 + v as u64 / 3)).collect();
+            let ids = sybils.then_some(&ids[..]);
+            let err_known = case % 5 == 0;
+            let known = |c: u16| c != CODE_UNKNOWN && (err_known || c != CODE_ERR);
+            let rows = differential_rows(&mut rng, n, values, 300);
+            let series = series_from(&rows);
+            let mut m = TrustModel::new(cfg, &base, ids).unwrap();
+            let mut r = reference::RefModel::new(cfg, &base, ids).unwrap();
+            for (i, row) in rows.iter().enumerate() {
+                m.observe(row, known).unwrap();
+                r.observe(row, known).unwrap();
+                let at = format!("case {case} step {i}");
+                assert_eq!(m.step_excluded(), r.step_excluded(), "{at}");
+                for v in 0..n {
+                    assert_eq!(m.suspicion(v).to_bits(), r.suspicion(v).to_bits(), "{at}");
+                    assert_eq!(m.is_quarantined(v), r.is_quarantined(v), "{at}");
+                }
+                assert_eq!(m.quarantined_count(), r.quarantined_count(), "{at}");
+                assert_eq!(m.step_fabricated(), r.step_fabricated(), "{at}");
+                assert_eq!(m.step_excluded_count(), r.step_excluded_count(), "{at}");
+                let (tm, tr) = (m.trusted_fraction(&base), r.trusted_fraction(&base));
+                assert_eq!(tm.to_bits(), tr.to_bits(), "{at}");
+                if i == 0 {
+                    continue;
+                }
+                steady_sweeps += usize::from(m.quiet_count == n);
+                let (a, b) = (series.get(i - 1), series.get(i));
+                for policy in [UnknownPolicy::Pessimistic, UnknownPolicy::KnownOnly] {
+                    let (pm, km) = m.step_phi(a, b, &base, policy);
+                    let (pr, kr) = r.step_price(a, b, &base, policy);
+                    assert_eq!(
+                        pm.map(f64::to_bits),
+                        pr.map(f64::to_bits),
+                        "{at} {policy:?}"
+                    );
+                    assert_eq!(km.to_bits(), kr.to_bits(), "{at} {policy:?}");
+                }
+            }
+        }
+        assert!(steady_sweeps > 0, "the steady-state shortcut never ran");
     }
 }

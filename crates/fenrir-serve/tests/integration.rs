@@ -335,21 +335,31 @@ fn journal_growth_is_served_after_hot_reload() {
         other => panic!("assign: {other:?}"),
     }
 
-    // Writer appends two more days; the reloader should pick it up.
+    // Writer appends two more days; the reloader should pick them up.
+    // `append_days` writes three frames (day 4, its latency panel, day
+    // 5) while the 50 ms reloader runs, so a reload may publish a prefix
+    // of them first: wait until Health serves all six observations.
     append_days(&mut pipe, 4, 6);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while store.epoch() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(store.epoch(), 1, "hot reload never happened");
-
-    match client.request(&Request::Health).unwrap() {
-        Reply::Health(h) => {
-            assert_eq!(h.observations, 6);
-            assert_eq!(h.epoch, 1);
+    let epoch = loop {
+        match client.request(&Request::Health).unwrap() {
+            Reply::Health(h) if h.observations == 6 => break h.epoch,
+            Reply::Health(h) => assert!(
+                std::time::Instant::now() < deadline,
+                "hot reload never served 6 observations (last {})",
+                h.observations
+            ),
+            other => panic!("health after reload: {other:?}"),
         }
-        other => panic!("health after reload: {other:?}"),
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(epoch >= 1, "the epoch did not advance");
+    // `publish` sets the epoch, then counts the reload: once the count
+    // reaches the served epoch, it has counted every publish.
+    while store.reloads() < epoch && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
+    assert_eq!(store.reloads(), store.epoch());
     match client
         .request(&Request::Assign {
             t: 5 * DAY,
@@ -360,7 +370,6 @@ fn journal_growth_is_served_after_hot_reload() {
         Reply::Assign { time, .. } => assert_eq!(time, 5 * DAY),
         other => panic!("assign after reload: {other:?}"),
     }
-    assert_eq!(store.reloads(), 1);
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);

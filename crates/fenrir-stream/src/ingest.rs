@@ -40,10 +40,13 @@
 //! or the Φ weights — that would fork the stream from its batch twin —
 //! it only (a) stamps the health record's `distrusted` count before the
 //! row is journaled and (b) annotates emitted transitions: `trusted`
-//! is whether the step excluded no vantage point, and `step_phi` is the
-//! step similarity under the step's trust-adjusted weights. On restart
-//! the model is rebuilt by replaying the journaled series, so its
-//! window state is as durable as the observations themselves.
+//! is whether the boundary's own step (from the observation before it
+//! to the one that opened it) excluded no vantage point, and `step_phi`
+//! is that step's similarity under its trust-adjusted weights. Each
+//! step is priced when it is folded, so a transition discovered a fold
+//! or more later still carries its own step's values. On restart the
+//! model and the step prices are rebuilt by replaying the journaled
+//! series, so they are as durable as the observations themselves.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -171,9 +174,35 @@ fn mode_boundaries(labels: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// The trust fold: the model, and every folded step priced under its
+/// own verdicts.
+struct Trust {
+    model: TrustModel,
+    /// `(step_phi, trusted)` of each step: entry `i - 1` prices the step
+    /// from observation `i - 1` to observation `i`.
+    steps: Vec<(f64, bool)>,
+}
+
+impl Trust {
+    /// Price the step the model just observed, from `a` to `b`. A step
+    /// that excluded every vantage point falls back to the base weights:
+    /// zero total weight cannot price a step.
+    fn price(
+        &mut self,
+        a: &RoutingVector,
+        b: &RoutingVector,
+        base: &Weights,
+        policy: UnknownPolicy,
+    ) {
+        let (p, _) = self.model.step_phi(a, b, base, policy);
+        let p = p.unwrap_or_else(|| similarity::phi(a, b, base, policy));
+        self.steps.push((p, self.model.step_excluded_count() == 0));
+    }
+}
+
 /// The fold's bookkeeping beside the pipeline.
 struct Inner {
-    trust: Option<TrustModel>,
+    trust: Option<Trust>,
     /// The previous step's mode boundaries; the diff against the
     /// current step's is exactly the set of transitions to announce.
     boundaries: Vec<usize>,
@@ -264,7 +293,7 @@ impl StreamIngestor {
     fn attach(pipe: RecoverablePipeline, cfg: StreamConfig) -> Result<Self> {
         let base = pipe.config().weights.clone();
         let policy = pipe.config().policy;
-        let trust = Self::replay_trust(&pipe, cfg.trust, &base)?;
+        let trust = Self::replay_trust(&pipe, cfg.trust, &base, policy)?;
         // Recompute the boundary set from the journaled prefix so a
         // restarted ingestor announces only boundaries discovered
         // *after* the restart, never the history again.
@@ -289,19 +318,28 @@ impl StreamIngestor {
         })
     }
 
-    /// Build a trust model whose window state is the fold of the
-    /// journaled series — recovery and crash-repair share this.
+    /// Build a trust fold whose window state and step prices are the
+    /// fold of the journaled series — recovery and crash-repair share
+    /// this.
     fn replay_trust(
         pipe: &RecoverablePipeline,
         cfg: Option<TrustConfig>,
         base: &Weights,
-    ) -> Result<Option<TrustModel>> {
+        policy: UnknownPolicy,
+    ) -> Result<Option<Trust>> {
         let Some(tc) = cfg else { return Ok(None) };
-        let mut tm = TrustModel::new(tc, base, None)?;
-        for i in 0..pipe.series().len() {
-            tm.observe(pipe.series().get(i).codes(), vp_known)?;
+        let series = pipe.series();
+        let mut trust = Trust {
+            model: TrustModel::new(tc, base, None)?,
+            steps: Vec::with_capacity(series.len().saturating_sub(1)),
+        };
+        for i in 0..series.len() {
+            trust.model.observe(series.get(i).codes(), vp_known)?;
+            if i > 0 {
+                trust.price(series.get(i - 1), series.get(i), base, policy);
+            }
         }
-        Ok(Some(tm))
+        Ok(Some(trust))
     }
 
     /// Observations journaled so far — also the next expected sequence
@@ -322,7 +360,7 @@ impl StreamIngestor {
             .lock()
             .trust
             .as_ref()
-            .map_or(0, |t| t.quarantined_count())
+            .map_or(0, |t| t.model.quarantined_count())
     }
 
     /// This ingestor's always-on instrument set (see
@@ -407,16 +445,9 @@ impl StreamIngestor {
         codes: &[u16],
         mut health: CampaignHealth,
     ) -> Result<(SubmitOutcome, Vec<StreamEvent>)> {
-        let mut trusted = true;
-        let mut step_weights = None;
-        if let Some(tm) = &mut inner.trust {
-            tm.observe(codes, vp_known)?;
-            let excluded = tm.step_excluded_count();
-            health.distrusted = excluded;
-            if excluded > 0 {
-                trusted = false;
-                step_weights = Some(tm.step_weights(&self.base));
-            }
+        if let Some(t) = &mut inner.trust {
+            t.model.observe(codes, vp_known)?;
+            health.distrusted = t.model.step_excluded_count();
         }
         let v = RoutingVector::from_codes(Timestamp::from_secs(time), codes.to_vec());
         let mut pipe = self.pipe.lock();
@@ -424,22 +455,20 @@ impl StreamIngestor {
             // The trust window already advanced for a row that never
             // became durable; re-fold it from the journal so the model
             // stays a pure function of the journaled series.
-            inner.trust = Self::replay_trust(&pipe, self.trust_cfg, &self.base)?;
+            inner.trust = Self::replay_trust(&pipe, self.trust_cfg, &self.base, self.policy)?;
             return Err(e);
         }
         let n = pipe.series().len();
+        if let Some(t) = inner.trust.as_mut().filter(|_| n >= 2) {
+            let (before, row) = (pipe.series().get(n - 2), pipe.series().get(n - 1));
+            t.price(before, row, &self.base, self.policy);
+        }
         let mut events = Vec::new();
         let mut transitions = 0u32;
         if n >= 2 {
             let dendro = pipe.dendrogram().ok_or(Error::EmptyInput("dendrogram"))?;
             let choice = AdaptiveThreshold::default().choose(dendro)?;
             let bounds = mode_boundaries(&choice.labels);
-            let w = match step_weights {
-                // An all-excluded step degenerates to the base
-                // weights: zero total weight cannot price a step.
-                Some(vals) => Weights::from_values(vals).unwrap_or_else(|_| self.base.clone()),
-                None => self.base.clone(),
-            };
             for &b in &bounds {
                 // Only *newly discovered* boundaries are transitions;
                 // the rest were announced on an earlier step. A nascent
@@ -450,6 +479,17 @@ impl StreamIngestor {
                     continue;
                 }
                 let opened = pipe.series().get(b);
+                // The boundary's own step, as it was priced when folded.
+                let (step_phi, trusted) = match &inner.trust {
+                    Some(t) => t.steps[b - 1],
+                    None => {
+                        let before = pipe.series().get(b - 1);
+                        (
+                            similarity::phi(before, opened, &self.base, self.policy),
+                            true,
+                        )
+                    }
+                };
                 events.push(StreamEvent::ModeTransition {
                     seq: b as u64,
                     time: opened.time().as_secs(),
@@ -457,7 +497,7 @@ impl StreamIngestor {
                     to_mode: choice.labels[b] as u64,
                     modes: choice.clusters as u64,
                     threshold: choice.threshold,
-                    step_phi: similarity::phi(pipe.series().get(b - 1), opened, &w, self.policy),
+                    step_phi,
                     trusted,
                 });
                 transitions += 1;

@@ -2,17 +2,21 @@
 //! submissions the streamed analysis state — Φ matrix, merge tree,
 //! adaptive threshold, mode labels — is bit-identical to a batch
 //! recomputation over the same observations. Also pins the sequencing
-//! contract (Duplicate applies nothing, Gap journals nothing) and that
-//! the trust fold never forks the analysis from its trust-free twin.
+//! contract (Duplicate applies nothing, Gap journals nothing), that the
+//! trust fold never forks the analysis from its trust-free twin, and
+//! that a transition carries its own step's trusted Φ.
 
+use fenrir_core::guard::SamplingRate;
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
+use fenrir_core::similarity::{phi, UnknownPolicy};
 use fenrir_core::time::Timestamp;
-use fenrir_core::trust::TrustConfig;
-use fenrir_core::vector::RoutingVector;
+use fenrir_core::trust::{TrustConfig, TrustModel};
+use fenrir_core::vector::{RoutingVector, CODE_ERR, CODE_UNKNOWN};
+use fenrir_core::weight::Weights;
 use fenrir_data::journal::RecoverablePipeline;
 use fenrir_measure::submit::SubmitRow;
-use fenrir_serve::{Reply, StreamHandler, SubmitOutcome};
+use fenrir_serve::{Reply, StreamEvent, StreamHandler, SubmitOutcome};
 use fenrir_stream::{ddos_catchment_flip, state_bits, StreamConfig, StreamIngestor};
 
 const NETWORKS: usize = 6;
@@ -233,4 +237,126 @@ fn transitions_are_exactly_the_newly_discovered_mode_boundaries() {
         expected_total,
         "the counter tallies exactly the emitted transitions"
     );
+}
+
+/// SplitMix64 draws for the lagged-transition feed.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// `rows` observations of `networks` VPs over four recurring routing
+/// regimes on three sites, each held for 8 to 29 observations. A fifth
+/// of the cells are unknown, and 1 to 6 VPs report a random site.
+fn lying_regime_rows(seed: u64, networks: usize, rows: usize) -> Vec<SubmitRow> {
+    let mut rng = Draws(seed);
+    let regimes: Vec<Vec<u16>> = (0..4)
+        .map(|_| (0..networks).map(|_| rng.below(3) as u16).collect())
+        .collect();
+    let liars: Vec<usize> = (0..1 + rng.below(6))
+        .map(|_| rng.below(networks as u64) as usize)
+        .collect();
+    let (mut regime, mut left) = (0, 0);
+    (0..rows)
+        .map(|i| {
+            if left == 0 {
+                regime = rng.below(4) as usize;
+                left = 8 + rng.below(22);
+            }
+            left -= 1;
+            let mut codes = regimes[regime].clone();
+            for &v in &liars {
+                codes[v] = rng.below(3) as u16;
+            }
+            for c in codes.iter_mut() {
+                if rng.below(5) == 0 {
+                    *c = CODE_UNKNOWN;
+                }
+            }
+            let time = Timestamp::from_days(i as i64);
+            let mut health = CampaignHealth::new(time, networks);
+            health.responses = codes.iter().filter(|&&c| c != CODE_UNKNOWN).count();
+            SubmitRow {
+                seq: i as u64,
+                time: time.as_secs(),
+                codes,
+                health,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_transition_carries_its_own_steps_trusted_phi() {
+    // A boundary is often found a fold or more after the observation
+    // that opened it. Its event must still carry that step's trusted Φ
+    // and verdict, not those of the fold that announced it.
+    let (networks, rows) = (60, 300);
+    let mut lagged = 0;
+    for seed in 0..6 {
+        let feed = lying_regime_rows(seed, networks, rows);
+        let mut cfg = StreamConfig::new(networks).with_trust(TrustConfig::default());
+        // The Φ guard is not under test here; a full recompute per row
+        // would only slow the debug run.
+        cfg.pipeline.sampling = SamplingRate {
+            eventful_every: 0,
+            quiet_every: 0,
+        };
+        let ing = StreamIngestor::in_memory(sites(), networks, cfg).expect("ingestor");
+
+        // The oracle: a trust model folded over the same rows, each step
+        // priced with the excluded VPs' weights zeroed (base weights when
+        // every VP is excluded).
+        let base = Weights::uniform(networks);
+        let known = |c: u16| c != CODE_UNKNOWN && c != CODE_ERR;
+        let mut model = TrustModel::new(TrustConfig::default(), &base, None).expect("model");
+        let vector = |r: &SubmitRow| {
+            RoutingVector::from_codes(Timestamp::from_secs(r.time), r.codes.clone())
+        };
+        let mut expected = vec![(0.0f64, true)];
+        for (i, row) in feed.iter().enumerate() {
+            model.observe(&row.codes, known).expect("observe");
+            if i == 0 {
+                continue;
+            }
+            let (a, b) = (vector(&feed[i - 1]), vector(row));
+            let zeroed = (0..networks)
+                .map(|v| if model.step_excluded()[v] { 0.0 } else { 1.0 })
+                .collect();
+            let policy = UnknownPolicy::default();
+            let p = match Weights::from_values(zeroed) {
+                Ok(w) => phi(&a, &b, &w, policy),
+                Err(_) => phi(&a, &b, &base, policy),
+            };
+            expected.push((p, model.step_excluded_count() == 0));
+        }
+
+        for (fold, row) in feed.iter().enumerate() {
+            let (_, events) = ing.submit(row.seq, row.time, &row.codes, row.health.clone());
+            for event in events {
+                let StreamEvent::ModeTransition {
+                    seq,
+                    step_phi,
+                    trusted,
+                    ..
+                } = event
+                else {
+                    panic!("unexpected event {event:?}");
+                };
+                let (p, t) = expected[seq as usize];
+                let at = format!("seed {seed}: boundary {seq} announced at fold {fold}");
+                assert_eq!(step_phi.to_bits(), p.to_bits(), "{at}: {step_phi} vs {p}");
+                assert_eq!(trusted, t, "{at}");
+                lagged += usize::from(seq < fold as u64);
+            }
+        }
+    }
+    assert!(lagged > 0, "no transition was announced after its own step");
 }
