@@ -11,7 +11,8 @@
 //!   `threshold` — one cut and the adaptive sweep over the
 //!   512-observation average-linkage tree;
 //! * `pipeline` — the G-Root study (Test scale) stage by stage;
-//! * `dns` and `icmp` — encode and decode of the measurement probes;
+//! * `dns` and `icmp` — writing and reading the measurement probes, each
+//!   into one reused buffer and in place;
 //! * `topology_build_ns` and `route_table` — at 100, 400 and 1 600 stubs;
 //! * `ablation_*` — the cost of each design choice `repro --exp ablation`
 //!   scores for quality.
@@ -40,8 +41,10 @@ use fenrir_data::scenarios::{groot, Scale};
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::routing::{RouteTable, RoutingConfig};
 use fenrir_netsim::topology::{Tier, TopologyBuilder};
-use fenrir_wire::dns::{ClientSubnet, Message, QClass, QType, Rcode, Record};
-use fenrir_wire::icmp::IcmpPacket;
+use fenrir_wire::dns::{
+    ClientSubnet, Header, MessageReader, MessageWriter, Name, QClass, QType, Rcode,
+};
+use fenrir_wire::icmp::{IcmpKind, IcmpView};
 
 const REPS: u32 = 10;
 const LINKAGES: [(&str, Linkage); 3] = [
@@ -226,52 +229,139 @@ fn pipeline() -> Obj {
         })
 }
 
-fn dns() -> Obj {
-    let mut ecs_query = Message::query(0x1234, "www.google.com", QType::A, QClass::In);
-    ecs_query.set_client_subnet(ClientSubnet::ipv4([100, 64, 7, 0], 24));
-    let ecs_bytes = ecs_query.encode().expect("ok");
-    let chaos = Message::chaos_hostname_bind(7);
-    let mut resp = chaos.response_to(Rcode::NoError);
-    let name = chaos.questions[0].name.clone();
-    resp.answers
-        .push(Record::txt(name, QClass::Chaos, 0, b"b4-lax2"));
-    let resp_bytes = resp.encode().expect("ok");
-    // Name-compression payoff: ten records sharing a suffix.
-    let q = Message::query(9, "cdn.front.example.net", QType::A, QClass::In);
-    let mut fat = q.response_to(Rcode::NoError);
-    for i in 0..10u8 {
-        let name = q.questions[0].name.clone();
-        fat.answers.push(Record::a(name, 60, [198, 18, 0, i]));
-    }
-    let encode = |o: Obj, key, m: &Message| {
-        o.per_call(key, CODEC_BATCH, || black_box(m).encode().expect("ok"))
+/// Writes a query for `name` at the end of `out`, with an OPT record
+/// holding a Client Subnet option when `ecs` is set.
+fn query(
+    w: &mut MessageWriter,
+    out: &mut Vec<u8>,
+    id: u16,
+    name: &Name,
+    qtype: QType,
+    qclass: QClass,
+    ecs: bool,
+) {
+    let header = Header {
+        id,
+        rd: true,
+        ..Header::default()
     };
-    let decode = |o: Obj, key, b: &[u8]| {
+    w.header(out, header, [1, 0, 0, u16::from(ecs)]);
+    w.question(out, name.labels(), qtype, qclass);
+    if ecs {
+        w.record(out, std::iter::empty(), QType::Opt, 4096, 0, |_, out| {
+            ClientSubnet::write_ipv4(out, [100, 64, 7, 0], 24);
+            Ok(())
+        })
+        .expect("ok");
+    }
+}
+
+fn dns() -> Obj {
+    let (mut w, mut buf) = (MessageWriter::default(), Vec::with_capacity(512));
+    let google = Name::parse("www.google.com").expect("valid");
+    let hostname_bind = Name::parse("hostname.bind").expect("valid");
+    let cdn = Name::parse("cdn.front.example.net").expect("valid");
+    let (mut ecs_bytes, mut chaos, mut cdn_query) = (Vec::new(), Vec::new(), Vec::new());
+    query(
+        &mut w,
+        &mut ecs_bytes,
+        0x1234,
+        &google,
+        QType::A,
+        QClass::In,
+        true,
+    );
+    query(
+        &mut w,
+        &mut chaos,
+        7,
+        &hostname_bind,
+        QType::Txt,
+        QClass::Chaos,
+        false,
+    );
+    query(&mut w, &mut cdn_query, 9, &cdn, QType::A, QClass::In, false);
+    let chaos = MessageReader::new(&chaos).expect("ok");
+    let cdn_query = MessageReader::new(&cdn_query).expect("ok");
+    let chaos_response = |w: &mut MessageWriter, out: &mut Vec<u8>| {
+        w.response_to(out, &chaos, Rcode::NoError, 1);
+        let name = hostname_bind.labels();
+        w.txt(out, name, QClass::Chaos, 0, [&b"b4-lax2"[..]])
+            .expect("ok");
+    };
+    let mut resp_bytes = Vec::new();
+    chaos_response(&mut w, &mut resp_bytes);
+    // Name-compression payoff: ten records sharing a suffix.
+    let fat = |w: &mut MessageWriter, out: &mut Vec<u8>| {
+        w.response_to(out, &cdn_query, Rcode::NoError, 10);
+        for i in 0..10u8 {
+            w.record(out, cdn.labels(), QType::A, 1, 60, |_, out| {
+                out.extend_from_slice(&[198, 18, 0, i]);
+                Ok(())
+            })
+            .expect("ok");
+        }
+    };
+    let read = |o: Obj, key, b: &[u8]| {
         o.per_call(key, CODEC_BATCH, || {
-            Message::decode(black_box(b)).expect("ok")
+            MessageReader::new(black_box(b)).expect("ok").header()
         })
     };
-    let o = encode(Obj::new(), "encode_ecs_query_ns", &ecs_query);
-    let o = decode(o, "decode_ecs_query_ns", &ecs_bytes);
-    let o = encode(o, "encode_chaos_response_ns", &resp);
-    let o = decode(o, "decode_chaos_response_ns", &resp_bytes);
-    encode(o, "encode_compressed_10rr_ns", &fat)
+    let o = Obj::new().per_call("encode_ecs_query_ns", CODEC_BATCH, || {
+        buf.clear();
+        query(
+            &mut w,
+            &mut buf,
+            0x1234,
+            &google,
+            QType::A,
+            QClass::In,
+            true,
+        );
+        buf.len()
+    });
+    let o = read(o, "decode_ecs_query_ns", &ecs_bytes);
+    let o = o.per_call("encode_chaos_response_ns", CODEC_BATCH, || {
+        buf.clear();
+        chaos_response(&mut w, &mut buf);
+        buf.len()
+    });
+    let o = read(o, "decode_chaos_response_ns", &resp_bytes);
+    o.per_call("encode_compressed_10rr_ns", CODEC_BATCH, || {
+        buf.clear();
+        fat(&mut w, &mut buf);
+        buf.len()
+    })
 }
 
 fn icmp() -> Obj {
-    let echo = IcmpPacket::echo_request(0xBEEF, 42, vec![0u8; 56]);
-    let bytes = echo.encode();
-    let round_trip = || {
-        let req = IcmpPacket::echo_request(1, 2, vec![0u8; 56]);
-        let reply = IcmpPacket::echo_reply_to(&req);
-        IcmpPacket::decode(&reply.encode()).expect("ok")
+    let payload = [0u8; 56];
+    let echo = |kind, ident, seq| IcmpView {
+        kind,
+        ident,
+        seq,
+        payload: &payload,
     };
+    let mut bytes = Vec::new();
+    echo(IcmpKind::EchoRequest, 0xBEEF, 42).encode_into(&mut bytes);
+    let (mut buf, mut reply) = (Vec::with_capacity(64), Vec::with_capacity(64));
     Obj::new()
-        .per_call("encode_echo_ns", CODEC_BATCH, || black_box(&echo).encode())
-        .per_call("decode_echo_ns", CODEC_BATCH, || {
-            IcmpPacket::decode(black_box(&bytes)).expect("ok")
+        .per_call("encode_echo_ns", CODEC_BATCH, || {
+            buf.clear();
+            black_box(echo(IcmpKind::EchoRequest, 0xBEEF, 42)).encode_into(&mut buf);
+            buf.len()
         })
-        .per_call("round_trip_with_reply_ns", CODEC_BATCH, round_trip)
+        .per_call("decode_echo_ns", CODEC_BATCH, || {
+            IcmpView::parse(black_box(&bytes)).expect("ok")
+        })
+        .per_call("round_trip_with_reply_ns", CODEC_BATCH, || {
+            buf.clear();
+            echo(IcmpKind::EchoRequest, 1, 2).encode_into(&mut buf);
+            let req = IcmpView::parse(&buf).expect("ok");
+            reply.clear();
+            echo(IcmpKind::EchoReply, req.ident, req.seq).encode_into(&mut reply);
+            IcmpView::parse(&reply).expect("ok").seq
+        })
 }
 
 fn builder(stubs: usize) -> TopologyBuilder {

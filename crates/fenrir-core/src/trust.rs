@@ -443,14 +443,20 @@ impl TrustModel {
             // agreement is a no-op), its hist ring uniformly its settled
             // value `hist_last` (pushing that value again is a no-op),
             // and no catch-up flip owed. If every known cell of this row
-            // matches `hist_last`, not one piece of state changes: the
-            // whole update is this read-only scan, the overwhelmingly
-            // common sweep of a healthy campaign. The scan does not read
-            // the previous row, so a VP whose previous cell was a known
-            // value it never pushed (the cell before that was unknown)
-            // and that returns to `hist_last` now takes no verdict, where
-            // the passes below would charge it a disagreement.
-            let unchanged = (0..n).all(|v| !known(row[v]) || row[v] == self.hist_last[v]);
+            // matches `hist_last` and no VP known on both sides flipped,
+            // not one piece of state changes: the whole update is this
+            // read-only scan, the overwhelmingly common sweep of a
+            // healthy campaign. The flip test matters for a VP whose
+            // previous cell was a known value it never pushed (the cell
+            // before that was unknown) and that returns to `hist_last`:
+            // the passes below charge it a disagreement. Branch-free, so
+            // the compiler vectorizes it, as the tally pass is.
+            let (prev_n, row_n, last) = (&prev[..n], &row[..n], &self.hist_last[..n]);
+            let mut unchanged = true;
+            for v in 0..n {
+                let (p, c) = (prev_n[v], row_n[v]);
+                unchanged &= !known(c) | ((c == last[v]) & ((p == c) | !known(p)));
+            }
             if unchanged {
                 prev.clear();
                 prev.extend_from_slice(row);
@@ -1432,6 +1438,31 @@ mod tests {
     }
 
     #[test]
+    fn a_quiet_vp_returning_from_an_unpushed_value_is_charged() {
+        // VP 0's 2 follows an unknown, so it is never pushed while VP 0
+        // is quiet; its return to 1 is an uncorroborated flip back to a
+        // recurring value: kept in Φ, but a disagreement all the same.
+        const U: u16 = CODE_UNKNOWN;
+        let rows = [
+            [1u16, 1, 1, 1],
+            [1, 1, 1, 1],
+            [U, 1, 1, 1],
+            [2, 1, 1, 1],
+            [1, 1, 1, 1],
+        ];
+        let cfg = TrustConfig {
+            window: 1,
+            ..TrustConfig::default()
+        };
+        let mut m: TrustModel = TrustModel::new(cfg, &Weights::uniform(4), None).unwrap();
+        for row in &rows {
+            m.observe(row, |c| c != CODE_UNKNOWN).unwrap();
+        }
+        assert!(!m.step_excluded()[0]);
+        assert_eq!(m.suspicion(0), 1.0);
+    }
+
+    #[test]
     fn detect_trusted_matches_plain_detection_on_clean_data() {
         let rows = shift_rows(10, 10);
         let series = series_from(&rows);
@@ -1761,13 +1792,17 @@ mod tests {
                     // its disagreement window is clear (pushing another agreement
                     // is a no-op), its hist ring is uniformly its settled value
                     // `hist_last` (pushing that value again is a no-op), and no
-                    // catch-up flip is owed. A known previous value therefore
-                    // equals `hist_last`, so if every known cell of this row also
-                    // matches `hist_last` no VP flipped, no group vote can
-                    // exclude anyone, and not one piece of state changes: the
-                    // whole update is this read-only scan. This is the
-                    // overwhelmingly common sweep of a healthy campaign.
-                    let unchanged = (0..n).all(|v| !known(row[v]) || row[v] == self.hist_last[v]);
+                    // catch-up flip is owed. A VP's previous value may still be
+                    // a known value it never pushed (the value before it was
+                    // unknown), so if every known cell of this row matches
+                    // `hist_last` and no VP known on both sides flipped, no group
+                    // vote can exclude anyone, and not one piece of state
+                    // changes: the whole update is this read-only scan. This is
+                    // the overwhelmingly common sweep of a healthy campaign.
+                    let unchanged = (0..n).all(|v| {
+                        let (p, c) = (prev[v], row[v]);
+                        !known(c) || (c == self.hist_last[v] && (p == c || !known(p)))
+                    });
                     if unchanged {
                         prev.clear();
                         prev.extend_from_slice(row);

@@ -18,7 +18,9 @@
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
-use crate::runner::{code_series, run_campaign, ProbeOutcome, ProbeReply, RunnerConfig};
+use crate::runner::{
+    code_series, read_dns, run_campaign, write_dns, ProbeOutcome, ProbeReply, RunnerConfig,
+};
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::{SiteId, SiteTable};
@@ -29,10 +31,12 @@ use fenrir_netsim::anycast::AnycastService;
 use fenrir_netsim::events::Scenario;
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::topology::{AsId, Tier, Topology};
-use fenrir_wire::dns::{Message, MessageReader, MessageWriter, QClass, Rcode};
-use fenrir_wire::ipv4::{protocol, Ipv4Header};
-use fenrir_wire::udp::{UdpHeader, DNS_PORT};
+use fenrir_wire::dns::{Header, MessageWriter, QClass, QType, Rcode};
+use fenrir_wire::udp::DNS_PORT;
 use std::collections::HashMap;
+
+/// The name every Atlas query asks for, as its labels.
+const HOSTNAME_BIND: [&[u8]; 2] = [b"hostname", b"bind"];
 
 /// Configuration of an Atlas-style campaign.
 #[derive(Debug, Clone)]
@@ -159,7 +163,6 @@ impl AtlasCampaign {
             .enumerate()
             .map(|(i, (known, _))| (known.as_slice(), SiteId(i as u16)))
             .collect();
-        let mut chaos = Message::chaos_hostname_bind(0);
         let mut dns = MessageWriter::default();
         // The query and the response of every probe are written into,
         // mangled in and read from these two buffers.
@@ -189,22 +192,17 @@ impl AtlasCampaign {
                         // prefix, and may be mangled in either direction.
                         let vp_addr = [100, 64, (n >> 8) as u8, n as u8];
                         let service_addr = [192, 0, 2, 1];
-                        chaos.header.id = n as u16;
-                        query.clear();
-                        Ipv4Header::new(protocol::UDP, vp_addr, service_addr)
-                            .write(&mut query, |out| {
-                                UdpHeader {
-                                    src_port: 33_000 + n as u16,
-                                    dst_port: DNS_PORT,
-                                }
-                                .write(
-                                    out,
-                                    vp_addr,
-                                    service_addr,
-                                    |out| dns.message(out, &chaos),
-                                )
-                            })
-                            .expect("query fits");
+                        let from_vp = (vp_addr, 33_000 + n as u16);
+                        write_dns(&mut query, from_vp, (service_addr, DNS_PORT), |out| {
+                            let header = Header {
+                                id: n as u16,
+                                rd: true,
+                                ..Header::default()
+                            };
+                            dns.header(out, header, [1, 0, 0, 0]);
+                            dns.question(out, HOSTNAME_BIND.into_iter(), QType::Txt, QClass::Chaos);
+                            Ok(())
+                        });
                         wire.corrupt(&mut query);
                         let Ok((udp_in, at_server)) = read_dns(&query) else {
                             // The site could not parse the query: it never
@@ -228,24 +226,12 @@ impl AtlasCampaign {
                         let Some(asked) = at_server.questions().next() else {
                             return ProbeReply::DecodeFailure;
                         };
-                        response.clear();
-                        Ipv4Header::new(protocol::UDP, service_addr, vp_addr)
-                            .write(&mut response, |out| {
-                                UdpHeader {
-                                    src_port: DNS_PORT,
-                                    dst_port: udp_in.src_port,
-                                }
-                                .write(
-                                    out,
-                                    service_addr,
-                                    vp_addr,
-                                    |out| {
-                                        dns.response_to(out, &at_server, Rcode::NoError, 1);
-                                        dns.txt(out, asked.name.labels(), QClass::Chaos, 0, ident)
-                                    },
-                                )
-                            })
-                            .expect("response fits");
+                        let to_vp = (vp_addr, udp_in.src_port);
+                        write_dns(&mut response, (service_addr, DNS_PORT), to_vp, |out| {
+                            dns.response_to(out, &at_server, Rcode::NoError, 1);
+                            let name = asked.name.labels();
+                            dns.txt(out, name, QClass::Chaos, 0, [ident.as_slice()])
+                        });
                         wire.corrupt(&mut response);
                         let Ok((_, at_vp)) = read_dns(&response) else {
                             return ProbeReply::DecodeFailure;
@@ -277,13 +263,6 @@ impl AtlasCampaign {
             health,
         })
     }
-}
-
-/// Read a DNS message in place from an IPv4 packet carrying UDP.
-fn read_dns(packet: &[u8]) -> fenrir_wire::Result<(UdpHeader, MessageReader<'_>)> {
-    let (ip, payload) = Ipv4Header::parse(packet)?;
-    let (udp, dns) = UdpHeader::parse_in(&ip, payload)?;
-    Ok((udp, MessageReader::new(dns)?))
 }
 
 #[cfg(test)]

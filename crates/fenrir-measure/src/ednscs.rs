@@ -17,11 +17,16 @@
 //!
 //! Every lookup is a real DNS message round trip: query with ECS out,
 //! A-record answer back, with the front-end identity encoded in the
-//! address.
+//! address. The campaign checks its hostname once, writes the query and
+//! the answer, all three layers, into two buffers it owns and reads both
+//! in place, so a probe does not allocate.
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
-use crate::runner::{code_series, run_campaign, ProbeOutcome, ProbeReply, RunnerConfig, WireFault};
+use crate::runner::{
+    code_series, read_dns, run_campaign, write_dns, ProbeOutcome, ProbeReply, RunnerConfig,
+    WireFault,
+};
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
@@ -33,9 +38,8 @@ use fenrir_netsim::events::Scenario;
 use fenrir_netsim::prefix::BlockId;
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::topology::Topology;
-use fenrir_wire::dns::{ClientSubnet, Message, QClass, QType, Rcode, Record};
-use fenrir_wire::ipv4::Ipv4Packet;
-use fenrir_wire::udp::{UdpDatagram, DNS_PORT};
+use fenrir_wire::dns::{ClientSubnet, Header, MessageWriter, Name, QClass, QType, RDataRef, Rcode};
+use fenrir_wire::udp::DNS_PORT;
 
 /// Front-end selection policy.
 #[derive(Debug, Clone)]
@@ -66,7 +70,9 @@ pub enum FrontendPolicy {
 /// An EDNS-CS measurement campaign against one website.
 #[derive(Debug, Clone)]
 pub struct EdnsCsCampaign {
-    /// Hostname queried (informational; appears in the DNS messages).
+    /// Hostname queried (informational; appears in the DNS messages). A
+    /// name that is not a valid domain name fails the campaign with
+    /// [`Error::Wire`] before its first sweep.
     pub hostname: String,
     /// Selection policy.
     pub policy: FrontendPolicy,
@@ -117,6 +123,89 @@ fn mix(mut x: u64) -> u64 {
 
 fn hash2(a: u64, b: u64) -> u64 {
     mix(a.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(b))
+}
+
+/// A campaign's wire state: the queried name, checked once, and the
+/// writer and two buffers every probe's query and answer are written
+/// into, mangled in and read from.
+struct EcsWire {
+    name: Name,
+    dns: MessageWriter,
+    query: Vec<u8>,
+    answer: Vec<u8>,
+}
+
+impl EcsWire {
+    fn new(hostname: &str) -> Result<Self> {
+        Ok(EcsWire {
+            name: Name::parse(hostname)?,
+            dns: MessageWriter::default(),
+            query: Vec::with_capacity(96),
+            answer: Vec::with_capacity(96),
+        })
+    }
+
+    /// One wire round trip: the ECS query travels inside UDP/IPv4 from
+    /// the vantage point to the authoritative server; the A answer
+    /// carries the assigned front-end, echoed back the same way. Both
+    /// directions pass through `wire` so a fault plan can corrupt them;
+    /// any read failure or mismatch against the query yields `None`.
+    fn round_trip(
+        &mut self,
+        qid: u16,
+        block: BlockId,
+        site_idx: u16,
+        wire: &mut WireFault<'_>,
+    ) -> Option<u16> {
+        let vantage = [198, 51, 100, 7];
+        let auth = [192, 0, 2, 33];
+        let EcsWire {
+            name,
+            dns,
+            query,
+            answer,
+        } = self;
+        write_dns(query, (vantage, 40_000 ^ qid), (auth, DNS_PORT), |out| {
+            let header = Header {
+                id: qid,
+                rd: true,
+                ..Header::default()
+            };
+            dns.header(out, header, [1, 0, 0, 1]);
+            dns.question(out, name.labels(), QType::A, QClass::In);
+            dns.record(out, std::iter::empty(), QType::Opt, 4096, 0, |_, out| {
+                ClientSubnet::write_ipv4(out, block.addr(0), 24);
+                Ok(())
+            })
+        });
+        wire.corrupt(query);
+        let (udp, at_server) = read_dns(query).ok()?;
+        if udp.dst_port != DNS_PORT {
+            return None;
+        }
+        let asked = at_server.questions().next()?;
+        if at_server.client_subnet()?.slash24() != Some(block.0) {
+            return None;
+        }
+        let front_end = [198, 18, (site_idx >> 8) as u8, site_idx as u8];
+        write_dns(answer, (auth, DNS_PORT), (vantage, udp.src_port), |out| {
+            dns.response_to(out, &at_server, Rcode::NoError, 1);
+            let name = asked.name.labels();
+            dns.record(out, name, QType::A, QClass::In.code(), 60, |_, out| {
+                out.extend_from_slice(&front_end);
+                Ok(())
+            })
+        });
+        wire.corrupt(answer);
+        let (_, at_client) = read_dns(answer).ok()?;
+        if at_client.header().id != qid {
+            return None;
+        }
+        at_client.answers().find_map(|r| match r.rdata {
+            RDataRef::A([_, _, hi, lo]) => Some(u16::from_be_bytes([hi, lo])),
+            _ => None,
+        })
+    }
 }
 
 impl EdnsCsCampaign {
@@ -172,6 +261,7 @@ impl EdnsCsCampaign {
                 message: format!("must lie in [0, 1], got {}", self.loss_prob),
             });
         }
+        let mut ecs = EcsWire::new(&self.hostname)?;
         let blocks: Vec<BlockId> = topo.all_blocks().iter().map(|&(b, _)| b).collect();
         match &self.policy {
             FrontendPolicy::Geo { sticky_return_frac } => {
@@ -188,6 +278,7 @@ impl EdnsCsCampaign {
                     times,
                     &blocks,
                     *sticky_return_frac,
+                    &mut ecs,
                     cfg,
                     faults,
                     sink,
@@ -228,68 +319,13 @@ impl EdnsCsCampaign {
                     *era,
                     *sticky_frac,
                     *daily_churn,
+                    &mut ecs,
                     cfg,
                     faults,
                     sink,
                 )
             }
         }
-    }
-
-    /// One wire round trip: the ECS query travels inside UDP/IPv4 from the
-    /// vantage point to the authoritative server; the A answer carries the
-    /// assigned front-end, echoed back the same way. Both directions pass
-    /// through `wire` so a fault plan can corrupt them; any decode failure
-    /// or mismatch against the query yields `None`.
-    fn wire_round_trip(
-        &self,
-        qid: u16,
-        block: BlockId,
-        site_idx: u16,
-        wire: &mut WireFault<'_>,
-    ) -> Option<u16> {
-        let vantage = [198, 51, 100, 7];
-        let auth = [192, 0, 2, 33];
-        let mut q = Message::query(qid, &self.hostname, QType::A, QClass::In);
-        q.set_client_subnet(ClientSubnet::ipv4(block.addr(0), 24));
-        let qbytes = q.encode().expect("query encodes");
-        let mut out = UdpDatagram::new(40_000 ^ qid, DNS_PORT, qbytes)
-            .into_ipv4(vantage, auth)
-            .expect("datagram fits")
-            .encode()
-            .expect("packet encodes");
-        wire.corrupt(&mut out);
-        let at_ip = Ipv4Packet::decode(&out).ok()?;
-        let at_udp = UdpDatagram::from_ipv4(&at_ip).ok()?;
-        let at_server = Message::decode(&at_udp.payload).ok()?;
-        if at_udp.dst_port != DNS_PORT || at_server.questions.is_empty() {
-            return None;
-        }
-        let ecs = at_server.client_subnet()?;
-        if ecs.slash24() != Some(block.0) {
-            return None;
-        }
-        let mut resp = at_server.response_to(Rcode::NoError);
-        resp.answers.push(Record::a(
-            at_server.questions[0].name.clone(),
-            60,
-            [198, 18, (site_idx >> 8) as u8, site_idx as u8],
-        ));
-        let rbytes = resp.encode().expect("response encodes");
-        let mut back = UdpDatagram::new(DNS_PORT, at_udp.src_port, rbytes)
-            .into_ipv4(auth, vantage)
-            .expect("datagram fits")
-            .encode()
-            .expect("packet encodes");
-        wire.corrupt(&mut back);
-        let back_ip = Ipv4Packet::decode(&back).ok()?;
-        let back_udp = UdpDatagram::from_ipv4(&back_ip).ok()?;
-        let at_client = Message::decode(&back_udp.payload).ok()?;
-        if at_client.header.id != qid {
-            return None;
-        }
-        let addr = *at_client.a_addrs().first()?;
-        Some((u16::from(addr[2]) << 8) | u16::from(addr[3]))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -301,6 +337,7 @@ impl EdnsCsCampaign {
         times: &[Timestamp],
         blocks: &[BlockId],
         sticky_return_frac: f64,
+        ecs: &mut EcsWire,
         cfg: &RunnerConfig,
         faults: Option<&FaultPlan>,
         sink: &mut dyn CampaignSink<Vec<u16>>,
@@ -376,7 +413,7 @@ impl EdnsCsCampaign {
                             // active site.
                             _ => nearest as u16,
                         };
-                        match self.wire_round_trip(n as u16, block, assigned, wire) {
+                        match ecs.round_trip(n as u16, block, assigned, wire) {
                             Some(echoed) => ProbeReply::Response(Some(echoed)),
                             None => ProbeReply::DecodeFailure,
                         }
@@ -407,6 +444,7 @@ impl EdnsCsCampaign {
         era: u64,
         sticky_frac: f64,
         daily_churn: f64,
+        ecs: &mut EcsWire,
         cfg: &RunnerConfig,
         faults: Option<&FaultPlan>,
         sink: &mut dyn CampaignSink<Vec<u16>>,
@@ -440,7 +478,7 @@ impl EdnsCsCampaign {
                             // Week-stable assignment.
                             hash2(b, era ^ mix(epoch)) as usize % clusters
                         };
-                        match self.wire_round_trip(n as u16, block, cluster as u16, wire) {
+                        match ecs.round_trip(n as u16, block, cluster as u16, wire) {
                             Some(echoed) => ProbeReply::Response(echoed),
                             None => ProbeReply::DecodeFailure,
                         }
@@ -463,10 +501,12 @@ impl EdnsCsCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::MemorySink;
     use fenrir_core::similarity::{phi, UnknownPolicy};
     use fenrir_core::weight::Weights;
     use fenrir_netsim::geo::{cities, GeoPoint};
     use fenrir_netsim::topology::TopologyBuilder;
+    use fenrir_wire::WireError;
 
     fn topo() -> Topology {
         TopologyBuilder {
@@ -661,6 +701,40 @@ mod tests {
             let b = c.run(&topo, &svc, &Scenario::new(), &days(3));
             for (va, vb) in a.series.vectors().iter().zip(b.series.vectors()) {
                 assert_eq!(va, vb);
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_hostname_fails_before_the_first_sweep() {
+        let topo = topo();
+        let svc = wiki_service(&topo);
+        let long = format!("www.{}.org", "x".repeat(64));
+        for (hostname, err) in [
+            ("www..example.org", WireError::InvalidInput("empty label")),
+            (
+                long.as_str(),
+                WireError::FieldOverflow {
+                    what: "label",
+                    value: 64,
+                    max: 63,
+                },
+            ),
+        ] {
+            for mut c in [geo_campaign(), churn_campaign(2024)] {
+                c.hostname = hostname.into();
+                let mut sink = MemorySink::new(topo.all_blocks().len());
+                let got = c.run_recoverable(
+                    &topo,
+                    &svc,
+                    &Scenario::new(),
+                    &days(3),
+                    &RunnerConfig::default(),
+                    None,
+                    &mut sink,
+                );
+                assert_eq!(got.unwrap_err(), Error::Wire(err.clone()));
+                assert!(sink.resume().unwrap().is_none(), "no sweep was recorded");
             }
         }
     }

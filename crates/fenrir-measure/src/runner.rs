@@ -36,6 +36,9 @@ use fenrir_core::time::Timestamp;
 use fenrir_core::vector::RoutingVector;
 use fenrir_netsim::adversary::AdversarySession;
 use fenrir_netsim::rng::ChaCha8Rng;
+use fenrir_wire::dns::MessageReader;
+use fenrir_wire::ipv4::{protocol, Ipv4Header};
+use fenrir_wire::udp::UdpHeader;
 use std::fmt::Debug;
 
 /// Execution policy for a campaign.
@@ -167,6 +170,30 @@ impl WireFault<'_> {
     pub fn note_decode_failure(&mut self) {
         *self.decode_failures += 1;
     }
+}
+
+/// Write a DNS message, which `dns` appends, inside UDP inside IPv4 into
+/// `out`, replacing what it held: from `src` to `dst`, each an address
+/// and a port.
+pub(crate) fn write_dns(
+    out: &mut Vec<u8>,
+    (src, src_port): ([u8; 4], u16),
+    (dst, dst_port): ([u8; 4], u16),
+    dns: impl FnOnce(&mut Vec<u8>) -> fenrir_wire::Result<()>,
+) {
+    out.clear();
+    Ipv4Header::new(protocol::UDP, src, dst)
+        .write(out, |out| {
+            UdpHeader { src_port, dst_port }.write(out, src, dst, dns)
+        })
+        .expect("a probe's datagram fits");
+}
+
+/// Read a DNS message in place from an IPv4 packet carrying UDP.
+pub(crate) fn read_dns(packet: &[u8]) -> fenrir_wire::Result<(UdpHeader, MessageReader<'_>)> {
+    let (ip, payload) = Ipv4Header::parse(packet)?;
+    let (udp, dns) = UdpHeader::parse_in(&ip, payload)?;
+    Ok((udp, MessageReader::new(dns)?))
 }
 
 /// Drives a campaign's sweeps: retries, budgets, quarantine, fault

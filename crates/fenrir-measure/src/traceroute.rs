@@ -13,7 +13,8 @@
 //! (private addressing / filtering — a persistent set) and individual hop
 //! responses are lost at random; both show as `Unknown`, which the paper's
 //! spatial gap-fill ([`TracerouteResult::fill_gaps`], using the
-//! nearest-viable-hop rule) repairs.
+//! nearest-viable-hop rule) repairs. Each hop's packets are written into
+//! two buffers the campaign owns and read in place.
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
@@ -29,8 +30,15 @@ use fenrir_netsim::events::Scenario;
 use fenrir_netsim::prefix::BlockId;
 use fenrir_netsim::rng::ChaCha8Rng;
 use fenrir_netsim::topology::{AsId, Topology};
-use fenrir_wire::icmp::{IcmpKind, IcmpPacket};
-use fenrir_wire::ipv4::{protocol, Ipv4Packet};
+use fenrir_wire::icmp::{IcmpKind, IcmpView};
+use fenrir_wire::ipv4::{protocol, Ipv4Header};
+
+/// The payload of every traceroute echo request.
+const PAYLOAD: [u8; 32] = [0; 32];
+
+/// How many octets of the expired datagram a time-exceeded quotes: its
+/// IPv4 header and the first 8 octets of its ICMP echo (RFC 792).
+const QUOTED: usize = 28;
 
 /// Configuration of a traceroute campaign.
 #[derive(Debug, Clone)]
@@ -147,6 +155,9 @@ impl TracerouteCampaign {
         // One live route table per distinct destination AS, created lazily
         // on first use and advanced incrementally across sweeps.
         let mut tables = crate::routes::DestRoutes::new();
+        // Each hop's expired echo and the time-exceeded quoting it are
+        // written into, mangled in and read from these two buffers.
+        let (mut expired, mut answer) = (Vec::with_capacity(64), Vec::with_capacity(64));
         let (rows, health) = run_campaign(
             cfg,
             faults,
@@ -181,36 +192,41 @@ impl TracerouteCampaign {
                                     // exchange: an IPv4 ICMP echo with TTL = k
                                     // leaves the source, every router on the
                                     // path decrements the TTL, and the hop
-                                    // where it dies answers with
-                                    // time-exceeded. Lost or filtered hops
-                                    // stay Unknown.
+                                    // where it reaches 0 answers with a
+                                    // time-exceeded quoting it. Lost or
+                                    // filtered hops stay Unknown.
                                     if filtered[hop_as.index()] || rng.gen_bool(self.hop_loss_prob)
                                     {
                                         continue;
                                     }
-                                    let echo =
-                                        IcmpPacket::echo_request(n as u16, k as u16, vec![0u8; 32]);
-                                    let mut pkt = Ipv4Packet::new(
-                                        protocol::ICMP,
-                                        [10, 0, 0, 1],
-                                        blocks[n].addr(1),
-                                        echo.encode(),
-                                    )
-                                    .with_ttl(k as u8);
-                                    // Forward through the first k-1 routers.
-                                    let mut died_at = None;
-                                    for step in 1..=k {
-                                        if !pkt.forward() {
-                                            died_at = Some(step);
-                                            break;
-                                        }
+                                    let echo = IcmpView {
+                                        kind: IcmpKind::EchoRequest,
+                                        ident: n as u16,
+                                        seq: k as u16,
+                                        payload: &PAYLOAD,
+                                    };
+                                    let dst = blocks[n].addr(1);
+                                    let at_hop_k = Ipv4Header {
+                                        ttl: 0,
+                                        ..Ipv4Header::new(protocol::ICMP, [10, 0, 0, 1], dst)
+                                    };
+                                    expired.clear();
+                                    at_hop_k
+                                        .write(&mut expired, |out| {
+                                            echo.encode_into(out);
+                                            Ok(())
+                                        })
+                                        .expect("an echo fits");
+                                    answer.clear();
+                                    IcmpView {
+                                        kind: IcmpKind::TimeExceeded(0),
+                                        ident: 0,
+                                        seq: 0,
+                                        payload: &expired[..QUOTED],
                                     }
-                                    debug_assert_eq!(died_at, Some(k), "TTL k dies at hop k");
-                                    let te =
-                                        IcmpPacket::time_exceeded(&pkt.encode().expect("fits"));
-                                    let mut te_bytes = te.encode();
-                                    wire.corrupt(&mut te_bytes);
-                                    match IcmpPacket::decode(&te_bytes) {
+                                    .encode_into(&mut answer);
+                                    wire.corrupt(&mut answer);
+                                    match IcmpView::parse(&answer) {
                                         Ok(back) if back.kind == IcmpKind::TimeExceeded(0) => {
                                             hops.push((
                                                 k - 1,

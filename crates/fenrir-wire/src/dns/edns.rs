@@ -1,14 +1,17 @@
-//! EDNS0 options (RFC 6891): NSID (RFC 5001) and Client Subnet (RFC 7871).
+//! EDNS0 options (RFC 6891) and the Client Subnet option (RFC 7871).
 //!
 //! Client Subnet is the workhorse of the paper's website measurements: by
 //! attaching a client prefix to a query sent from a single vantage point,
 //! Fenrir learns which front-end a DNS-based load balancer would hand to
 //! *that* network — mapping global catchments without global observers.
+//!
+//! [`ClientSubnet::write_ipv4`] appends an option to an OPT record's
+//! RDATA; the message reader frames every option in place
+//! ([`EdnsOptions`]) and checks each Client Subnet option, which
+//! [`ClientSubnet::parse`] then reads borrowing its address.
 
 use crate::error::{Result, WireError};
 
-/// EDNS option code for NSID (RFC 5001).
-pub const OPT_NSID: u16 = 3;
 /// EDNS option code for Client Subnet (RFC 7871).
 pub const OPT_CLIENT_SUBNET: u16 = 8;
 
@@ -17,9 +20,9 @@ pub const AF_INET: u16 = 1;
 /// IPv6 address family number.
 pub const AF_INET6: u16 = 2;
 
-/// An EDNS Client Subnet option (RFC 7871 §6).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ClientSubnet {
+/// An EDNS Client Subnet option (RFC 7871 §6), read in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientSubnet<'a> {
     /// Address family (`AF_INET` or `AF_INET6`).
     pub family: u16,
     /// Leftmost bits of the address the client discloses.
@@ -27,71 +30,31 @@ pub struct ClientSubnet {
     /// In responses: how many bits the answer actually depends on
     /// (0 in queries).
     pub scope_prefix_len: u8,
-    /// Address bytes, truncated to `ceil(source_prefix_len / 8)` with
-    /// unused trailing bits zero (RFC 7871 requires this).
-    pub address: Vec<u8>,
+    /// Address bytes, `ceil(source_prefix_len / 8)` of them.
+    pub address: &'a [u8],
 }
 
-impl ClientSubnet {
-    /// Build an IPv4 client-subnet option for `addr`/`prefix_len`, zeroing
-    /// host bits and truncating to the minimal byte count as the RFC
-    /// requires.
-    pub fn ipv4(addr: [u8; 4], prefix_len: u8) -> Self {
+impl<'a> ClientSubnet<'a> {
+    /// Append an IPv4 Client Subnet option for `addr`/`prefix_len` (code,
+    /// length and payload) to `out`, zeroing host bits and truncating
+    /// the address to the minimal byte count as the RFC requires.
+    pub fn write_ipv4(out: &mut Vec<u8>, addr: [u8; 4], prefix_len: u8) {
         let prefix_len = prefix_len.min(32);
-        let nbytes = usize::from(prefix_len.div_ceil(8));
-        let mut address = addr[..nbytes].to_vec();
+        let nbytes = prefix_len.div_ceil(8);
+        out.extend_from_slice(&OPT_CLIENT_SUBNET.to_be_bytes());
+        out.extend_from_slice(&u16::from(4 + nbytes).to_be_bytes());
+        out.extend_from_slice(&AF_INET.to_be_bytes());
+        out.extend_from_slice(&[prefix_len, 0]);
+        out.extend_from_slice(&addr[..usize::from(nbytes)]);
         let partial = prefix_len % 8;
         if partial != 0 {
-            if let Some(last) = address.last_mut() {
-                *last &= 0xFFu8 << (8 - partial);
-            }
-        }
-        ClientSubnet {
-            family: AF_INET,
-            source_prefix_len: prefix_len,
-            scope_prefix_len: 0,
-            address,
+            *out.last_mut().expect("a partial byte was written") &= 0xFFu8 << (8 - partial);
         }
     }
 
-    /// The /24 block id (first three octets as a u32) for an IPv4 option
-    /// with at least 24 disclosed bits; `None` otherwise. Fenrir's website
-    /// catchments key on /24 blocks.
-    pub fn slash24(&self) -> Option<u32> {
-        if self.family != AF_INET || self.source_prefix_len < 24 || self.address.len() < 3 {
-            return None;
-        }
-        Some(
-            (u32::from(self.address[0]) << 16)
-                | (u32::from(self.address[1]) << 8)
-                | u32::from(self.address[2]),
-        )
-    }
-
-    /// Encode the option *payload* (without the option code/length header).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.address.len());
-        out.extend_from_slice(&self.family.to_be_bytes());
-        out.push(self.source_prefix_len);
-        out.push(self.scope_prefix_len);
-        out.extend_from_slice(&self.address);
-        out
-    }
-
-    /// Decode the option payload.
-    pub fn decode_payload(buf: &[u8]) -> Result<Self> {
-        let (family, source_prefix_len, scope_prefix_len, address) = Self::read_payload(buf)?;
-        Ok(ClientSubnet {
-            family,
-            source_prefix_len,
-            scope_prefix_len,
-            address: address.to_vec(),
-        })
-    }
-
-    /// Check the option payload in place: family, both prefix lengths,
-    /// and the address bytes it borrows.
-    fn read_payload(buf: &[u8]) -> Result<(u16, u8, u8, &[u8])> {
+    /// Read an option payload in place, checking the family, the source
+    /// prefix length against it, and the address length against that.
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
         if buf.len() < 4 {
             return Err(WireError::Truncated {
                 what: "client subnet option",
@@ -100,7 +63,6 @@ impl ClientSubnet {
         }
         let family = u16::from_be_bytes([buf[0], buf[1]]);
         let source_prefix_len = buf[2];
-        let scope_prefix_len = buf[3];
         let address = &buf[4..];
         let max_bits: usize = match family {
             AF_INET => 32,
@@ -127,213 +89,200 @@ impl ClientSubnet {
                 max: expected,
             });
         }
-        Ok((family, source_prefix_len, scope_prefix_len, address))
-    }
-}
-
-/// A decoded EDNS option.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum EdnsOption {
-    /// NSID: empty in queries (a request), the server identifier in
-    /// responses.
-    Nsid(Vec<u8>),
-    /// Client Subnet.
-    ClientSubnet(ClientSubnet),
-    /// Any other option, preserved verbatim.
-    Unknown {
-        /// Option code.
-        code: u16,
-        /// Raw option payload.
-        data: Vec<u8>,
-    },
-}
-
-impl EdnsOption {
-    /// The option's wire code.
-    pub fn code(&self) -> u16 {
-        match self {
-            EdnsOption::Nsid(_) => OPT_NSID,
-            EdnsOption::ClientSubnet(_) => OPT_CLIENT_SUBNET,
-            EdnsOption::Unknown { code, .. } => *code,
-        }
-    }
-
-    /// Append `code | length | payload` to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let payload = match self {
-            EdnsOption::Nsid(d) => d.clone(),
-            EdnsOption::ClientSubnet(cs) => cs.encode_payload(),
-            EdnsOption::Unknown { data, .. } => data.clone(),
-        };
-        out.extend_from_slice(&self.code().to_be_bytes());
-        out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&payload);
-    }
-
-    /// Decode a sequence of options from an OPT RDATA buffer.
-    pub fn decode_all(buf: &[u8]) -> Result<Vec<EdnsOption>> {
-        let mut out = Vec::new();
-        for_each_option(buf, |code, payload| {
-            out.push(match code {
-                OPT_NSID => EdnsOption::Nsid(payload.to_vec()),
-                OPT_CLIENT_SUBNET => {
-                    EdnsOption::ClientSubnet(ClientSubnet::decode_payload(payload)?)
-                }
-                other => EdnsOption::Unknown {
-                    code: other,
-                    data: payload.to_vec(),
-                },
-            });
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Check a sequence of options in place, failing exactly where
-    /// [`EdnsOption::decode_all`] fails, without building them.
-    pub(crate) fn check_all(buf: &[u8]) -> Result<()> {
-        for_each_option(buf, |code, payload| {
-            if code == OPT_CLIENT_SUBNET {
-                ClientSubnet::read_payload(payload)?;
-            }
-            Ok(())
+        Ok(ClientSubnet {
+            family,
+            source_prefix_len,
+            scope_prefix_len: buf[3],
+            address,
         })
     }
+
+    /// The /24 block id (first three octets as a u32) for an IPv4 option
+    /// with at least 24 disclosed bits; `None` otherwise. Fenrir's website
+    /// catchments key on /24 blocks.
+    pub fn slash24(&self) -> Option<u32> {
+        match *self.address {
+            [a, b, c, ..] if self.family == AF_INET && self.source_prefix_len >= 24 => {
+                Some((u32::from(a) << 16) | (u32::from(b) << 8) | u32::from(c))
+            }
+            _ => None,
+        }
+    }
 }
 
-/// Walk `code | length | payload` options in place, handing each to `f`.
-fn for_each_option(mut buf: &[u8], mut f: impl FnMut(u16, &[u8]) -> Result<()>) -> Result<()> {
-    while !buf.is_empty() {
-        if buf.len() < 4 {
-            return Err(WireError::Truncated {
-                what: "edns option header",
-                needed: 4 - buf.len(),
-            });
+/// The options of an OPT record, read in place as `(code, payload)`;
+/// the message reader frames them first.
+#[derive(Debug, Clone)]
+pub struct EdnsOptions<'a>(&'a [u8]);
+
+impl<'a> EdnsOptions<'a> {
+    /// Check every option's framing, and every Client Subnet option's
+    /// payload, in an OPT record's RDATA.
+    pub(crate) fn check(rdata: &'a [u8]) -> Result<Self> {
+        let mut buf = rdata;
+        while !buf.is_empty() {
+            if buf.len() < 4 {
+                return Err(WireError::Truncated {
+                    what: "edns option header",
+                    needed: 4 - buf.len(),
+                });
+            }
+            let code = u16::from_be_bytes([buf[0], buf[1]]);
+            let len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
+            if buf.len() < 4 + len {
+                return Err(WireError::Truncated {
+                    what: "edns option payload",
+                    needed: 4 + len - buf.len(),
+                });
+            }
+            if code == OPT_CLIENT_SUBNET {
+                ClientSubnet::parse(&buf[4..4 + len])?;
+            }
+            buf = &buf[4 + len..];
         }
-        let code = u16::from_be_bytes([buf[0], buf[1]]);
-        let len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
-        if buf.len() < 4 + len {
-            return Err(WireError::Truncated {
-                what: "edns option payload",
-                needed: 4 + len - buf.len(),
-            });
-        }
-        f(code, &buf[4..4 + len])?;
-        buf = &buf[4 + len..];
+        Ok(EdnsOptions(rdata))
     }
-    Ok(())
+
+    /// The first Client Subnet option.
+    pub fn client_subnet(self) -> Option<ClientSubnet<'a>> {
+        self.into_iter()
+            .find(|&(code, _)| code == OPT_CLIENT_SUBNET)
+            .map(|(_, payload)| ClientSubnet::parse(payload).expect("checked by the reader"))
+    }
+}
+
+impl<'a> Iterator for EdnsOptions<'a> {
+    type Item = (u16, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u16, &'a [u8])> {
+        // Framed by `check`: every length fits the RDATA.
+        let (head, rest) = self.0.split_first_chunk::<4>()?;
+        let len = usize::from(u16::from_be_bytes([head[2], head[3]]));
+        let (payload, rest) = rest.split_at(len);
+        self.0 = rest;
+        Some((u16::from_be_bytes([head[0], head[1]]), payload))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The option `write_ipv4` appends to an empty RDATA.
+    fn written(addr: [u8; 4], prefix_len: u8) -> Vec<u8> {
+        let mut out = Vec::new();
+        ClientSubnet::write_ipv4(&mut out, addr, prefix_len);
+        out
+    }
+
+    /// The Client Subnet option of an OPT RDATA, read in place.
+    fn read(rdata: &[u8]) -> ClientSubnet<'_> {
+        EdnsOptions::check(rdata).unwrap().client_subnet().unwrap()
+    }
+
     #[test]
     fn ipv4_truncates_and_masks() {
-        let cs = ClientSubnet::ipv4([192, 0, 2, 77], 24);
-        assert_eq!(cs.address, vec![192, 0, 2]);
+        let bytes = written([192, 0, 2, 77], 24);
+        assert_eq!(bytes, [0, 8, 0, 7, 0, 1, 24, 0, 192, 0, 2]);
+        let cs = read(&bytes);
+        assert_eq!(cs.address, [192, 0, 2]);
         assert_eq!(cs.source_prefix_len, 24);
-        let cs20 = ClientSubnet::ipv4([10, 20, 0xFF, 1], 20);
-        // 20 bits = 3 bytes with low 4 bits of third byte masked.
-        assert_eq!(cs20.address, vec![10, 20, 0xF0]);
-        let cs0 = ClientSubnet::ipv4([1, 2, 3, 4], 0);
-        assert!(cs0.address.is_empty());
+        assert_eq!(cs.scope_prefix_len, 0);
+        // 20 bits = 3 bytes with the low 4 bits of the third masked.
+        assert_eq!(
+            read(&written([10, 20, 0xFF, 1], 20)).address,
+            [10, 20, 0xF0]
+        );
+        assert!(read(&written([1, 2, 3, 4], 0)).address.is_empty());
     }
 
     #[test]
     fn ipv4_clamps_prefix() {
-        let cs = ClientSubnet::ipv4([1, 2, 3, 4], 40);
+        let bytes = written([1, 2, 3, 4], 40);
+        let cs = read(&bytes);
         assert_eq!(cs.source_prefix_len, 32);
-        assert_eq!(cs.address, vec![1, 2, 3, 4]);
+        assert_eq!(cs.address, [1, 2, 3, 4]);
     }
 
     #[test]
     fn slash24_extraction() {
-        let cs = ClientSubnet::ipv4([192, 0, 2, 0], 24);
-        assert_eq!(cs.slash24(), Some((192 << 16) | 2));
-        assert_eq!(ClientSubnet::ipv4([1, 2, 3, 0], 16).slash24(), None);
+        assert_eq!(
+            read(&written([192, 0, 2, 0], 24)).slash24(),
+            Some((192 << 16) | 2)
+        );
+        assert_eq!(read(&written([1, 2, 3, 0], 16)).slash24(), None);
+        let v6 = [0x00, 0x02, 24, 0, 0x20, 0x01, 0x0d];
+        assert_eq!(ClientSubnet::parse(&v6).unwrap().slash24(), None);
     }
 
     #[test]
-    fn payload_round_trip() {
-        let cs = ClientSubnet::ipv4([198, 51, 100, 0], 24);
-        let enc = cs.encode_payload();
-        assert_eq!(enc.len(), 4 + 3);
-        let back = ClientSubnet::decode_payload(&enc).unwrap();
-        assert_eq!(back, cs);
-    }
-
-    #[test]
-    fn decode_rejects_bad_family() {
+    fn parse_rejects_bad_family() {
         let buf = [0x00, 0x07, 24, 0, 1, 2, 3];
+        assert_eq!(
+            ClientSubnet::parse(&buf),
+            Err(WireError::UnknownValue {
+                what: "client subnet family",
+                value: 7,
+            })
+        );
+    }
+
+    #[test]
+    fn parse_rejects_bad_prefix_len() {
+        let buf = [0x00, 0x01, 40, 0, 1, 2, 3, 4, 5];
         assert!(matches!(
-            ClientSubnet::decode_payload(&buf),
-            Err(WireError::UnknownValue { .. })
+            ClientSubnet::parse(&buf),
+            Err(WireError::FieldOverflow { max: 32, .. })
         ));
     }
 
     #[test]
-    fn decode_rejects_bad_prefix_len() {
-        let buf = [0x00, 0x01, 40, 0, 1, 2, 3, 4, 5];
-        assert!(ClientSubnet::decode_payload(&buf).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_wrong_address_len() {
+    fn parse_rejects_wrong_address_len() {
         // /24 claims 3 bytes but carries 4.
         let buf = [0x00, 0x01, 24, 0, 1, 2, 3, 4];
-        assert!(ClientSubnet::decode_payload(&buf).is_err());
+        assert!(ClientSubnet::parse(&buf).is_err());
         // And too few.
         let buf2 = [0x00, 0x01, 24, 0, 1, 2];
-        assert!(ClientSubnet::decode_payload(&buf2).is_err());
+        assert!(ClientSubnet::parse(&buf2).is_err());
     }
 
     #[test]
-    fn decode_rejects_truncated_header() {
-        assert!(ClientSubnet::decode_payload(&[0x00]).is_err());
+    fn parse_rejects_truncated_header() {
+        assert!(ClientSubnet::parse(&[0x00]).is_err());
     }
 
     #[test]
-    fn options_encode_decode_round_trip() {
-        let opts = vec![
-            EdnsOption::Nsid(b"b4-lax".to_vec()),
-            EdnsOption::ClientSubnet(ClientSubnet::ipv4([203, 0, 113, 0], 24)),
-            EdnsOption::Unknown {
-                code: 42,
-                data: vec![1, 2, 3],
-            },
-        ];
-        let mut buf = Vec::new();
-        for o in &opts {
-            o.encode(&mut buf);
-        }
-        let back = EdnsOption::decode_all(&buf).unwrap();
-        assert_eq!(back, opts);
-    }
-
-    #[test]
-    fn decode_all_rejects_truncation() {
-        let mut buf = Vec::new();
-        EdnsOption::Nsid(b"abc".to_vec()).encode(&mut buf);
-        assert!(EdnsOption::decode_all(&buf[..buf.len() - 1]).is_err());
-        assert!(EdnsOption::decode_all(&buf[..3]).is_err());
-        assert!(EdnsOption::decode_all(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn option_codes() {
-        assert_eq!(EdnsOption::Nsid(vec![]).code(), 3);
+    fn options_are_framed_in_place() {
+        // An NSID option, a Client Subnet option, and an unknown one.
+        let mut buf = vec![0, 3, 0, 6];
+        buf.extend_from_slice(b"b4-lax");
+        ClientSubnet::write_ipv4(&mut buf, [203, 0, 113, 0], 24);
+        buf.extend_from_slice(&[0, 42, 0, 3, 1, 2, 3]);
+        let opts = EdnsOptions::check(&buf).unwrap();
+        let got: Vec<(u16, &[u8])> = opts.clone().collect();
+        assert_eq!(got[0], (3, &b"b4-lax"[..]));
+        assert_eq!(got[1], (8, &[0u8, 1, 24, 0, 203, 0, 113][..]));
+        assert_eq!(got[2], (42, &[1u8, 2, 3][..]));
+        assert_eq!(got.len(), 3);
+        assert_eq!(opts.client_subnet().unwrap().address, [203, 0, 113]);
+        // Options without a Client Subnet one have none.
         assert_eq!(
-            EdnsOption::ClientSubnet(ClientSubnet::ipv4([0, 0, 0, 0], 0)).code(),
-            8
+            EdnsOptions::check(&buf[..10]).unwrap().client_subnet(),
+            None
         );
-        assert_eq!(
-            EdnsOption::Unknown {
-                code: 99,
-                data: vec![]
-            }
-            .code(),
-            99
-        );
+    }
+
+    #[test]
+    fn check_rejects_truncation_and_bad_client_subnets() {
+        let mut buf = vec![0, 3, 0, 3];
+        buf.extend_from_slice(b"abc");
+        assert!(EdnsOptions::check(&buf[..buf.len() - 1]).is_err());
+        assert!(EdnsOptions::check(&buf[..3]).is_err());
+        assert_eq!(EdnsOptions::check(&[]).unwrap().count(), 0);
+        let bad_family = [0, 8, 0, 4, 0, 7, 0, 0];
+        assert!(matches!(
+            EdnsOptions::check(&bad_family),
+            Err(WireError::UnknownValue { .. })
+        ));
     }
 }

@@ -1,14 +1,12 @@
-//! DNS message structure: header, questions, resource records, and the
-//! message codec with name compression.
+//! DNS messages: the header, and the codec with name compression.
 //!
 //! [`MessageWriter`] writes every message into a caller's buffer,
 //! compressing names against one table it keeps across messages;
 //! [`MessageReader`] checks a whole message in place and then yields its
-//! header, questions and records borrowed from the input. The owned
-//! [`Message::encode`] and [`Message::decode`] wrap the two.
+//! header, questions and records borrowed from the input.
 
-use super::edns::{ClientSubnet, EdnsOption};
-use super::name::{write_compressed, Name, NameTable, WireName};
+use super::edns::{ClientSubnet, EdnsOptions};
+use super::name::{write_compressed, NameTable, WireName};
 use super::{QClass, QType};
 use crate::error::{Result, WireError};
 
@@ -183,118 +181,6 @@ impl Header {
     }
 }
 
-/// A question entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Question {
-    /// Queried name.
-    pub name: Name,
-    /// Queried type.
-    pub qtype: QType,
-    /// Queried class.
-    pub qclass: QClass,
-}
-
-/// Typed record data. Types Fenrir uses decode structurally; everything else
-/// round-trips as raw bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RData {
-    /// IPv4 address.
-    A([u8; 4]),
-    /// IPv6 address.
-    Aaaa([u8; 16]),
-    /// Text strings (each at most 255 octets) — CHAOS identifiers live here.
-    Txt(Vec<Vec<u8>>),
-    /// Canonical name.
-    Cname(Name),
-    /// Name server.
-    Ns(Name),
-    /// Pointer.
-    Ptr(Name),
-    /// EDNS0 options (the OPT pseudo-record's RDATA).
-    Opt(Vec<EdnsOption>),
-    /// Uninterpreted RDATA for other types.
-    Raw(Vec<u8>),
-}
-
-/// A resource record. For OPT pseudo-records the `class` field carries the
-/// advertised UDP payload size and `ttl` the extended flags, per RFC 6891.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Record owner name.
-    pub name: Name,
-    /// Record type.
-    pub rtype: QType,
-    /// Class (or UDP size for OPT).
-    pub class: u16,
-    /// Time to live (or extended rcode/flags for OPT).
-    pub ttl: u32,
-    /// Typed data.
-    pub rdata: RData,
-}
-
-impl Record {
-    /// Build a TXT record, e.g. the CHAOS `hostname.bind` answer carrying a
-    /// site identifier.
-    pub fn txt(name: Name, class: QClass, ttl: u32, text: &[u8]) -> Record {
-        Record {
-            name,
-            rtype: QType::Txt,
-            class: class.code(),
-            ttl,
-            rdata: RData::Txt(vec![text.to_vec()]),
-        }
-    }
-
-    /// Build an A record.
-    pub fn a(name: Name, ttl: u32, addr: [u8; 4]) -> Record {
-        Record {
-            name,
-            rtype: QType::A,
-            class: QClass::In.code(),
-            ttl,
-            rdata: RData::A(addr),
-        }
-    }
-
-    /// Build an OPT pseudo-record advertising `udp_size` with the given
-    /// options.
-    pub fn opt(udp_size: u16, options: Vec<EdnsOption>) -> Record {
-        Record {
-            name: Name::root(),
-            rtype: QType::Opt,
-            class: udp_size,
-            ttl: 0,
-            rdata: RData::Opt(options),
-        }
-    }
-}
-
-impl RData {
-    /// Append the record data (names uncompressed).
-    fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            RData::A(a) => out.extend_from_slice(a),
-            RData::Aaaa(a) => out.extend_from_slice(a),
-            RData::Txt(strings) => {
-                for s in strings {
-                    write_character_string(out, s)?;
-                }
-            }
-            // RFC 1035 forbids compressing names in newer RR types' RDATA;
-            // NS/CNAME/PTR may be compressed but we emit them uncompressed
-            // for simplicity and interoperability.
-            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => n.encode_uncompressed(out),
-            RData::Opt(options) => {
-                for o in options {
-                    o.encode(out);
-                }
-            }
-            RData::Raw(d) => out.extend_from_slice(d),
-        }
-        Ok(())
-    }
-}
-
 /// Append one TXT character-string: a length octet, then at most 255
 /// octets.
 fn write_character_string(out: &mut Vec<u8>, s: &[u8]) -> Result<()> {
@@ -321,25 +207,16 @@ pub struct QuestionRef<'a> {
     pub qclass: QClass,
 }
 
-impl QuestionRef<'_> {
-    /// An owned copy.
-    pub(crate) fn to_question(self) -> Question {
-        Question {
-            name: self.name.to_name(),
-            qtype: self.qtype,
-            qclass: self.qclass,
-        }
-    }
-}
-
-/// Record data read in place: [`RData`] with its bytes and names borrowed.
+/// Record data read in place. Types Fenrir uses are read structurally;
+/// everything else is raw bytes.
 #[derive(Debug, Clone)]
 pub enum RDataRef<'a> {
     /// IPv4 address.
     A([u8; 4]),
     /// IPv6 address.
     Aaaa([u8; 16]),
-    /// Text strings.
+    /// Text strings (each at most 255 octets) — CHAOS identifiers live
+    /// here.
     Txt(TxtStrings<'a>),
     /// Canonical name.
     Cname(WireName<'a>),
@@ -347,8 +224,8 @@ pub enum RDataRef<'a> {
     Ns(WireName<'a>),
     /// Pointer.
     Ptr(WireName<'a>),
-    /// EDNS0 options, checked, as they lie in the RDATA.
-    Opt(&'a [u8]),
+    /// EDNS0 options (the OPT pseudo-record's RDATA), checked.
+    Opt(EdnsOptions<'a>),
     /// Uninterpreted RDATA for other types.
     Raw(&'a [u8]),
 }
@@ -369,7 +246,9 @@ impl<'a> Iterator for TxtStrings<'a> {
     }
 }
 
-/// A resource record read in place by [`MessageReader`].
+/// A resource record read in place by [`MessageReader`]. For OPT
+/// pseudo-records the `class` field carries the advertised UDP payload
+/// size and `ttl` the extended flags, per RFC 6891.
 #[derive(Debug, Clone)]
 pub struct RecordRef<'a> {
     /// Record owner name.
@@ -382,31 +261,6 @@ pub struct RecordRef<'a> {
     pub ttl: u32,
     /// Typed data.
     pub rdata: RDataRef<'a>,
-}
-
-impl RecordRef<'_> {
-    /// An owned copy.
-    pub(crate) fn to_record(&self) -> Record {
-        let rdata = match &self.rdata {
-            RDataRef::A(a) => RData::A(*a),
-            RDataRef::Aaaa(a) => RData::Aaaa(*a),
-            RDataRef::Txt(t) => RData::Txt(t.clone().map(<[u8]>::to_vec).collect()),
-            RDataRef::Cname(n) => RData::Cname(n.to_name()),
-            RDataRef::Ns(n) => RData::Ns(n.to_name()),
-            RDataRef::Ptr(n) => RData::Ptr(n.to_name()),
-            RDataRef::Opt(o) => {
-                RData::Opt(EdnsOption::decode_all(o).expect("options checked by the reader"))
-            }
-            RDataRef::Raw(d) => RData::Raw(d.to_vec()),
-        };
-        Record {
-            name: self.name.to_name(),
-            rtype: self.rtype,
-            class: self.class,
-            ttl: self.ttl,
-            rdata,
-        }
-    }
 }
 
 fn read_question<'a>(buf: &'a [u8], pos: &mut usize) -> Result<QuestionRef<'a>> {
@@ -500,10 +354,7 @@ fn read_record<'a>(buf: &'a [u8], pos: &mut usize) -> Result<RecordRef<'a>> {
                 _ => RDataRef::Ptr(n),
             }
         }
-        QType::Opt => {
-            EdnsOption::check_all(rdata_buf)?;
-            RDataRef::Opt(rdata_buf)
-        }
+        QType::Opt => RDataRef::Opt(EdnsOptions::check(rdata_buf)?),
         _ => RDataRef::Raw(rdata_buf),
     };
     *pos += rdlen;
@@ -514,166 +365,6 @@ fn read_record<'a>(buf: &'a [u8], pos: &mut usize) -> Result<RecordRef<'a>> {
         ttl,
         rdata,
     })
-}
-
-/// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Header flags and id.
-    pub header: Header,
-    /// Question section.
-    pub questions: Vec<Question>,
-    /// Answer section.
-    pub answers: Vec<Record>,
-    /// Authority section.
-    pub authorities: Vec<Record>,
-    /// Additional section (the OPT pseudo-record lives here).
-    pub additionals: Vec<Record>,
-}
-
-impl Message {
-    /// Build a recursive query for `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a valid domain name; use [`Name::parse`] +
-    /// manual construction for untrusted input.
-    pub fn query(id: u16, name: &str, qtype: QType, qclass: QClass) -> Message {
-        Message {
-            header: Header {
-                id,
-                rd: true,
-                ..Header::default()
-            },
-            questions: vec![Question {
-                name: Name::parse(name).expect("valid query name"),
-                qtype,
-                qclass,
-            }],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    /// Build the CHAOS `TXT hostname.bind` query RIPE Atlas probes send to
-    /// identify an anycast site.
-    pub fn chaos_hostname_bind(id: u16) -> Message {
-        Message::query(id, "hostname.bind", QType::Txt, QClass::Chaos)
-    }
-
-    /// Build a response skeleton echoing this query's id and question.
-    pub fn response_to(&self, rcode: Rcode) -> Message {
-        Message {
-            header: self.header.response(rcode),
-            questions: self.questions.clone(),
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    /// The message's OPT pseudo-record, if any.
-    pub fn opt_record(&self) -> Option<&Record> {
-        self.additionals.iter().find(|r| r.rtype == QType::Opt)
-    }
-
-    fn opt_record_mut(&mut self) -> &mut Record {
-        if let Some(i) = self.additionals.iter().position(|r| r.rtype == QType::Opt) {
-            &mut self.additionals[i]
-        } else {
-            self.additionals.push(Record::opt(4096, Vec::new()));
-            self.additionals.last_mut().expect("just pushed")
-        }
-    }
-
-    /// Attach (or replace) an EDNS Client Subnet option, creating the OPT
-    /// record if needed.
-    pub fn set_client_subnet(&mut self, cs: ClientSubnet) {
-        let rec = self.opt_record_mut();
-        if let RData::Opt(opts) = &mut rec.rdata {
-            opts.retain(|o| !matches!(o, EdnsOption::ClientSubnet(_)));
-            opts.push(EdnsOption::ClientSubnet(cs));
-        }
-    }
-
-    /// The Client Subnet option, if present.
-    pub fn client_subnet(&self) -> Option<&ClientSubnet> {
-        self.opt_record().and_then(|r| match &r.rdata {
-            RData::Opt(opts) => opts.iter().find_map(|o| match o {
-                EdnsOption::ClientSubnet(cs) => Some(cs),
-                _ => None,
-            }),
-            _ => None,
-        })
-    }
-
-    /// Request NSID (empty option in a query) or set the NSID payload
-    /// (in a response).
-    pub fn set_nsid(&mut self, payload: Vec<u8>) {
-        let rec = self.opt_record_mut();
-        if let RData::Opt(opts) = &mut rec.rdata {
-            opts.retain(|o| !matches!(o, EdnsOption::Nsid(_)));
-            opts.push(EdnsOption::Nsid(payload));
-        }
-    }
-
-    /// The NSID payload, if present.
-    pub fn nsid(&self) -> Option<&[u8]> {
-        self.opt_record().and_then(|r| match &r.rdata {
-            RData::Opt(opts) => opts.iter().find_map(|o| match o {
-                EdnsOption::Nsid(d) => Some(d.as_slice()),
-                _ => None,
-            }),
-            _ => None,
-        })
-    }
-
-    /// First TXT answer string, decoded lossily — how a measurement client
-    /// reads a CHAOS site identifier.
-    pub fn first_txt(&self) -> Option<String> {
-        self.answers.iter().find_map(|r| match &r.rdata {
-            RData::Txt(strings) => strings
-                .first()
-                .map(|s| String::from_utf8_lossy(s).into_owned()),
-            _ => None,
-        })
-    }
-
-    /// All A-record addresses in the answer section.
-    pub fn a_addrs(&self) -> Vec<[u8; 4]> {
-        self.answers
-            .iter()
-            .filter_map(|r| match r.rdata {
-                RData::A(a) => Some(a),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Encode to wire bytes with name compression.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(64);
-        MessageWriter::default().message(&mut out, self)?;
-        Ok(out)
-    }
-
-    /// Decode from wire bytes. Rejects trailing garbage.
-    pub fn decode(buf: &[u8]) -> Result<Message> {
-        let reader = MessageReader::new(buf)?;
-        let mut sections: [Vec<Record>; 3] = Default::default();
-        for (section, record) in reader.records() {
-            sections[section].push(record.to_record());
-        }
-        let [answers, authorities, additionals] = sections;
-        Ok(Message {
-            header: reader.header(),
-            questions: reader.questions().map(|q| q.to_question()).collect(),
-            answers,
-            authorities,
-            additionals,
-        })
-    }
 }
 
 /// Writes DNS messages at the end of a caller's buffer, compressing names
@@ -694,6 +385,12 @@ impl MessageWriter {
         header.encode(counts, out);
     }
 
+    /// Append a name, compressed against the names this message already
+    /// holds: a question's or a record's, or one inside a record's RDATA.
+    pub fn name<'l>(&mut self, out: &mut Vec<u8>, labels: impl Iterator<Item = &'l [u8]> + Clone) {
+        write_compressed(labels, out, self.start, &mut self.table);
+    }
+
     /// Append a question.
     pub fn question<'l>(
         &mut self,
@@ -702,12 +399,14 @@ impl MessageWriter {
         qtype: QType,
         qclass: QClass,
     ) {
-        write_compressed(name, out, self.start, &mut self.table);
+        self.name(out, name);
         out.extend_from_slice(&qtype.code().to_be_bytes());
         out.extend_from_slice(&qclass.code().to_be_bytes());
     }
 
-    /// Append a resource record whose RDATA `rdata` appends.
+    /// Append a resource record whose RDATA `rdata` appends, given this
+    /// writer for the names in it. For an OPT pseudo-record, `class` is
+    /// the advertised UDP payload size and `ttl` the extended flags.
     pub fn record<'l>(
         &mut self,
         out: &mut Vec<u8>,
@@ -715,15 +414,15 @@ impl MessageWriter {
         rtype: QType,
         class: u16,
         ttl: u32,
-        rdata: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+        rdata: impl FnOnce(&mut Self, &mut Vec<u8>) -> Result<()>,
     ) -> Result<()> {
-        write_compressed(name, out, self.start, &mut self.table);
+        self.name(out, name);
         out.extend_from_slice(&rtype.code().to_be_bytes());
         out.extend_from_slice(&class.to_be_bytes());
         out.extend_from_slice(&ttl.to_be_bytes());
         let len_pos = out.len();
         out.extend_from_slice(&[0, 0]);
-        rdata(out)?;
+        rdata(self, out)?;
         let rdlen = out.len() - len_pos - 2;
         if rdlen > usize::from(u16::MAX) {
             return Err(WireError::FieldOverflow {
@@ -736,56 +435,25 @@ impl MessageWriter {
         Ok(())
     }
 
-    /// Append a TXT record of one character-string, as [`Record::txt`]
-    /// builds it.
-    pub fn txt<'l>(
+    /// Append a TXT record of `strings`, e.g. the CHAOS `hostname.bind`
+    /// answer carrying a site identifier.
+    pub fn txt<'l, 's>(
         &mut self,
         out: &mut Vec<u8>,
         name: impl Iterator<Item = &'l [u8]> + Clone,
         class: QClass,
         ttl: u32,
-        text: &[u8],
+        strings: impl IntoIterator<Item = &'s [u8]>,
     ) -> Result<()> {
-        self.record(out, name, QType::Txt, class.code(), ttl, |out| {
-            write_character_string(out, text)
+        self.record(out, name, QType::Txt, class.code(), ttl, |_, out| {
+            strings
+                .into_iter()
+                .try_for_each(|s| write_character_string(out, s))
         })
     }
 
-    /// Append a whole message.
-    pub fn message(&mut self, out: &mut Vec<u8>, m: &Message) -> Result<()> {
-        let mut counts = [0u16; 4];
-        for (c, len) in counts.iter_mut().zip([
-            m.questions.len(),
-            m.answers.len(),
-            m.authorities.len(),
-            m.additionals.len(),
-        ]) {
-            *c = u16::try_from(len).map_err(|_| WireError::FieldOverflow {
-                what: "section count",
-                value: len,
-                max: usize::from(u16::MAX),
-            })?;
-        }
-        self.header(out, m.header, counts);
-        for q in &m.questions {
-            self.question(
-                out,
-                q.name.labels().iter().map(Vec::as_slice),
-                q.qtype,
-                q.qclass,
-            );
-        }
-        for r in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
-            let name = r.name.labels().iter().map(Vec::as_slice);
-            self.record(out, name, r.rtype, r.class, r.ttl, |out| {
-                r.rdata.encode(out)
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Begin the response to `query` as [`Message::response_to`] builds
-    /// it — its header, then every question copied — ahead of `answers`
+    /// Begin the response to `query`: its header, echoing the id and
+    /// recursion-desired, then every question copied, ahead of `answers`
     /// answer records.
     pub fn response_to(
         &mut self,
@@ -806,8 +474,7 @@ impl MessageWriter {
 }
 
 /// Reads a DNS message in place. [`MessageReader::new`] checks the whole
-/// message, failing exactly where [`Message::decode`] fails; the
-/// accessors then borrow from the input.
+/// message; the accessors then borrow from the input.
 #[derive(Debug, Clone)]
 pub struct MessageReader<'a> {
     buf: &'a [u8],
@@ -869,220 +536,347 @@ impl<'a> MessageReader<'a> {
             })
     }
 
-    /// The first string of the first TXT answer that has one, as
-    /// [`Message::first_txt`] finds it, but as bytes.
-    pub fn first_txt(&self) -> Option<&'a [u8]> {
+    /// The answer records, in order.
+    pub fn answers(&self) -> impl Iterator<Item = RecordRef<'a>> {
         self.records()
             .take(usize::from(self.counts[1]))
+            .map(|(_, r)| r)
+    }
+
+    /// The first string of the first TXT answer that has one — how a
+    /// measurement client reads a CHAOS site identifier.
+    pub fn first_txt(&self) -> Option<&'a [u8]> {
+        self.answers().find_map(|r| match r.rdata {
+            RDataRef::Txt(mut strings) => strings.next(),
+            _ => None,
+        })
+    }
+
+    /// The first Client Subnet option of the first OPT record in the
+    /// additional section.
+    pub fn client_subnet(&self) -> Option<ClientSubnet<'a>> {
+        self.records()
+            .filter(|&(section, _)| section == 2)
             .find_map(|(_, r)| match r.rdata {
-                RDataRef::Txt(mut strings) => strings.next(),
+                RDataRef::Opt(options) => Some(options),
                 _ => None,
-            })
+            })?
+            .client_subnet()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::name::Name;
     use super::*;
 
-    #[test]
-    fn query_round_trip() {
-        let q = Message::query(0xBEEF, "www.example.org", QType::A, QClass::In);
-        let bytes = q.encode().unwrap();
-        let back = Message::decode(&bytes).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.header.id, 0xBEEF);
-        assert!(back.header.rd);
-        assert!(!back.header.qr);
-        assert_eq!(back.questions[0].qtype, QType::A);
+    fn name(s: &str) -> Name {
+        Name::parse(s).unwrap()
+    }
+
+    /// A query for `qname` with recursion desired, written from offset 0.
+    fn query(id: u16, qname: &str, qtype: QType, qclass: QClass) -> Vec<u8> {
+        query_with(id, &[qname], qtype, qclass, None)
+    }
+
+    /// A query with a question for each of `qnames`, and, unless
+    /// `subnets` is `None`, an OPT record holding a Client Subnet option
+    /// for each of them.
+    fn query_with(
+        id: u16,
+        qnames: &[&str],
+        qtype: QType,
+        qclass: QClass,
+        subnets: Option<&[[u8; 4]]>,
+    ) -> Vec<u8> {
+        let (mut w, mut out) = (MessageWriter::default(), Vec::new());
+        let header = Header {
+            id,
+            rd: true,
+            ..Header::default()
+        };
+        let counts = [qnames.len() as u16, 0, 0, u16::from(subnets.is_some())];
+        w.header(&mut out, header, counts);
+        for q in qnames {
+            w.question(&mut out, name(q).labels(), qtype, qclass);
+        }
+        if let Some(subnets) = subnets {
+            opt(&mut w, &mut out, subnets).unwrap();
+        }
+        out
+    }
+
+    /// The dotted form of a name read in place.
+    fn dotted(n: WireName<'_>) -> String {
+        let labels: Vec<String> = n
+            .labels()
+            .map(|l| String::from_utf8_lossy(l).into_owned())
+            .collect();
+        labels.join(".")
+    }
+
+    /// `add` appends the answers of a response to `qbytes`, written by
+    /// one writer from offset 0.
+    fn respond(
+        qbytes: &[u8],
+        rcode: Rcode,
+        counts: [u16; 3],
+        add: impl FnOnce(&mut MessageWriter, &mut Vec<u8>, WireName<'_>) -> Result<()>,
+    ) -> Result<Vec<u8>> {
+        let q = MessageReader::new(qbytes).unwrap();
+        let (mut w, mut out) = (MessageWriter::default(), Vec::new());
+        let header = q.header().response(rcode);
+        w.header(
+            &mut out,
+            header,
+            [q.counts[0], counts[0], counts[1], counts[2]],
+        );
+        for qq in q.questions() {
+            w.question(&mut out, qq.name.labels(), qq.qtype, qq.qclass);
+        }
+        add(&mut w, &mut out, q.questions().next().unwrap().name)?;
+        Ok(out)
     }
 
     #[test]
-    fn chaos_query_shape() {
-        let q = Message::chaos_hostname_bind(7);
-        assert_eq!(q.questions[0].qclass, QClass::Chaos);
-        assert_eq!(q.questions[0].qtype, QType::Txt);
-        assert_eq!(q.questions[0].name.to_string(), "hostname.bind");
-        let bytes = q.encode().unwrap();
-        assert_eq!(Message::decode(&bytes).unwrap(), q);
+    fn query_round_trip() {
+        let bytes = query(0xBEEF, "www.example.org", QType::A, QClass::In);
+        let back = MessageReader::new(&bytes).unwrap();
+        let h = back.header();
+        assert_eq!((h.id, h.rd, h.qr), (0xBEEF, true, false));
+        let q: Vec<QuestionRef<'_>> = back.questions().collect();
+        assert_eq!(q.len(), 1);
+        assert_eq!(dotted(q[0].name), "www.example.org");
+        assert_eq!((q[0].qtype, q[0].qclass), (QType::A, QClass::In));
+        assert_eq!(back.records().count(), 0);
     }
 
     #[test]
     fn chaos_response_with_txt_identifier() {
-        let q = Message::chaos_hostname_bind(42);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers.push(Record::txt(
-            q.questions[0].name.clone(),
-            QClass::Chaos,
-            0,
-            b"b4-iad2",
-        ));
-        let bytes = r.encode().unwrap();
-        let back = Message::decode(&bytes).unwrap();
-        assert!(back.header.qr);
-        assert_eq!(back.header.id, 42);
-        assert_eq!(back.first_txt().unwrap(), "b4-iad2");
+        let qbytes = query(42, "hostname.bind", QType::Txt, QClass::Chaos);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.txt(out, qname.labels(), QClass::Chaos, 0, [&b"b4-iad2"[..]])
+        })
+        .unwrap();
+        let back = MessageReader::new(&bytes).unwrap();
+        assert!(back.header().qr);
+        assert_eq!(back.header().id, 42);
+        let q = back.questions().next().unwrap();
+        assert_eq!((q.qtype, q.qclass), (QType::Txt, QClass::Chaos));
+        assert_eq!(back.first_txt(), Some(&b"b4-iad2"[..]));
     }
 
     #[test]
     fn answer_name_is_compressed_against_question() {
-        let q = Message::query(1, "a.very.long.domain.example.org", QType::A, QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers
-            .push(Record::a(q.questions[0].name.clone(), 300, [192, 0, 2, 1]));
-        let bytes = r.encode().unwrap();
+        let qname = "a.very.long.domain.example.org";
+        let qbytes = query(1, qname, QType::A, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.record(out, qname.labels(), QType::A, 1, 300, |_, out| {
+                out.extend_from_slice(&[192, 0, 2, 1]);
+                Ok(())
+            })
+        })
+        .unwrap();
         // Answer owner name should be a 2-byte pointer, so total length is
         // header(12) + question(name + 4) + answer(2 + 10 + 4).
-        let name_len = q.questions[0].name.encoded_len();
+        let name_len = qname.len() + 2;
         assert_eq!(bytes.len(), 12 + name_len + 4 + 2 + 10 + 4);
-        let back = Message::decode(&bytes).unwrap();
-        assert_eq!(back.a_addrs(), vec![[192, 0, 2, 1]]);
+        let back = MessageReader::new(&bytes).unwrap();
+        let a = back.answers().next().unwrap();
+        assert_eq!(dotted(a.name), qname);
+        assert!(matches!(a.rdata, RDataRef::A([192, 0, 2, 1])));
+    }
+
+    /// Appends an OPT record advertising 4096 octets that holds a Client
+    /// Subnet option for each of `subnets`.
+    fn opt(w: &mut MessageWriter, out: &mut Vec<u8>, subnets: &[[u8; 4]]) -> Result<()> {
+        w.record(out, std::iter::empty(), QType::Opt, 4096, 0, |_, out| {
+            for &s in subnets {
+                ClientSubnet::write_ipv4(out, s, 24);
+            }
+            Ok(())
+        })
     }
 
     #[test]
     fn edns_client_subnet_round_trip() {
-        let mut q = Message::query(9, "www.google.com", QType::A, QClass::In);
-        q.set_client_subnet(ClientSubnet::ipv4([100, 64, 12, 0], 24));
-        let bytes = q.encode().unwrap();
-        let back = Message::decode(&bytes).unwrap();
+        let subnets = Some(&[[100, 64, 12, 77]][..]);
+        let bytes = query_with(9, &["www.google.com"], QType::A, QClass::In, subnets);
+        let back = MessageReader::new(&bytes).unwrap();
         let cs = back.client_subnet().unwrap();
         assert_eq!(cs.source_prefix_len, 24);
-        assert_eq!(cs.address, vec![100, 64, 12]);
-        assert_eq!(back.opt_record().unwrap().class, 4096);
+        assert_eq!(cs.address, [100, 64, 12]);
+        let (section, opt) = back.records().next().unwrap();
+        assert_eq!((section, opt.rtype, opt.class), (2, QType::Opt, 4096));
     }
 
     #[test]
-    fn set_client_subnet_replaces_existing() {
-        let mut q = Message::query(9, "example.org", QType::A, QClass::In);
-        q.set_client_subnet(ClientSubnet::ipv4([10, 0, 0, 0], 24));
-        q.set_client_subnet(ClientSubnet::ipv4([10, 1, 0, 0], 24));
-        let opts = match &q.opt_record().unwrap().rdata {
-            RData::Opt(o) => o.clone(),
-            _ => panic!("opt record"),
-        };
-        assert_eq!(opts.len(), 1);
-        assert_eq!(q.client_subnet().unwrap().address, vec![10, 1, 0]);
-    }
-
-    #[test]
-    fn nsid_request_and_response() {
-        let mut q = Message::chaos_hostname_bind(5);
-        q.set_nsid(Vec::new()); // request
-        let bytes = q.encode().unwrap();
-        let back = Message::decode(&bytes).unwrap();
-        assert_eq!(back.nsid(), Some(&[][..]));
-        let mut r = back.response_to(Rcode::NoError);
-        r.set_nsid(b"lax.b.root".to_vec());
-        let rb = Message::decode(&r.encode().unwrap()).unwrap();
-        assert_eq!(rb.nsid(), Some(&b"lax.b.root"[..]));
+    fn client_subnet_is_the_first_of_the_first_additional_opt() {
+        let qbytes = query(9, "x.y", QType::A, QClass::In);
+        // An OPT answer, then two OPT additionals: the first holding two
+        // subnets, the second one.
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 2], |w, out, _| {
+            opt(w, out, &[[10, 0, 0, 0]])?;
+            opt(w, out, &[[10, 1, 0, 0], [10, 2, 0, 0]])?;
+            opt(w, out, &[[10, 3, 0, 0]])
+        })
+        .unwrap();
+        let back = MessageReader::new(&bytes).unwrap();
+        assert_eq!(back.client_subnet().unwrap().address, [10, 1, 0]);
+        // A first additional OPT without one hides a later one.
+        let bytes = respond(&qbytes, Rcode::NoError, [0, 0, 2], |w, out, _| {
+            opt(w, out, &[])?;
+            opt(w, out, &[[10, 3, 0, 0]])
+        })
+        .unwrap();
+        assert_eq!(MessageReader::new(&bytes).unwrap().client_subnet(), None);
     }
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let q = Message::query(1, "x.y", QType::A, QClass::In);
-        let mut bytes = q.encode().unwrap();
+        let mut bytes = query(1, "x.y", QType::A, QClass::In);
         bytes.push(0);
         assert!(matches!(
-            Message::decode(&bytes),
+            MessageReader::new(&bytes),
             Err(WireError::TrailingBytes { count: 1 })
         ));
     }
 
     #[test]
     fn decode_rejects_truncated_everything() {
-        let q = Message::query(1, "host.example.com", QType::Txt, QClass::In);
-        let bytes = q.encode().unwrap();
+        let subnets = Some(&[[1, 2, 3, 4]][..]);
+        let bytes = query_with(1, &["host.example.com"], QType::Txt, QClass::In, subnets);
         // Every proper prefix must fail cleanly, never panic.
         for cut in 0..bytes.len() {
-            assert!(Message::decode(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(MessageReader::new(&bytes[..cut]).is_err(), "cut={cut}");
         }
+        assert!(MessageReader::new(&bytes).is_ok());
     }
 
     #[test]
     fn decode_rejects_bad_a_rdlen() {
-        let q = Message::query(1, "a.b", QType::A, QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers.push(Record {
-            name: Name::parse("a.b").unwrap(),
-            rtype: QType::A,
-            class: 1,
-            ttl: 0,
-            rdata: RData::Raw(vec![1, 2, 3]), // 3-byte A record
-        });
-        // Encode writes Raw bytes with rtype A; decoding must reject.
-        let bytes = r.encode().unwrap();
-        assert!(Message::decode(&bytes).is_err());
+        let qbytes = query(1, "a.b", QType::A, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            // A 3-byte A record.
+            w.record(out, qname.labels(), QType::A, 1, 0, |_, out| {
+                out.extend_from_slice(&[1, 2, 3]);
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert_eq!(
+            MessageReader::new(&bytes).unwrap_err(),
+            WireError::FieldOverflow {
+                what: "A rdata",
+                value: 3,
+                max: 4,
+            }
+        );
     }
 
     #[test]
     fn txt_multiple_strings_round_trip() {
-        let q = Message::query(1, "t.t", QType::Txt, QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers.push(Record {
-            name: Name::parse("t.t").unwrap(),
-            rtype: QType::Txt,
-            class: 1,
-            ttl: 60,
-            rdata: RData::Txt(vec![b"one".to_vec(), b"two".to_vec()]),
-        });
-        let back = Message::decode(&r.encode().unwrap()).unwrap();
-        match &back.answers[0].rdata {
-            RData::Txt(s) => assert_eq!(s.len(), 2),
+        let qbytes = query(1, "t.t", QType::Txt, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.txt(out, qname.labels(), QClass::In, 60, [&b"one"[..], b"two"])
+        })
+        .unwrap();
+        let back = MessageReader::new(&bytes).unwrap();
+        let strings: Vec<&[u8]> = match back.answers().next().unwrap().rdata {
+            RDataRef::Txt(s) => s.collect(),
             other => panic!("expected TXT, got {other:?}"),
-        }
+        };
+        assert_eq!(strings, [&b"one"[..], b"two"]);
     }
 
     #[test]
     fn txt_overlong_string_rejected_at_encode() {
-        let q = Message::query(1, "t.t", QType::Txt, QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers.push(Record {
-            name: Name::parse("t.t").unwrap(),
-            rtype: QType::Txt,
-            class: 1,
-            ttl: 60,
-            rdata: RData::Txt(vec![vec![0u8; 256]]),
+        let qbytes = query(1, "t.t", QType::Txt, QClass::In);
+        let got = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.txt(out, qname.labels(), QClass::In, 60, [&[0u8; 256][..]])
         });
-        assert!(r.encode().is_err());
+        assert_eq!(
+            got.unwrap_err(),
+            WireError::FieldOverflow {
+                what: "txt string",
+                value: 256,
+                max: 255,
+            }
+        );
     }
 
     #[test]
     fn cname_and_ns_round_trip() {
-        let q = Message::query(1, "alias.example.org", QType::Cname, QClass::In);
-        let mut r = q.response_to(Rcode::NxDomain);
-        r.answers.push(Record {
-            name: Name::parse("alias.example.org").unwrap(),
-            rtype: QType::Cname,
-            class: 1,
-            ttl: 60,
-            rdata: RData::Cname(Name::parse("real.example.org").unwrap()),
-        });
-        r.authorities.push(Record {
-            name: Name::parse("example.org").unwrap(),
-            rtype: QType::Ns,
-            class: 1,
-            ttl: 60,
-            rdata: RData::Ns(Name::parse("ns1.example.org").unwrap()),
-        });
-        let back = Message::decode(&r.encode().unwrap()).unwrap();
-        assert_eq!(back.header.rcode, Rcode::NxDomain);
-        assert_eq!(back.answers.len(), 1);
-        assert_eq!(back.authorities.len(), 1);
+        let qbytes = query(1, "alias.example.org", QType::Cname, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NxDomain, [1, 1, 0], |w, out, qname| {
+            let real = name("real.example.org");
+            w.record(out, qname.labels(), QType::Cname, 1, 60, |w, out| {
+                w.name(out, real.labels());
+                Ok(())
+            })?;
+            let ns = name("ns1.example.org");
+            w.record(
+                out,
+                name("example.org").labels(),
+                QType::Ns,
+                1,
+                60,
+                |w, out| {
+                    w.name(out, ns.labels());
+                    Ok(())
+                },
+            )
+        })
+        .unwrap();
+        let back = MessageReader::new(&bytes).unwrap();
+        assert_eq!(back.header().rcode, Rcode::NxDomain);
+        let got: Vec<(usize, String)> = back
+            .records()
+            .map(|(section, r)| match r.rdata {
+                RDataRef::Cname(n) | RDataRef::Ns(n) => (section, dotted(n)),
+                other => panic!("expected a name, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, "real.example.org".into()),
+                (1, "ns1.example.org".into())
+            ]
+        );
+    }
+
+    #[test]
+    fn rdata_name_must_fill_its_rdata() {
+        let qbytes = query(1, "example.org", QType::Ns, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.record(out, qname.labels(), QType::Ns, 1, 60, |w, out| {
+                w.name(out, name("ns1.example.org").labels());
+                out.push(0);
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert_eq!(
+            MessageReader::new(&bytes).unwrap_err(),
+            WireError::TrailingBytes { count: 1 }
+        );
     }
 
     #[test]
     fn unknown_rtype_round_trips_as_raw() {
-        let q = Message::query(1, "x.x", QType::Unknown(999), QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        r.answers.push(Record {
-            name: Name::parse("x.x").unwrap(),
-            rtype: QType::Unknown(999),
-            class: 1,
-            ttl: 1,
-            rdata: RData::Raw(vec![0xDE, 0xAD]),
-        });
-        let back = Message::decode(&r.encode().unwrap()).unwrap();
-        assert_eq!(back.answers[0].rdata, RData::Raw(vec![0xDE, 0xAD]));
+        let qbytes = query(1, "x.x", QType::Unknown(999), QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [1, 0, 0], |w, out, qname| {
+            w.record(out, qname.labels(), QType::Unknown(999), 1, 1, |_, out| {
+                out.extend_from_slice(&[0xDE, 0xAD]);
+                Ok(())
+            })
+        })
+        .unwrap();
+        let back = MessageReader::new(&bytes).unwrap();
+        let r = back.answers().next().unwrap();
+        assert_eq!(r.rtype, QType::Unknown(999));
+        assert!(matches!(r.rdata, RDataRef::Raw(&[0xDE, 0xAD])));
     }
 
     #[test]
@@ -1115,54 +909,50 @@ mod tests {
     }
 
     #[test]
-    fn writer_answers_a_read_query_as_the_owned_response_does() {
-        let mut q = Message::query(42, "Hostname.BIND", QType::Txt, QClass::Chaos);
-        q.questions.push(q.questions[0].clone());
-        let qbytes = q.encode().unwrap();
-        let mut owned = q.response_to(Rcode::NoError);
-        owned.answers.push(Record::txt(
-            q.questions[0].name.clone(),
-            QClass::Chaos,
-            0,
-            b"b4-lax",
-        ));
-        let expected = owned.encode().unwrap();
+    fn writer_answers_a_read_query_in_place() {
+        // Two questions; the answer is named after the first.
+        let qnames = ["Hostname.BIND", "hostname.bind"];
+        let qbytes = query_with(42, &qnames, QType::Txt, QClass::Chaos, None);
+        let reader = MessageReader::new(&qbytes).unwrap();
+        let qname = reader.questions().next().unwrap().name;
         // One writer, reused, with the response behind other bytes in the
         // caller's buffer: compression offsets count from the message.
-        let mut w = MessageWriter::default();
+        let (mut w, mut first) = (MessageWriter::default(), None);
         for prefix in [0usize, 28, 3] {
-            let reader = MessageReader::new(&qbytes).unwrap();
-            let qname = reader.questions().next().unwrap().name;
             let mut out = vec![0xEE; prefix];
             w.response_to(&mut out, &reader, Rcode::NoError, 1);
-            w.txt(&mut out, qname.labels(), QClass::Chaos, 0, b"b4-lax")
+            w.txt(&mut out, qname.labels(), QClass::Chaos, 0, [&b"b4-lax"[..]])
                 .unwrap();
-            assert_eq!(&out[prefix..], expected.as_slice());
-            let back = MessageReader::new(&out[prefix..]).unwrap();
-            assert_eq!(back.header(), owned.header);
+            let msg = &out[prefix..];
+            assert_eq!(msg, first.get_or_insert_with(|| msg.to_vec()).as_slice());
+            let back = MessageReader::new(msg).unwrap();
+            assert_eq!(back.header(), reader.header().response(Rcode::NoError));
+            assert_eq!(back.questions().count(), 2);
             assert_eq!(back.first_txt(), Some(&b"b4-lax"[..]));
+            // The second question and the answer point at the first's
+            // name, at offset 12.
+            assert_eq!(msg.windows(2).filter(|p| p == &[0xC0, 12]).count(), 2);
         }
     }
 
     #[test]
-    fn reader_first_txt_matches_the_owned_lookup() {
-        let q = Message::query(1, "t.t", QType::Txt, QClass::In);
-        let mut r = q.response_to(Rcode::NoError);
-        for strings in [vec![], vec![b"two".to_vec(), b"three".to_vec()]] {
-            r.answers.push(Record {
-                name: Name::parse("t.t").unwrap(),
-                rtype: QType::Txt,
-                class: 1,
-                ttl: 60,
-                rdata: RData::Txt(strings),
-            });
-        }
-        r.authorities
-            .push(Record::txt(Name::root(), QClass::In, 0, b"not an answer"));
-        let bytes = r.encode().unwrap();
+    fn first_txt_skips_empty_txt_answers_and_other_sections() {
+        let qbytes = query(1, "t.t", QType::Txt, QClass::In);
+        let bytes = respond(&qbytes, Rcode::NoError, [2, 1, 0], |w, out, qname| {
+            w.txt(out, qname.labels(), QClass::In, 60, [])?;
+            w.txt(out, qname.labels(), QClass::In, 60, [&b"two"[..], b"three"])?;
+            w.txt(
+                out,
+                std::iter::empty(),
+                QClass::In,
+                0,
+                [&b"not an answer"[..]],
+            )
+        })
+        .unwrap();
         let reader = MessageReader::new(&bytes).unwrap();
         assert_eq!(reader.first_txt(), Some(&b"two"[..]));
-        assert_eq!(r.first_txt().as_deref(), Some("two"));
+        assert_eq!(reader.answers().count(), 2);
         assert_eq!(reader.records().count(), 3);
     }
 

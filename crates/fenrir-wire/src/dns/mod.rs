@@ -1,10 +1,10 @@
 //! DNS message wire format (RFC 1035) with the extensions Fenrir's
 //! measurements rely on:
 //!
-//! * `CHAOS`-class TXT queries (`hostname.bind`, `id.server`) — how RIPE
-//!   Atlas identifies which anycast site answered (§2.3.1 of the paper),
-//! * EDNS0 (RFC 6891) with the **NSID** option (RFC 5001) — the other
-//!   standard server-identifier mechanism,
+//! * `CHAOS`-class TXT queries (`hostname.bind`) — how RIPE Atlas
+//!   identifies which anycast site answered (§2.3.1 of the paper),
+//! * EDNS0 (RFC 6891): the reader frames every option of an OPT record
+//!   in place,
 //! * EDNS0 **Client Subnet** (RFC 7871) — how the paper maps Google and
 //!   Wikipedia front-end catchments from a single vantage point (§2.3.3).
 
@@ -12,12 +12,12 @@ mod edns;
 mod message;
 mod name;
 
-pub use edns::{ClientSubnet, EdnsOption, AF_INET, AF_INET6, OPT_CLIENT_SUBNET, OPT_NSID};
+pub use edns::{ClientSubnet, EdnsOptions, AF_INET, AF_INET6, OPT_CLIENT_SUBNET};
 pub use message::{
-    Header, Message, MessageReader, MessageWriter, Opcode, Question, QuestionRef, RData, RDataRef,
-    Rcode, Record, RecordRef, TxtStrings,
+    Header, MessageReader, MessageWriter, Opcode, QuestionRef, RDataRef, Rcode, RecordRef,
+    TxtStrings,
 };
-pub use name::{Labels, Name, SuffixTable, WireName};
+pub use name::{Labels, Name, WireName};
 
 /// Query/record type. Only the types Fenrir's measurements use get named
 /// variants; everything else round-trips through `Unknown`.

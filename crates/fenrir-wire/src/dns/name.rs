@@ -1,13 +1,12 @@
-//! DNS domain names: dotted-string parsing, wire encoding with RFC 1035
-//! message compression, and decompressing decoding hardened against
+//! DNS domain names: checked dotted-string parsing, wire writing with
+//! RFC 1035 message compression, and in-place reading hardened against
 //! malicious pointers.
 //!
-//! One compressor writes every name, owned or borrowed, against any
-//! [`SuffixTable`]; one parser, [`WireName::parse`], reads every name in
-//! place, and [`Name::decode`] copies what it reads.
+//! One compressor, [`write_compressed`], writes every name against a
+//! [`NameTable`]; one parser, [`WireName::parse`], reads every name in
+//! place.
 
 use crate::error::{Result, WireError};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum octets of a single label.
@@ -15,21 +14,14 @@ pub const MAX_LABEL: usize = 63;
 /// Maximum octets of an encoded name (RFC 1035 §2.3.4).
 pub const MAX_NAME: usize = 255;
 
-/// A domain name as a sequence of labels (without the root's empty label).
-///
-/// Comparison and hashing are case-insensitive per RFC 1035 §2.3.3 (ASCII
-/// only), but the original spelling is preserved for display.
-#[derive(Debug, Clone)]
+/// A domain name checked once, from a configured dotted string, so that
+/// writing it cannot fail: its labels (without the root's empty label).
+#[derive(Debug)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
 }
 
 impl Name {
-    /// The root name (zero labels).
-    pub fn root() -> Self {
-        Name { labels: Vec::new() }
-    }
-
     /// Parse a dotted name like `"hostname.bind"`. A trailing dot is
     /// accepted and ignored; the empty string or `"."` is the root.
     ///
@@ -37,10 +29,11 @@ impl Name {
     /// that would exceed 255 octets encoded.
     pub fn parse(s: &str) -> Result<Self> {
         let s = s.strip_suffix('.').unwrap_or(s);
-        if s.is_empty() {
-            return Ok(Name::root());
-        }
         let mut labels = Vec::new();
+        if s.is_empty() {
+            return Ok(Name { labels });
+        }
+        let mut encoded = 1;
         for part in s.split('.') {
             if part.is_empty() {
                 return Err(WireError::InvalidInput("empty label"));
@@ -52,69 +45,23 @@ impl Name {
                     max: MAX_LABEL,
                 });
             }
+            encoded += part.len() + 1;
             labels.push(part.as_bytes().to_vec());
         }
-        let name = Name { labels };
-        if name.encoded_len() > MAX_NAME {
+        if encoded > MAX_NAME {
             return Err(WireError::FieldOverflow {
                 what: "name",
-                value: name.encoded_len(),
+                value: encoded,
                 max: MAX_NAME,
             });
         }
-        Ok(name)
+        Ok(Name { labels })
     }
 
-    /// The labels of this name.
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    /// The labels, in order, as a writer takes them.
+    pub fn labels(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        self.labels.iter().map(Vec::as_slice)
     }
-
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Length of the uncompressed wire encoding (labels + length octets +
-    /// terminating zero).
-    pub fn encoded_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
-    }
-
-    /// Append the uncompressed encoding to `out`.
-    pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
-        for l in &self.labels {
-            out.push(l.len() as u8);
-            out.extend_from_slice(l);
-        }
-        out.push(0);
-    }
-
-    /// Append the encoding to `out`, compressing against `table` — a map
-    /// from (lowercased) name suffixes to the offset where they were first
-    /// written. New suffixes at pointer-representable offsets are added to
-    /// the table.
-    pub fn encode_compressed(&self, out: &mut Vec<u8>, table: &mut impl SuffixTable) {
-        write_compressed(self.labels.iter().map(Vec::as_slice), out, 0, table);
-    }
-
-    /// Decode a (possibly compressed) name from `buf` starting at `*pos`;
-    /// advances `*pos` past the name's storage (not past pointer targets).
-    /// Hardened as [`WireName::parse`] is.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        WireName::parse(buf, pos).map(|n| n.to_name())
-    }
-}
-
-/// Where a name compressor looks up the suffixes a message already holds.
-pub trait SuffixTable {
-    /// The message offset `suffix` was first written at; when it is new,
-    /// records it at `here` if a pointer can reach that offset.
-    fn lookup_or_insert<'l>(
-        &mut self,
-        suffix: impl Iterator<Item = &'l [u8]>,
-        here: usize,
-    ) -> Option<u16>;
 }
 
 /// Appends the lowercased wire form of `labels` (the compression key).
@@ -122,24 +69,6 @@ fn push_key<'l>(key: &mut Vec<u8>, labels: impl Iterator<Item = &'l [u8]>) {
     for l in labels {
         key.push(l.len() as u8);
         key.extend(l.iter().map(u8::to_ascii_lowercase));
-    }
-}
-
-impl SuffixTable for HashMap<Vec<u8>, u16> {
-    fn lookup_or_insert<'l>(
-        &mut self,
-        suffix: impl Iterator<Item = &'l [u8]>,
-        here: usize,
-    ) -> Option<u16> {
-        let mut key = Vec::new();
-        push_key(&mut key, suffix);
-        if let Some(&off) = self.get(&key) {
-            return Some(off);
-        }
-        if here <= 0x3FFF {
-            self.insert(key, here as u16);
-        }
-        None
     }
 }
 
@@ -159,9 +88,9 @@ impl NameTable {
         self.keys.clear();
         self.entries.clear();
     }
-}
 
-impl SuffixTable for NameTable {
+    /// The message offset `suffix` was first written at; when it is new,
+    /// records it at `here` if a pointer can reach that offset.
     fn lookup_or_insert<'l>(
         &mut self,
         suffix: impl Iterator<Item = &'l [u8]>,
@@ -190,7 +119,7 @@ pub(crate) fn write_compressed<'l, I>(
     labels: I,
     out: &mut Vec<u8>,
     base: usize,
-    table: &mut impl SuffixTable,
+    table: &mut NameTable,
 ) where
     I: Iterator<Item = &'l [u8]> + Clone,
 {
@@ -297,18 +226,18 @@ impl<'a> WireName<'a> {
             at: self.at,
         }
     }
-
-    /// An owned copy.
-    pub(crate) fn to_name(self) -> Name {
-        Name {
-            labels: self.labels().map(<[u8]>::to_vec).collect(),
-        }
-    }
 }
 
 impl fmt::Debug for WireName<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WireName({})", self.to_name())
+        f.write_str("WireName(")?;
+        for (i, l) in self.labels().enumerate() {
+            if i > 0 {
+                f.write_str(".")?;
+            }
+            f.write_str(&String::from_utf8_lossy(l))?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -341,75 +270,58 @@ impl<'a> Iterator for Labels<'a> {
     }
 }
 
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    }
-}
-
-impl Eq for Name {}
-
-impl std::hash::Hash for Name {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-            state.write_u8(0xFF); // label separator
-        }
-    }
-}
-
-impl fmt::Display for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return f.write_str(".");
-        }
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
-            }
-            f.write_str(&String::from_utf8_lossy(l))?;
-        }
-        Ok(())
-    }
-}
-
-impl std::str::FromStr for Name {
-    type Err = WireError;
-    fn from_str(s: &str) -> Result<Self> {
-        Name::parse(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn labels(n: &Name) -> Vec<&[u8]> {
+        n.labels().collect()
+    }
+
+    /// `names` written one after another against one table.
+    fn write_all(names: &[&str]) -> Vec<u8> {
+        let (mut out, mut table) = (Vec::new(), NameTable::default());
+        for n in names {
+            write_compressed(Name::parse(n).unwrap().labels(), &mut out, 0, &mut table);
+        }
+        out
+    }
+
+    /// The dotted form of the name at `*pos`, read in place.
+    fn read(buf: &[u8], pos: &mut usize) -> String {
+        let labels: Vec<String> = WireName::parse(buf, pos)
+            .unwrap()
+            .labels()
+            .map(|l| String::from_utf8_lossy(l).into_owned())
+            .collect();
+        labels.join(".")
+    }
+
     #[test]
-    fn parse_and_display() {
+    fn parse_splits_labels() {
         let n = Name::parse("hostname.bind").unwrap();
-        assert_eq!(n.label_count(), 2);
-        assert_eq!(n.to_string(), "hostname.bind");
-        assert_eq!(
-            Name::parse("example.org.").unwrap().to_string(),
-            "example.org"
-        );
-        assert_eq!(Name::root().to_string(), ".");
-        assert_eq!(Name::parse("").unwrap(), Name::root());
-        assert_eq!(Name::parse(".").unwrap(), Name::root());
+        assert_eq!(labels(&n), [&b"hostname"[..], b"bind"]);
+        let dotted = Name::parse("example.org.").unwrap();
+        assert_eq!(labels(&dotted), [&b"example"[..], b"org"]);
+        assert!(labels(&Name::parse("").unwrap()).is_empty());
+        assert!(labels(&Name::parse(".").unwrap()).is_empty());
     }
 
     #[test]
     fn parse_rejects_bad_labels() {
-        assert!(Name::parse("a..b").is_err());
-        let long = "x".repeat(64);
-        assert!(Name::parse(&long).is_err());
+        assert_eq!(
+            Name::parse("a..b").unwrap_err(),
+            WireError::InvalidInput("empty label")
+        );
+        assert!(Name::parse(".a").is_err());
+        assert_eq!(
+            Name::parse(&"x".repeat(64)).unwrap_err(),
+            WireError::FieldOverflow {
+                what: "label",
+                value: 64,
+                max: MAX_LABEL,
+            }
+        );
         assert!(Name::parse(&"x".repeat(63)).is_ok());
     }
 
@@ -417,161 +329,51 @@ mod tests {
     fn parse_rejects_overlong_names() {
         // 64 labels of 3 octets = 64*4+1 = 257 > 255.
         let name = vec!["abc"; 64].join(".");
-        assert!(Name::parse(&name).is_err());
+        assert!(matches!(
+            Name::parse(&name),
+            Err(WireError::FieldOverflow { value: 257, .. })
+        ));
     }
 
     #[test]
-    fn equality_is_case_insensitive() {
-        let a = Name::parse("Example.ORG").unwrap();
-        let b = Name::parse("example.org").unwrap();
-        assert_eq!(a, b);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let h = |n: &Name| {
-            let mut s = DefaultHasher::new();
-            n.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&a), h(&b));
-    }
-
-    #[test]
-    fn uncompressed_round_trip() {
-        let n = Name::parse("www.example.org").unwrap();
-        let mut buf = Vec::new();
-        n.encode_uncompressed(&mut buf);
-        assert_eq!(buf.len(), n.encoded_len());
+    fn uncompressed_name_is_read_back() {
+        let buf = write_all(&["www.example.org"]);
+        assert_eq!(buf.len(), 17);
         let mut pos = 0;
-        let back = Name::decode(&buf, &mut pos).unwrap();
-        assert_eq!(back, n);
+        assert_eq!(read(&buf, &mut pos), "www.example.org");
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn compression_emits_pointer_for_shared_suffix() {
-        let mut buf = Vec::new();
-        let mut table = HashMap::new();
-        Name::parse("www.example.org")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
-        let first_len = buf.len();
-        Name::parse("mail.example.org")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
+        let first_len = write_all(&["www.example.org"]).len();
+        let buf = write_all(&["www.example.org", "mail.example.org"]);
         // Second name: "mail" label (5 bytes) + 2-byte pointer.
         assert_eq!(buf.len(), first_len + 5 + 2);
-        // Decode both back.
         let mut pos = 0;
-        assert_eq!(
-            Name::decode(&buf, &mut pos).unwrap().to_string(),
-            "www.example.org"
-        );
-        assert_eq!(
-            Name::decode(&buf, &mut pos).unwrap().to_string(),
-            "mail.example.org"
-        );
+        assert_eq!(read(&buf, &mut pos), "www.example.org");
+        assert_eq!(read(&buf, &mut pos), "mail.example.org");
         assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn compression_of_identical_name_is_single_pointer() {
-        let mut buf = Vec::new();
-        let mut table = HashMap::new();
-        let n = Name::parse("b.root-servers.net").unwrap();
-        n.encode_compressed(&mut buf, &mut table);
-        let first_len = buf.len();
-        n.encode_compressed(&mut buf, &mut table);
+        let first_len = write_all(&["b.root-servers.net"]).len();
+        let buf = write_all(&["b.root-servers.net", "b.root-servers.net"]);
         assert_eq!(buf.len(), first_len + 2);
         let mut pos = first_len;
-        assert_eq!(Name::decode(&buf, &mut pos).unwrap(), n);
+        assert_eq!(read(&buf, &mut pos), "b.root-servers.net");
     }
 
     #[test]
     fn compression_is_case_insensitive() {
-        let mut buf = Vec::new();
-        let mut table = HashMap::new();
-        Name::parse("example.ORG")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
-        let first_len = buf.len();
-        Name::parse("EXAMPLE.org")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
+        let first_len = write_all(&["example.ORG"]).len();
+        let buf = write_all(&["example.ORG", "EXAMPLE.org"]);
         assert_eq!(buf.len(), first_len + 2);
     }
 
     #[test]
-    fn decode_rejects_forward_pointer() {
-        // Pointer at offset 0 pointing to offset 4 (>= 0's cursor is fine to
-        // test with a self-pointer: target must be < cursor).
-        let buf = [0xC0, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::BadPointer { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_pointer_loops() {
-        // Name at 2 points to 0; name at 0 is a label then pointer to 2:
-        // loop 0 -> 2 -> 0 ... Actually build mutual pointers.
-        // offset 0: pointer to 2 is forward -> invalid already. Build:
-        // offset 0: label "a", then pointer to 0 (backwards!) = loop.
-        let buf = [0x01, b'a', 0xC0, 0x00];
-        let mut pos = 0;
-        let err = Name::decode(&buf, &mut pos).unwrap_err();
-        // Either detected as overlong (labels accumulate) or too many hops.
-        assert!(matches!(
-            err,
-            WireError::FieldOverflow { .. } | WireError::BadPointer { .. }
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let buf = [0x05, b'a', b'b'];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::Truncated { .. })
-        ));
-        let empty: [u8; 0] = [];
-        let mut pos = 0;
-        assert!(Name::decode(&empty, &mut pos).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_reserved_label_types() {
-        let buf = [0x40, 0x00];
-        let mut pos = 0;
-        assert!(matches!(
-            Name::decode(&buf, &mut pos),
-            Err(WireError::UnknownValue { .. })
-        ));
-    }
-
-    #[test]
-    fn wire_name_reads_labels_through_pointers() {
-        let mut buf = Vec::new();
-        let mut table = HashMap::new();
-        Name::parse("www.Example.org")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
-        let second = buf.len();
-        Name::parse("mail.example.ORG")
-            .unwrap()
-            .encode_compressed(&mut buf, &mut table);
-        let mut pos = second;
-        let n = WireName::parse(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
-        let labels: Vec<&[u8]> = n.labels().collect();
-        assert_eq!(labels, [&b"mail"[..], b"Example", b"org"]);
-        assert_eq!(n.to_name().to_string(), "mail.Example.org");
-    }
-
-    #[test]
-    fn name_table_compresses_as_a_hash_map_does() {
+    fn a_cleared_table_compresses_as_a_fresh_one() {
         let names = [
             "b.root-servers.net",
             "a.ROOT-servers.net",
@@ -579,23 +381,112 @@ mod tests {
             "x.y",
             "b.root-servers.net",
         ];
+        let fresh = write_all(&names);
         let mut reused = NameTable::default();
         for _ in 0..2 {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let mut map = HashMap::new();
             reused.clear();
+            let mut out = Vec::new();
             for n in names {
-                let n = Name::parse(n).unwrap();
-                n.encode_compressed(&mut a, &mut map);
-                n.encode_compressed(&mut b, &mut reused);
+                write_compressed(Name::parse(n).unwrap().labels(), &mut out, 0, &mut reused);
             }
-            assert_eq!(a, b);
+            assert_eq!(out, fresh);
         }
     }
 
     #[test]
-    fn from_str_works() {
-        let n: Name = "a.b.c".parse().unwrap();
-        assert_eq!(n.label_count(), 3);
+    fn decode_rejects_forward_pointer() {
+        // A pointer must point strictly backwards: a self-pointer fails.
+        let buf = [0xC0, 0x00];
+        let mut pos = 0;
+        assert_eq!(
+            WireName::parse(&buf, &mut pos).unwrap_err(),
+            WireError::BadPointer { at: 0 }
+        );
+    }
+
+    #[test]
+    fn decode_rejects_pointer_loops() {
+        // Offset 0: label "a", then a pointer back to 0: a loop, cut at
+        // its 127th hop (254 octets of labels, within `MAX_NAME`).
+        let buf = [0x01, b'a', 0xC0, 0x00];
+        let mut pos = 0;
+        assert_eq!(
+            WireName::parse(&buf, &mut pos).unwrap_err(),
+            WireError::BadPointer { at: 2 }
+        );
+    }
+
+    #[test]
+    fn decode_rejects_names_over_max_name() {
+        // Four 63-octet labels take 256 octets, one more than allowed.
+        let mut buf = Vec::new();
+        for _ in 0..4 {
+            buf.push(63);
+            buf.extend_from_slice(&[b'x'; 63]);
+        }
+        buf.push(0);
+        let mut pos = 0;
+        assert_eq!(
+            WireName::parse(&buf, &mut pos).unwrap_err(),
+            WireError::FieldOverflow {
+                what: "name",
+                value: 256,
+                max: MAX_NAME,
+            }
+        );
+        let mut pos = 64;
+        assert!(WireName::parse(&buf, &mut pos).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_more_than_126_hops() {
+        // A chain of pointers, each to the one before it, ending at the
+        // root: 126 hops read, 127 refused.
+        for (hops, ok) in [(126usize, true), (127, false)] {
+            let mut buf = vec![0u8];
+            for i in 0..hops {
+                buf.extend_from_slice(
+                    &(0xC000u16 | (2 * i as u16).saturating_sub(1)).to_be_bytes(),
+                );
+            }
+            let mut pos = buf.len() - 2;
+            let got = WireName::parse(&buf, &mut pos);
+            assert_eq!(got.is_ok(), ok, "{hops} hops: {got:?}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_truncation() {
+        let buf = [0x05, b'a', b'b'];
+        let mut pos = 0;
+        assert!(matches!(
+            WireName::parse(&buf, &mut pos),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut pos = 0;
+        assert!(WireName::parse(&[], &mut pos).is_err());
+        let mut pos = 0;
+        assert!(WireName::parse(&[0xC0], &mut pos).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_reserved_label_types() {
+        let buf = [0x40, 0x00];
+        let mut pos = 0;
+        assert!(matches!(
+            WireName::parse(&buf, &mut pos),
+            Err(WireError::UnknownValue { .. })
+        ));
+    }
+
+    #[test]
+    fn wire_name_reads_labels_through_pointers() {
+        let buf = write_all(&["www.Example.org", "mail.example.ORG"]);
+        let mut pos = 17;
+        let n = WireName::parse(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
+        let labels: Vec<&[u8]> = n.labels().collect();
+        assert_eq!(labels, [&b"mail"[..], b"Example", b"org"]);
+        assert_eq!(format!("{n:?}"), "WireName(mail.Example.org)");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! [`IcmpView`] is the codec: [`IcmpView::encode_into`] appends a packet
 //! to a caller's buffer and [`IcmpView::parse`] reads one in place,
-//! borrowing its payload. The owned [`IcmpPacket`] wraps both.
+//! borrowing its payload.
 
 use crate::checksum::{checksum_of, internet_checksum, verify};
 use crate::error::{Result, WireError};
@@ -53,91 +53,15 @@ impl IcmpKind {
     }
 }
 
-/// A parsed ICMPv4 packet.
-///
-/// For echo messages, `ident`/`seq` carry the identifier and sequence
-/// number; for error messages (unreachable, time exceeded) they are unused
-/// on the wire (sent as zero) and `payload` carries the quoted original
-/// datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IcmpPacket {
-    /// Message kind.
-    pub kind: IcmpKind,
-    /// Echo identifier (0 for error messages).
-    pub ident: u16,
-    /// Echo sequence number (0 for error messages).
-    pub seq: u16,
-    /// Echo payload or quoted datagram.
-    pub payload: Vec<u8>,
-}
-
-impl IcmpPacket {
-    /// Build an echo request. Verfploeter encodes the probed /24 block id in
-    /// `ident`/`seq` so a reply arriving at *any* anycast site can be
-    /// attributed.
-    pub fn echo_request(ident: u16, seq: u16, payload: Vec<u8>) -> Self {
-        IcmpPacket {
-            kind: IcmpKind::EchoRequest,
-            ident,
-            seq,
-            payload,
-        }
-    }
-
-    /// Build the echo reply mirroring a request.
-    pub fn echo_reply_to(req: &IcmpPacket) -> Self {
-        IcmpPacket {
-            kind: IcmpKind::EchoReply,
-            ident: req.ident,
-            seq: req.seq,
-            payload: req.payload.clone(),
-        }
-    }
-
-    /// Build a time-exceeded error quoting `original` (a router's answer to
-    /// a traceroute probe whose TTL hit zero).
-    pub fn time_exceeded(original: &[u8]) -> Self {
-        IcmpPacket {
-            kind: IcmpKind::TimeExceeded(0),
-            ident: 0,
-            seq: 0,
-            // RFC 792: IP header + 8 octets; we quote up to 28 octets of
-            // the original.
-            payload: original[..original.len().min(28)].to_vec(),
-        }
-    }
-
-    /// The packet as a view borrowing its payload.
-    pub fn view(&self) -> IcmpView<'_> {
-        IcmpView {
-            kind: self.kind,
-            ident: self.ident,
-            seq: self.seq,
-            payload: &self.payload,
-        }
-    }
-
-    /// Encode with a valid checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.payload.len());
-        self.view().encode_into(&mut out);
-        out
-    }
-
-    /// Decode and verify the checksum.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        IcmpView::parse(buf).map(|v| IcmpPacket {
-            kind: v.kind,
-            ident: v.ident,
-            seq: v.seq,
-            payload: v.payload.to_vec(),
-        })
-    }
-}
-
 /// An ICMPv4 packet whose payload lies in someone else's buffer: what
 /// [`IcmpView::parse`] reads off the wire, or what
 /// [`IcmpView::encode_into`] writes.
+///
+/// For echo messages, `ident`/`seq` carry the identifier and sequence
+/// number (Verfploeter puts the probed /24 block id there, so a reply
+/// arriving at *any* anycast site can be attributed); for error messages
+/// (unreachable, time exceeded) they are zero on the wire and `payload`
+/// carries the quoted original datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcmpView<'a> {
     /// Message kind.
@@ -190,51 +114,60 @@ impl<'a> IcmpView<'a> {
 mod tests {
     use super::*;
 
+    fn echo(ident: u16, seq: u16, payload: &[u8]) -> IcmpView<'_> {
+        IcmpView {
+            kind: IcmpKind::EchoRequest,
+            ident,
+            seq,
+            payload,
+        }
+    }
+
+    fn encode(p: IcmpView<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.encode_into(&mut out);
+        out
+    }
+
     #[test]
     fn echo_round_trip() {
-        let req = IcmpPacket::echo_request(0x1234, 7, b"fenrir".to_vec());
-        let bytes = req.encode();
-        let back = IcmpPacket::decode(&bytes).unwrap();
-        assert_eq!(back, req);
-        assert_eq!(back.kind, IcmpKind::EchoRequest);
+        let req = echo(0x1234, 7, b"fenrir");
+        let bytes = encode(req);
+        assert_eq!(bytes.len(), 8 + 6);
+        assert_eq!(IcmpView::parse(&bytes).unwrap(), req);
     }
 
     #[test]
-    fn reply_mirrors_request() {
-        let req = IcmpPacket::echo_request(42, 1, vec![1, 2, 3]);
-        let rep = IcmpPacket::echo_reply_to(&req);
-        assert_eq!(rep.kind, IcmpKind::EchoReply);
-        assert_eq!(rep.ident, 42);
-        assert_eq!(rep.seq, 1);
-        assert_eq!(rep.payload, vec![1, 2, 3]);
-        let back = IcmpPacket::decode(&rep.encode()).unwrap();
-        assert_eq!(back, rep);
-    }
-
-    #[test]
-    fn time_exceeded_quotes_original() {
-        let original = vec![0xAB; 100];
-        let te = IcmpPacket::time_exceeded(&original);
-        assert_eq!(te.payload.len(), 28);
-        let back = IcmpPacket::decode(&te.encode()).unwrap();
+    fn time_exceeded_quotes_its_payload() {
+        let original = [0xAB; 28];
+        let te = IcmpView {
+            kind: IcmpKind::TimeExceeded(0),
+            ident: 0,
+            seq: 0,
+            payload: &original,
+        };
+        let bytes = encode(te);
+        assert_eq!(&bytes[..2], &[11, 0]);
+        let back = IcmpView::parse(&bytes).unwrap();
         assert_eq!(back.kind, IcmpKind::TimeExceeded(0));
+        assert_eq!(back.payload, original);
     }
 
     #[test]
     fn corrupted_packet_fails_checksum() {
-        let mut bytes = IcmpPacket::echo_request(1, 1, vec![9; 16]).encode();
+        let mut bytes = encode(echo(1, 1, &[9; 16]));
         bytes[10] ^= 0x01;
         assert!(matches!(
-            IcmpPacket::decode(&bytes),
+            IcmpView::parse(&bytes),
             Err(WireError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn truncated_packet_rejected() {
-        let bytes = IcmpPacket::echo_request(1, 1, vec![]).encode();
+        let bytes = encode(echo(1, 1, &[]));
         for cut in 0..8 {
-            assert!(IcmpPacket::decode(&bytes[..cut]).is_err());
+            assert!(IcmpView::parse(&bytes[..cut]).is_err());
         }
     }
 
@@ -245,7 +178,7 @@ mod tests {
         let ck = internet_checksum(&raw);
         raw[2..4].copy_from_slice(&ck.to_be_bytes());
         assert!(matches!(
-            IcmpPacket::decode(&raw),
+            IcmpView::parse(&raw),
             Err(WireError::UnknownValue { .. })
         ));
     }
@@ -266,32 +199,32 @@ mod tests {
 
     #[test]
     fn dest_unreachable_round_trip() {
-        let pkt = IcmpPacket {
+        let pkt = IcmpView {
             kind: IcmpKind::DestUnreachable(3),
             ident: 0,
             seq: 0,
-            payload: vec![1, 2, 3, 4],
+            payload: &[1, 2, 3, 4],
         };
-        let back = IcmpPacket::decode(&pkt.encode()).unwrap();
-        assert_eq!(back.kind, IcmpKind::DestUnreachable(3));
+        let bytes = encode(pkt);
+        assert_eq!(IcmpView::parse(&bytes).unwrap(), pkt);
     }
 
     #[test]
-    fn view_encodes_in_place_after_earlier_bytes() {
-        let pkt = IcmpPacket::echo_request(7, 9, b"fenrir-vp".to_vec());
+    fn encodes_in_place_after_earlier_bytes() {
+        let pkt = echo(7, 9, b"fenrir-vp");
         let mut buf = vec![0xEE; 3];
-        pkt.view().encode_into(&mut buf);
-        assert_eq!(&buf[3..], pkt.encode().as_slice());
-        assert_eq!(IcmpView::parse(&buf[3..]).unwrap(), pkt.view());
+        pkt.encode_into(&mut buf);
+        assert_eq!(&buf[3..], encode(pkt).as_slice());
+        assert_eq!(IcmpView::parse(&buf[3..]).unwrap(), pkt);
     }
 
     #[test]
     fn bad_checksum_reports_the_sum_without_its_field() {
-        let mut bytes = IcmpPacket::echo_request(1, 2, vec![5; 5]).encode();
+        let mut bytes = encode(echo(1, 2, &[5; 5]));
         let good = u16::from_be_bytes([bytes[2], bytes[3]]);
         bytes[2] ^= 0x10;
         assert_eq!(
-            IcmpPacket::decode(&bytes),
+            IcmpView::parse(&bytes),
             Err(WireError::BadChecksum {
                 found: good ^ 0x1000,
                 computed: good,
@@ -301,7 +234,7 @@ mod tests {
 
     #[test]
     fn odd_payload_length_checksums_correctly() {
-        let pkt = IcmpPacket::echo_request(5, 5, vec![0xFF; 7]);
-        assert!(IcmpPacket::decode(&pkt.encode()).is_ok());
+        let bytes = encode(echo(5, 5, &[0xFF; 7]));
+        assert!(IcmpView::parse(&bytes).is_ok());
     }
 }

@@ -8,7 +8,7 @@
 //! [`Ipv4Header`] is the codec: [`Ipv4Header::write`] appends a header,
 //! lets the caller append the payload behind it, then fills in the length
 //! and checksum; [`Ipv4Header::parse`] reads a packet in place and
-//! borrows its payload. The owned [`Ipv4Packet`] wraps both.
+//! borrows its payload.
 
 use crate::checksum::{checksum_of, internet_checksum};
 use crate::error::{Result, WireError};
@@ -132,111 +132,49 @@ impl Ipv4Header {
     }
 }
 
-/// An options-free IPv4 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
-    /// Time to live.
-    pub ttl: u8,
-    /// Payload protocol ([`protocol::ICMP`] or [`protocol::UDP`]).
-    pub protocol: u8,
-    /// Source address.
-    pub src: [u8; 4],
-    /// Destination address.
-    pub dst: [u8; 4],
-    /// Identification field (for diagnostics; fragmentation unsupported).
-    pub ident: u16,
-    /// Transport payload.
-    pub payload: Vec<u8>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl Ipv4Packet {
-    /// Build a packet with a default TTL of 64.
-    pub fn new(protocol: u8, src: [u8; 4], dst: [u8; 4], payload: Vec<u8>) -> Self {
-        Ipv4Packet::from_parts(Ipv4Header::new(protocol, src, dst), payload)
+    fn sample() -> Ipv4Header {
+        Ipv4Header::new(protocol::UDP, [10, 0, 0, 1], [192, 0, 2, 9])
     }
 
-    fn from_parts(h: Ipv4Header, payload: Vec<u8>) -> Self {
-        Ipv4Packet {
-            ttl: h.ttl,
-            protocol: h.protocol,
-            src: h.src,
-            dst: h.dst,
-            ident: h.ident,
-            payload,
-        }
-    }
-
-    /// Set the TTL (for traceroute probes).
-    pub fn with_ttl(mut self, ttl: u8) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// The header fields.
-    pub fn header(&self) -> Ipv4Header {
-        Ipv4Header {
-            ttl: self.ttl,
-            protocol: self.protocol,
-            src: self.src,
-            dst: self.dst,
-            ident: self.ident,
-        }
-    }
-
-    /// Encode with a valid header checksum.
-    ///
-    /// Errors if the packet would exceed the 65 535-byte total length.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + self.payload.len());
-        self.header().write(&mut out, |out| {
-            out.extend_from_slice(&self.payload);
+    /// `h` around `payload`, written from offset 0.
+    fn encode(h: Ipv4Header, payload: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        h.write(&mut out, |out| {
+            out.extend_from_slice(payload);
             Ok(())
         })?;
         Ok(out)
     }
 
-    /// Decode and verify the header checksum (see [`Ipv4Header::parse`]).
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let (h, payload) = Ipv4Header::parse(buf)?;
-        Ok(Ipv4Packet::from_parts(h, payload.to_vec()))
-    }
-
-    /// Forwarding step at a router: decrement TTL, recompute nothing (the
-    /// caller re-encodes). Returns `false` when the TTL hits zero — time to
-    /// emit an ICMP time-exceeded.
-    pub fn forward(&mut self) -> bool {
-        if self.ttl <= 1 {
-            self.ttl = 0;
-            return false;
-        }
-        self.ttl -= 1;
-        true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Ipv4Packet {
-        Ipv4Packet::new(protocol::UDP, [10, 0, 0, 1], [192, 0, 2, 9], vec![1, 2, 3])
+    /// Refill the header checksum after a deliberate header change.
+    fn reseal(bytes: &mut [u8]) {
+        bytes[10..12].fill(0);
+        let ck = internet_checksum(&bytes[..IPV4_HEADER_LEN]);
+        bytes[10..12].copy_from_slice(&ck.to_be_bytes());
     }
 
     #[test]
     fn round_trip() {
-        let p = sample().with_ttl(9);
-        let bytes = p.encode().unwrap();
+        let h = Ipv4Header {
+            ttl: 9,
+            ident: 0x0BAD,
+            ..sample()
+        };
+        let bytes = encode(h, &[1, 2, 3]).unwrap();
         assert_eq!(bytes.len(), 23);
-        let back = Ipv4Packet::decode(&bytes).unwrap();
-        assert_eq!(back, p);
+        assert_eq!(Ipv4Header::parse(&bytes).unwrap(), (h, &[1u8, 2, 3][..]));
     }
 
     #[test]
     fn header_checksum_detects_corruption() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         bytes[16] ^= 0xFF; // corrupt dst
         assert!(matches!(
-            Ipv4Packet::decode(&bytes),
+            Ipv4Header::parse(&bytes),
             Err(WireError::BadChecksum { .. })
         ));
     }
@@ -245,100 +183,82 @@ mod tests {
     fn payload_corruption_is_not_header_checksummed() {
         // IPv4 header checksum covers only the header; transport must
         // protect the payload (UDP/ICMP checksums do).
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         bytes[22] ^= 0xFF;
-        assert!(Ipv4Packet::decode(&bytes).is_ok());
+        assert!(Ipv4Header::parse(&bytes).is_ok());
     }
 
     #[test]
     fn rejects_truncation_and_bad_version() {
-        let bytes = sample().encode().unwrap();
+        let bytes = encode(sample(), &[1, 2, 3]).unwrap();
         for cut in 0..IPV4_HEADER_LEN {
-            assert!(Ipv4Packet::decode(&bytes[..cut]).is_err());
+            assert!(Ipv4Header::parse(&bytes[..cut]).is_err());
         }
         let mut v6 = bytes.clone();
         v6[0] = 0x65;
         assert!(matches!(
-            Ipv4Packet::decode(&v6),
+            Ipv4Header::parse(&v6),
             Err(WireError::UnknownValue { .. })
         ));
     }
 
     #[test]
     fn rejects_options() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         bytes[0] = 0x46; // IHL 6
-                         // Fix checksum for the mutated header so IHL is the failing check.
-        bytes[10] = 0;
-        bytes[11] = 0;
-        let ck = internet_checksum(&bytes[..IPV4_HEADER_LEN]);
-        bytes[10..12].copy_from_slice(&ck.to_be_bytes());
+        reseal(&mut bytes); // so that IHL is the failing check
         assert!(matches!(
-            Ipv4Packet::decode(&bytes),
+            Ipv4Header::parse(&bytes),
             Err(WireError::FieldOverflow { .. })
         ));
     }
 
     #[test]
     fn total_length_bounds_payload() {
-        let p = sample();
-        let mut bytes = p.encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         // Claim 4 more bytes than present.
         let total = (bytes.len() + 4) as u16;
         bytes[2..4].copy_from_slice(&total.to_be_bytes());
-        bytes[10] = 0;
-        bytes[11] = 0;
-        let ck = internet_checksum(&bytes[..IPV4_HEADER_LEN]);
-        bytes[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert!(matches!(
-            Ipv4Packet::decode(&bytes),
-            Err(WireError::Truncated { .. })
-        ));
+        reseal(&mut bytes);
+        assert_eq!(
+            Ipv4Header::parse(&bytes),
+            Err(WireError::Truncated {
+                what: "ipv4 payload",
+                needed: 4,
+            })
+        );
     }
 
     #[test]
     fn trailing_bytes_beyond_total_length_are_ignored() {
         // Link padding after the IP datagram is legal.
-        let p = sample();
-        let mut bytes = p.encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         bytes.extend_from_slice(&[0xAA; 6]);
-        let back = Ipv4Packet::decode(&bytes).unwrap();
-        assert_eq!(back.payload, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn forward_decrements_to_zero() {
-        let mut p = sample().with_ttl(2);
-        assert!(p.forward());
-        assert_eq!(p.ttl, 1);
-        assert!(!p.forward());
-        assert_eq!(p.ttl, 0);
-        // Forwarding a dead packet stays dead.
-        assert!(!p.forward());
+        let (_, payload) = Ipv4Header::parse(&bytes).unwrap();
+        assert_eq!(payload, [1, 2, 3]);
     }
 
     #[test]
     fn header_writes_around_a_payload_written_in_place() {
-        let p = sample().with_ttl(9);
+        let h = Ipv4Header { ttl: 9, ..sample() };
         let mut buf = vec![0xEE; 5];
-        p.header()
-            .write(&mut buf, |out| {
-                out.extend_from_slice(&[1, 2, 3]);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(&buf[5..], p.encode().unwrap().as_slice());
-        let (h, payload) = Ipv4Header::parse(&buf[5..]).unwrap();
-        assert_eq!((h, payload), (p.header(), &[1u8, 2, 3][..]));
+        h.write(&mut buf, |out| {
+            out.extend_from_slice(&[1, 2, 3]);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(&buf[5..], encode(h, &[1, 2, 3]).unwrap().as_slice());
+        let (back, payload) = Ipv4Header::parse(&buf[5..]).unwrap();
+        assert_eq!((back, payload), (h, &[1u8, 2, 3][..]));
     }
 
     #[test]
     fn bad_checksum_reports_the_sum_without_its_field() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = encode(sample(), &[1, 2, 3]).unwrap();
         let good = u16::from_be_bytes([bytes[10], bytes[11]]);
         bytes[11] ^= 0x01;
         assert_eq!(
-            Ipv4Packet::decode(&bytes),
+            Ipv4Header::parse(&bytes),
             Err(WireError::BadChecksum {
                 found: good ^ 0x0001,
                 computed: good,
@@ -348,7 +268,9 @@ mod tests {
 
     #[test]
     fn oversize_payload_rejected() {
-        let p = Ipv4Packet::new(protocol::UDP, [0; 4], [0; 4], vec![0; 70_000]);
-        assert!(p.encode().is_err());
+        assert!(matches!(
+            encode(sample(), &[0; 70_000]),
+            Err(WireError::FieldOverflow { .. })
+        ));
     }
 }

@@ -7,12 +7,11 @@
 //! [`UdpHeader`] is the codec: [`UdpHeader::write`] appends a header, lets
 //! the caller append the payload, then fills in the length and the
 //! checksum; [`UdpHeader::parse`] reads a datagram in place. Both sum the
-//! pseudo-header and the datagram where they lie. The owned
-//! [`UdpDatagram`] wraps both.
+//! pseudo-header and the datagram where they lie.
 
 use crate::checksum::checksum_of;
 use crate::error::{Result, WireError};
-use crate::ipv4::{protocol, Ipv4Header, Ipv4Packet};
+use crate::ipv4::{protocol, Ipv4Header};
 
 /// UDP header length in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -110,70 +109,6 @@ impl UdpHeader {
     }
 }
 
-/// A UDP datagram (header + payload, addresses supplied externally for the
-/// pseudo-header).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-impl UdpDatagram {
-    /// Build a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
-        UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        }
-    }
-
-    fn header(&self) -> UdpHeader {
-        UdpHeader {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-        }
-    }
-
-    fn from_parts(h: UdpHeader, payload: &[u8]) -> Self {
-        UdpDatagram::new(h.src_port, h.dst_port, payload.to_vec())
-    }
-
-    /// Encode with a checksum over the RFC 768 pseudo-header
-    /// (`src`/`dst`/protocol/length) plus header and payload.
-    pub fn encode(&self, src: [u8; 4], dst: [u8; 4]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(UDP_HEADER_LEN + self.payload.len());
-        self.header().write(&mut out, src, dst, |out| {
-            out.extend_from_slice(&self.payload);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Decode, verifying length and checksum against the pseudo-header.
-    pub fn decode(buf: &[u8], src: [u8; 4], dst: [u8; 4]) -> Result<Self> {
-        let (h, payload) = UdpHeader::parse(buf, src, dst)?;
-        Ok(UdpDatagram::from_parts(h, payload))
-    }
-
-    /// Wrap into a full IPv4 packet.
-    pub fn into_ipv4(self, src: [u8; 4], dst: [u8; 4]) -> Result<Ipv4Packet> {
-        let bytes = self.encode(src, dst)?;
-        Ok(Ipv4Packet::new(protocol::UDP, src, dst, bytes))
-    }
-
-    /// Extract from an IPv4 packet, checking the protocol field and
-    /// verifying the checksum against the packet's addresses.
-    pub fn from_ipv4(packet: &Ipv4Packet) -> Result<Self> {
-        let (h, payload) = UdpHeader::parse_in(&packet.header(), &packet.payload)?;
-        Ok(UdpDatagram::from_parts(h, payload))
-    }
-}
-
 /// The RFC 768 pseudo-header for a datagram of `len` bytes.
 fn pseudo(src: [u8; 4], dst: [u8; 4], len: usize) -> [u8; 12] {
     let [s0, s1, s2, s3] = src;
@@ -189,101 +124,100 @@ mod tests {
     const SRC: [u8; 4] = [10, 1, 2, 3];
     const DST: [u8; 4] = [192, 0, 2, 53];
 
+    /// A datagram from `src_port` to `dst_port` carrying `payload`, with
+    /// its checksum over `SRC` and `DST`.
+    fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        UdpHeader { src_port, dst_port }.write(&mut out, SRC, DST, |out| {
+            out.extend_from_slice(payload);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn round_trip() {
-        let d = UdpDatagram::new(33_000, DNS_PORT, b"query".to_vec());
-        let bytes = d.encode(SRC, DST).unwrap();
+        let bytes = encode(33_000, DNS_PORT, b"query").unwrap();
         assert_eq!(bytes.len(), 13);
-        let back = UdpDatagram::decode(&bytes, SRC, DST).unwrap();
-        assert_eq!(back, d);
+        let (h, payload) = UdpHeader::parse(&bytes, SRC, DST).unwrap();
+        assert_eq!((h.src_port, h.dst_port), (33_000, DNS_PORT));
+        assert_eq!(payload, b"query");
     }
 
     #[test]
     fn checksum_binds_addresses() {
-        // The pseudo-header makes the checksum address-dependent: decoding
+        // The pseudo-header makes the checksum address-dependent: reading
         // with the wrong addresses fails (anti-spoofing sanity).
-        let d = UdpDatagram::new(1, 2, vec![9; 11]);
-        let bytes = d.encode(SRC, DST).unwrap();
-        assert!(UdpDatagram::decode(&bytes, SRC, [1, 1, 1, 1]).is_err());
+        let bytes = encode(1, 2, &[9; 11]).unwrap();
+        assert!(UdpHeader::parse(&bytes, SRC, [1, 1, 1, 1]).is_err());
     }
 
     #[test]
     fn corruption_detected() {
-        let d = UdpDatagram::new(1, 2, vec![0xAB; 9]);
-        let mut bytes = d.encode(SRC, DST).unwrap();
+        let mut bytes = encode(1, 2, &[0xAB; 9]).unwrap();
         bytes[9] ^= 1;
         assert!(matches!(
-            UdpDatagram::decode(&bytes, SRC, DST),
+            UdpHeader::parse(&bytes, SRC, DST),
             Err(WireError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn zero_checksum_means_unverified() {
-        let d = UdpDatagram::new(7, 8, vec![1, 2]);
-        let mut bytes = d.encode(SRC, DST).unwrap();
+        let mut bytes = encode(7, 8, &[1, 2]).unwrap();
         bytes[6] = 0;
         bytes[7] = 0;
         // Checksum disabled: accepted as-is.
-        let back = UdpDatagram::decode(&bytes, SRC, DST).unwrap();
-        assert_eq!(back.payload, vec![1, 2]);
+        let (_, payload) = UdpHeader::parse(&bytes, SRC, DST).unwrap();
+        assert_eq!(payload, [1, 2]);
     }
 
     #[test]
     fn truncation_rejected() {
-        let d = UdpDatagram::new(1, 2, vec![1, 2, 3, 4]);
-        let bytes = d.encode(SRC, DST).unwrap();
+        let bytes = encode(1, 2, &[1, 2, 3, 4]).unwrap();
         for cut in 0..bytes.len() {
-            assert!(UdpDatagram::decode(&bytes[..cut], SRC, DST).is_err());
+            assert!(UdpHeader::parse(&bytes[..cut], SRC, DST).is_err());
         }
     }
 
     #[test]
-    fn ipv4_wrapping_round_trip() {
-        let d = UdpDatagram::new(5_353, DNS_PORT, b"dns-bytes".to_vec());
-        let pkt = d.clone().into_ipv4(SRC, DST).unwrap();
-        let wire = pkt.encode().unwrap();
-        let back_pkt = Ipv4Packet::decode(&wire).unwrap();
-        let back = UdpDatagram::from_ipv4(&back_pkt).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn from_ipv4_rejects_wrong_protocol() {
-        let pkt = Ipv4Packet::new(protocol::ICMP, SRC, DST, vec![0; 8]);
+    fn parse_in_rejects_wrong_protocol() {
+        let ip = Ipv4Header::new(protocol::ICMP, SRC, DST);
         assert!(matches!(
-            UdpDatagram::from_ipv4(&pkt),
+            UdpHeader::parse_in(&ip, &[0; 8]),
             Err(WireError::UnknownValue { .. })
         ));
     }
 
     #[test]
     fn header_writes_inside_an_ipv4_packet_in_one_buffer() {
-        let d = UdpDatagram::new(5_353, DNS_PORT, b"dns-bytes".to_vec());
+        let h = UdpHeader {
+            src_port: 5_353,
+            dst_port: DNS_PORT,
+        };
         let mut buf = Vec::new();
         Ipv4Header::new(protocol::UDP, SRC, DST)
             .write(&mut buf, |out| {
-                d.header().write(out, SRC, DST, |out| {
-                    out.extend_from_slice(&d.payload);
+                h.write(out, SRC, DST, |out| {
+                    out.extend_from_slice(b"dns-bytes");
                     Ok(())
                 })
             })
             .unwrap();
-        let owned = d.clone().into_ipv4(SRC, DST).unwrap().encode().unwrap();
-        assert_eq!(buf, owned);
+        let udp = encode(5_353, DNS_PORT, b"dns-bytes").unwrap();
+        assert_eq!(&buf[crate::ipv4::IPV4_HEADER_LEN..], udp.as_slice());
         let (ip, inner) = Ipv4Header::parse(&buf).unwrap();
-        let (h, payload) = UdpHeader::parse_in(&ip, inner).unwrap();
-        assert_eq!((h, payload), (d.header(), &b"dns-bytes"[..]));
+        let (back, payload) = UdpHeader::parse_in(&ip, inner).unwrap();
+        assert_eq!((back, payload), (h, &b"dns-bytes"[..]));
     }
 
     #[test]
     fn bad_checksum_reports_the_sum_without_its_field() {
-        let d = UdpDatagram::new(1, 2, vec![0xAB; 9]);
-        let mut bytes = d.encode(SRC, DST).unwrap();
+        let mut bytes = encode(1, 2, &[0xAB; 9]).unwrap();
         let good = u16::from_be_bytes([bytes[6], bytes[7]]);
         bytes[7] ^= 0x01;
         assert_eq!(
-            UdpDatagram::decode(&bytes, SRC, DST),
+            UdpHeader::parse(&bytes, SRC, DST),
             Err(WireError::BadChecksum {
                 found: good ^ 0x0001,
                 computed: good,
@@ -293,7 +227,9 @@ mod tests {
 
     #[test]
     fn oversize_payload_rejected() {
-        let d = UdpDatagram::new(1, 2, vec![0; 70_000]);
-        assert!(d.encode(SRC, DST).is_err());
+        assert!(matches!(
+            encode(1, 2, &[0; 70_000]),
+            Err(WireError::FieldOverflow { .. })
+        ));
     }
 }

@@ -7,8 +7,8 @@
 //! * [`core`] (`fenrir-core`) — the paper's contribution: routing vectors,
 //!   Gower similarity, HAC mode discovery, transition matrices, change
 //!   detection, heatmaps, latency summaries.
-//! * [`wire`] (`fenrir-wire`) — DNS (EDNS Client-Subnet, NSID, CHAOS) and
-//!   ICMPv4 wire formats.
+//! * [`wire`] (`fenrir-wire`) — DNS (EDNS Client-Subnet, CHAOS), ICMPv4,
+//!   IPv4 and UDP wire formats.
 //! * [`netsim`] (`fenrir-netsim`) — AS topology + Gao–Rexford BGP policy
 //!   routing substrate.
 //! * [`measure`] (`fenrir-measure`) — Verfploeter, Atlas-style,

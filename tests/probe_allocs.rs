@@ -10,6 +10,8 @@
 use fenrir::core::health::CampaignHealth;
 use fenrir::core::time::Timestamp;
 use fenrir::measure::atlas::AtlasCampaign;
+use fenrir::measure::ednscs::{EdnsCsCampaign, FrontendPolicy};
+use fenrir::measure::traceroute::TracerouteCampaign;
 use fenrir::measure::verfploeter::Verfploeter;
 use fenrir::netsim::anycast::AnycastService;
 use fenrir::netsim::events::Scenario;
@@ -97,20 +99,26 @@ fn probes(health: &[CampaignHealth]) -> usize {
     health.iter().map(|h| h.attempts).sum()
 }
 
+/// Asserts that `allocs` over the probes `health` counts is `probes`
+/// probes, at most `bound` allocations per probe.
+fn assert_per_probe(allocs: u64, health: &[CampaignHealth], probes_made: usize, bound: f64) {
+    let n = probes(health);
+    assert_eq!(n, probes_made);
+    let per_probe = allocs as f64 / n as f64;
+    println!("{allocs} allocations over {n} probes: {per_probe:.3} per probe");
+    assert!(
+        per_probe <= bound,
+        "{allocs} allocations over {n} probes: {per_probe:.3} per probe"
+    );
+}
+
 #[test]
 fn a_verfploeter_probe_does_not_allocate() {
     let (topo, svc) = setup();
     let times = days(50);
     let vp = Verfploeter::default();
     let (allocs, r) = allocations(|| vp.run(&topo, &svc, &Scenario::new(), &times));
-    let n = probes(&r.health);
-    assert_eq!(n, 12_000);
-    let per_probe = allocs as f64 / n as f64;
-    println!("{allocs} allocations over {n} probes: {per_probe:.3} per probe");
-    assert!(
-        per_probe <= 0.1,
-        "{allocs} allocations over {n} probes: {per_probe:.3} per probe"
-    );
+    assert_per_probe(allocs, &r.health, 12_000, 0.1);
 }
 
 #[test]
@@ -122,12 +130,53 @@ fn an_atlas_probe_does_not_allocate() {
         ..Default::default()
     };
     let (allocs, r) = allocations(|| atlas.run(&topo, &svc, &Scenario::new(), &times));
-    let n = probes(&r.health);
-    assert_eq!(n, 10_000);
-    let per_probe = allocs as f64 / n as f64;
-    println!("{allocs} allocations over {n} probes: {per_probe:.3} per probe");
-    assert!(
-        per_probe <= 5.0,
-        "{allocs} allocations over {n} probes: {per_probe:.3} per probe"
-    );
+    assert_per_probe(allocs, &r.health, 10_000, 5.0);
+}
+
+/// Runs a quiet EDNS Client-Subnet campaign under `policy` and checks
+/// its allocations per probe.
+fn ednscs_probes_do_not_allocate(policy: FrontendPolicy) {
+    let (topo, svc) = setup();
+    let times = days(50);
+    let campaign = EdnsCsCampaign {
+        hostname: "www.example.org".into(),
+        policy,
+        loss_prob: 0.0,
+        seed: 0xED45,
+    };
+    let (allocs, r) = allocations(|| campaign.run(&topo, &svc, &Scenario::new(), &times));
+    assert_per_probe(allocs, &r.health, 12_000, 0.1);
+}
+
+#[test]
+fn an_ednscs_geo_probe_does_not_allocate() {
+    ednscs_probes_do_not_allocate(FrontendPolicy::Geo {
+        sticky_return_frac: 0.3,
+    });
+}
+
+#[test]
+fn an_ednscs_churn_probe_does_not_allocate() {
+    ednscs_probes_do_not_allocate(FrontendPolicy::Churn {
+        clusters: 50,
+        epoch_secs: 7 * 86_400,
+        era: 2024,
+        sticky_frac: 0.25,
+        daily_churn: 0.15,
+    });
+}
+
+/// A traceroute probe writes and reads its hops' packets in place; what
+/// it still allocates is route bookkeeping: the path to each destination
+/// and the hops it answers with.
+#[test]
+fn a_traceroute_probe_allocates_only_route_bookkeeping() {
+    let (topo, _) = setup();
+    let times = days(50);
+    let trace = TracerouteCampaign {
+        source: topo.tier_members(Tier::Stub)[0],
+        ..Default::default()
+    };
+    let (allocs, r) = allocations(|| trace.run(&topo, &Scenario::new(), &times));
+    assert_per_probe(allocs, &r.health, 12_000, 12.0);
 }
