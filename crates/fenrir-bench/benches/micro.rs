@@ -229,70 +229,67 @@ fn pipeline() -> Obj {
         })
 }
 
-/// Writes a query for `name` at the end of `out`, with an OPT record
-/// holding a Client Subnet option when `ecs` is set.
+/// Appends `key`: ns per call of `write` into one reused buffer. Returns
+/// what it wrote.
+fn time_write(o: Obj, key: &str, mut write: impl FnMut(&mut Vec<u8>)) -> (Obj, Vec<u8>) {
+    let mut buf = Vec::with_capacity(512);
+    let o = o.per_call(key, CODEC_BATCH, || {
+        buf.clear();
+        write(&mut buf);
+        buf.len()
+    });
+    (o, buf)
+}
+
+/// A query for `name` with recursion desired, ahead of `additional`
+/// records.
 fn query(
     w: &mut MessageWriter,
     out: &mut Vec<u8>,
-    id: u16,
     name: &Name,
-    qtype: QType,
-    qclass: QClass,
-    ecs: bool,
+    q: (QType, QClass),
+    additional: u16,
 ) {
     let header = Header {
-        id,
+        id: 7,
         rd: true,
         ..Header::default()
     };
-    w.header(out, header, [1, 0, 0, u16::from(ecs)]);
-    w.question(out, name.labels(), qtype, qclass);
-    if ecs {
+    w.header(out, header, [1, 0, 0, additional]);
+    w.question(out, name.labels(), q.0, q.1);
+}
+
+fn dns() -> Obj {
+    let mut w = MessageWriter::default();
+    let [google, bind, cdn] = ["www.google.com", "hostname.bind", "cdn.front.example.net"]
+        .map(|n| Name::parse(n).expect("valid"));
+    let (mut chaos, mut cdn_query) = (Vec::new(), Vec::new());
+    query(&mut w, &mut chaos, &bind, (QType::Txt, QClass::Chaos), 0);
+    query(&mut w, &mut cdn_query, &cdn, (QType::A, QClass::In), 0);
+    let chaos = MessageReader::new(&chaos).expect("ok");
+    let cdn_query = MessageReader::new(&cdn_query).expect("ok");
+    let read = |o: Obj, key, b: &[u8]| {
+        o.per_call(key, CODEC_BATCH, || {
+            MessageReader::new(black_box(b)).expect("ok").header()
+        })
+    };
+    let (o, ecs_bytes) = time_write(Obj::new(), "encode_ecs_query_ns", |out| {
+        query(&mut w, out, &google, (QType::A, QClass::In), 1);
         w.record(out, std::iter::empty(), QType::Opt, 4096, 0, |_, out| {
             ClientSubnet::write_ipv4(out, [100, 64, 7, 0], 24);
             Ok(())
         })
         .expect("ok");
-    }
-}
-
-fn dns() -> Obj {
-    let (mut w, mut buf) = (MessageWriter::default(), Vec::with_capacity(512));
-    let google = Name::parse("www.google.com").expect("valid");
-    let hostname_bind = Name::parse("hostname.bind").expect("valid");
-    let cdn = Name::parse("cdn.front.example.net").expect("valid");
-    let (mut ecs_bytes, mut chaos, mut cdn_query) = (Vec::new(), Vec::new(), Vec::new());
-    query(
-        &mut w,
-        &mut ecs_bytes,
-        0x1234,
-        &google,
-        QType::A,
-        QClass::In,
-        true,
-    );
-    query(
-        &mut w,
-        &mut chaos,
-        7,
-        &hostname_bind,
-        QType::Txt,
-        QClass::Chaos,
-        false,
-    );
-    query(&mut w, &mut cdn_query, 9, &cdn, QType::A, QClass::In, false);
-    let chaos = MessageReader::new(&chaos).expect("ok");
-    let cdn_query = MessageReader::new(&cdn_query).expect("ok");
-    let chaos_response = |w: &mut MessageWriter, out: &mut Vec<u8>| {
+    });
+    let o = read(o, "decode_ecs_query_ns", &ecs_bytes);
+    let (o, resp_bytes) = time_write(o, "encode_chaos_response_ns", |out| {
         w.response_to(out, &chaos, Rcode::NoError, 1);
-        let name = hostname_bind.labels();
-        w.txt(out, name, QClass::Chaos, 0, [&b"b4-lax2"[..]])
+        w.txt(out, bind.labels(), QClass::Chaos, 0, [&b"b4-lax2"[..]])
             .expect("ok");
-    };
-    let mut resp_bytes = Vec::new();
-    chaos_response(&mut w, &mut resp_bytes);
+    });
+    let o = read(o, "decode_chaos_response_ns", &resp_bytes);
     // Name-compression payoff: ten records sharing a suffix.
-    let fat = |w: &mut MessageWriter, out: &mut Vec<u8>| {
+    let (o, _) = time_write(o, "encode_compressed_10rr_ns", |out| {
         w.response_to(out, &cdn_query, Rcode::NoError, 10);
         for i in 0..10u8 {
             w.record(out, cdn.labels(), QType::A, 1, 60, |_, out| {
@@ -301,37 +298,8 @@ fn dns() -> Obj {
             })
             .expect("ok");
         }
-    };
-    let read = |o: Obj, key, b: &[u8]| {
-        o.per_call(key, CODEC_BATCH, || {
-            MessageReader::new(black_box(b)).expect("ok").header()
-        })
-    };
-    let o = Obj::new().per_call("encode_ecs_query_ns", CODEC_BATCH, || {
-        buf.clear();
-        query(
-            &mut w,
-            &mut buf,
-            0x1234,
-            &google,
-            QType::A,
-            QClass::In,
-            true,
-        );
-        buf.len()
     });
-    let o = read(o, "decode_ecs_query_ns", &ecs_bytes);
-    let o = o.per_call("encode_chaos_response_ns", CODEC_BATCH, || {
-        buf.clear();
-        chaos_response(&mut w, &mut buf);
-        buf.len()
-    });
-    let o = read(o, "decode_chaos_response_ns", &resp_bytes);
-    o.per_call("encode_compressed_10rr_ns", CODEC_BATCH, || {
-        buf.clear();
-        fat(&mut w, &mut buf);
-        buf.len()
-    })
+    o
 }
 
 fn icmp() -> Obj {
@@ -342,26 +310,19 @@ fn icmp() -> Obj {
         seq,
         payload: &payload,
     };
-    let mut bytes = Vec::new();
-    echo(IcmpKind::EchoRequest, 0xBEEF, 42).encode_into(&mut bytes);
-    let (mut buf, mut reply) = (Vec::with_capacity(64), Vec::with_capacity(64));
-    Obj::new()
-        .per_call("encode_echo_ns", CODEC_BATCH, || {
-            buf.clear();
-            black_box(echo(IcmpKind::EchoRequest, 0xBEEF, 42)).encode_into(&mut buf);
-            buf.len()
-        })
-        .per_call("decode_echo_ns", CODEC_BATCH, || {
-            IcmpView::parse(black_box(&bytes)).expect("ok")
-        })
-        .per_call("round_trip_with_reply_ns", CODEC_BATCH, || {
-            buf.clear();
-            echo(IcmpKind::EchoRequest, 1, 2).encode_into(&mut buf);
-            let req = IcmpView::parse(&buf).expect("ok");
-            reply.clear();
-            echo(IcmpKind::EchoReply, req.ident, req.seq).encode_into(&mut reply);
-            IcmpView::parse(&reply).expect("ok").seq
-        })
+    let (o, bytes) = time_write(Obj::new(), "encode_echo_ns", |out| {
+        black_box(echo(IcmpKind::EchoRequest, 0xBEEF, 42)).encode_into(out)
+    });
+    let mut reply = Vec::with_capacity(64);
+    o.per_call("decode_echo_ns", CODEC_BATCH, || {
+        IcmpView::parse(black_box(&bytes)).expect("ok")
+    })
+    .per_call("round_trip_with_reply_ns", CODEC_BATCH, || {
+        let req = IcmpView::parse(&bytes).expect("ok");
+        reply.clear();
+        echo(IcmpKind::EchoReply, req.ident, req.seq).encode_into(&mut reply);
+        IcmpView::parse(&reply).expect("ok").seq
+    })
 }
 
 fn builder(stubs: usize) -> TopologyBuilder {

@@ -142,13 +142,6 @@ impl<'a> EdnsOptions<'a> {
         }
         Ok(EdnsOptions(rdata))
     }
-
-    /// The first Client Subnet option.
-    pub fn client_subnet(self) -> Option<ClientSubnet<'a>> {
-        self.into_iter()
-            .find(|&(code, _)| code == OPT_CLIENT_SUBNET)
-            .map(|(_, payload)| ClientSubnet::parse(payload).expect("checked by the reader"))
-    }
 }
 
 impl<'a> Iterator for EdnsOptions<'a> {
@@ -175,9 +168,13 @@ mod tests {
         out
     }
 
-    /// The Client Subnet option of an OPT RDATA, read in place.
+    /// The first Client Subnet option of an OPT RDATA, read in place.
     fn read(rdata: &[u8]) -> ClientSubnet<'_> {
-        EdnsOptions::check(rdata).unwrap().client_subnet().unwrap()
+        let mut options = EdnsOptions::check(rdata).unwrap();
+        let (_, payload) = options
+            .find(|&(code, _)| code == OPT_CLIENT_SUBNET)
+            .unwrap();
+        ClientSubnet::parse(payload).unwrap()
     }
 
     #[test]
@@ -258,18 +255,12 @@ mod tests {
         buf.extend_from_slice(b"b4-lax");
         ClientSubnet::write_ipv4(&mut buf, [203, 0, 113, 0], 24);
         buf.extend_from_slice(&[0, 42, 0, 3, 1, 2, 3]);
-        let opts = EdnsOptions::check(&buf).unwrap();
-        let got: Vec<(u16, &[u8])> = opts.clone().collect();
+        let got: Vec<(u16, &[u8])> = EdnsOptions::check(&buf).unwrap().collect();
         assert_eq!(got[0], (3, &b"b4-lax"[..]));
         assert_eq!(got[1], (8, &[0u8, 1, 24, 0, 203, 0, 113][..]));
         assert_eq!(got[2], (42, &[1u8, 2, 3][..]));
         assert_eq!(got.len(), 3);
-        assert_eq!(opts.client_subnet().unwrap().address, [203, 0, 113]);
-        // Options without a Client Subnet one have none.
-        assert_eq!(
-            EdnsOptions::check(&buf[..10]).unwrap().client_subnet(),
-            None
-        );
+        assert_eq!(read(&buf).address, [203, 0, 113]);
     }
 
     #[test]

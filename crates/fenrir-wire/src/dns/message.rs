@@ -5,7 +5,7 @@
 //! [`MessageReader`] checks a whole message in place and then yields its
 //! header, questions and records borrowed from the input.
 
-use super::edns::{ClientSubnet, EdnsOptions};
+use super::edns::{ClientSubnet, EdnsOptions, OPT_CLIENT_SUBNET};
 use super::name::{write_compressed, NameTable, WireName};
 use super::{QClass, QType};
 use crate::error::{Result, WireError};
@@ -555,13 +555,15 @@ impl<'a> MessageReader<'a> {
     /// The first Client Subnet option of the first OPT record in the
     /// additional section.
     pub fn client_subnet(&self) -> Option<ClientSubnet<'a>> {
-        self.records()
+        let mut options = self
+            .records()
             .filter(|&(section, _)| section == 2)
             .find_map(|(_, r)| match r.rdata {
                 RDataRef::Opt(options) => Some(options),
                 _ => None,
-            })?
-            .client_subnet()
+            })?;
+        let (_, payload) = options.find(|&(code, _)| code == OPT_CLIENT_SUBNET)?;
+        Some(ClientSubnet::parse(payload).expect("checked by the reader"))
     }
 }
 
