@@ -68,8 +68,8 @@ pub enum Error {
         /// Human-readable description of the inconsistency.
         message: String,
     },
-    /// An incremental recomputation (routes, similarity, dendrogram)
-    /// disagreed with the batch computation it is required to reproduce
+    /// An incremental recomputation (the route tables) disagreed with
+    /// the batch computation it is required to reproduce
     /// bit-for-bit. Recorded by the runtime `DivergenceGuard` when a
     /// sampled cross-check fails; the guard falls back to the batch result
     /// and quarantines the incremental state, so this error is surfaced as

@@ -1,12 +1,14 @@
 //! Runtime divergence guard for incremental recomputation.
 //!
-//! The incremental paths (`IncrementalRoutes` in fenrir-netsim and
-//! [`SimilarityMatrix::extend`](crate::similarity::SimilarityMatrix) here)
-//! are required to reproduce their batch counterparts bit-for-bit. A
-//! dendrogram has no incremental path to guard: its
-//! [`extend`](crate::cluster::Dendrogram::extend) is a batch build. Debug
-//! builds cross-check every transition; release builds used to run with
-//! no net at all.
+//! The incremental route tables (`IncrementalRoutes` in fenrir-netsim)
+//! are required to reproduce their batch counterpart, a different
+//! algorithm, bit-for-bit. Nothing else has a second algorithm to guard:
+//! a dendrogram's [`extend`](crate::cluster::Dendrogram::extend) is a
+//! batch build, and Φ's
+//! [`compute`](crate::similarity::SimilarityMatrix::compute) is the
+//! [`extend`](crate::similarity::SimilarityMatrix::extend) of an empty
+//! matrix. Debug builds cross-check every transition; release builds
+//! used to run with no net at all.
 //! A [`DivergenceGuard`] closes that gap: it *samples* cross-checks at
 //! runtime, and when a sampled check finds a mismatch it records a typed
 //! [`Error::IncrementalDivergence`], lets the caller fall back to the batch

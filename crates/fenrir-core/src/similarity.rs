@@ -32,7 +32,6 @@
 //! other order could change Φ's last bit.
 
 use crate::error::{Error, Result};
-use crate::guard::DivergenceGuard;
 use crate::series::VectorSeries;
 use crate::vector::{RoutingVector, CODE_UNKNOWN};
 use crate::weight::Weights;
@@ -263,7 +262,7 @@ fn tri_len(n: usize) -> usize {
 /// around. The triangle is row-major — row `i` holds `Φ(i, 0..=i)` — so
 /// appending an observation appends one contiguous row and
 /// [`SimilarityMatrix::extend`] never re-embeds history.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimilarityMatrix {
     n: usize,
     /// Lower triangle with diagonal, row-major: `values[i·(i+1)/2 + j]` is
@@ -280,20 +279,14 @@ impl SimilarityMatrix {
         hi * (hi + 1) / 2 + lo
     }
 
-    /// Compute Φ for all pairs of vectors in `series`, sequentially.
+    /// Compute Φ for all pairs of vectors in `series`, sequentially: the
+    /// [`SimilarityMatrix::extend`] of an empty matrix.
     ///
     /// Errors if the series is empty or weights mismatch the population.
     pub fn compute(series: &VectorSeries, w: &Weights, policy: UnknownPolicy) -> Result<Self> {
-        Self::validate(series, w)?;
-        let n = series.len();
-        let mut values = Vec::with_capacity(tri_len(n));
-        for i in 0..n {
-            let a = series.get(i);
-            for j in 0..=i {
-                values.push(phi(a, series.get(j), w, policy));
-            }
-        }
-        Ok(SimilarityMatrix { n, values })
+        let mut m = SimilarityMatrix::default();
+        m.extend(series, w, policy)?;
+        Ok(m)
     }
 
     /// Like [`SimilarityMatrix::compute`] but splits rows across `threads`
@@ -375,12 +368,13 @@ impl SimilarityMatrix {
     /// one observation per sweep and must not recompute `O(|T|²·N)` history.
     ///
     /// The first `self.len()` observations of `series` must be the ones
-    /// this matrix was computed from; a corner cell is recomputed as a
-    /// cheap spot check and a mismatch is rejected. Only the
-    /// `series.len() − self.len()` new rows are computed, each `O(|T|·N)`.
+    /// this matrix was computed from; once a row is stored, a corner cell
+    /// is recomputed as a cheap spot check and a mismatch is rejected.
+    /// Only the `series.len() − self.len()` new rows are computed, each
+    /// `O(|T|·N)`; an empty matrix computes every row.
     ///
-    /// Errors if the series is shorter than the matrix, weights mismatch,
-    /// or the spot check fails.
+    /// Errors if the series is empty or shorter than the matrix, weights
+    /// mismatch, or the spot check fails.
     pub fn extend(
         &mut self,
         series: &VectorSeries,
@@ -401,17 +395,18 @@ impl SimilarityMatrix {
             return Ok(());
         }
         // Spot check: the most distant stored pair must still reproduce.
-        let check = phi(series.get(0), series.get(old_n - 1), w, policy);
-        if (check - self.get(0, old_n - 1)).abs() > 1e-12 {
-            return Err(Error::InvalidParameter {
-                name: "series",
-                message: format!(
-                    "prefix changed since the matrix was computed: Φ(0, {}) is {check}, \
-                     matrix has {}",
-                    old_n - 1,
-                    self.get(0, old_n - 1)
-                ),
-            });
+        if let Some(last) = old_n.checked_sub(1) {
+            let check = phi(series.get(0), series.get(last), w, policy);
+            if (check - self.get(0, last)).abs() > 1e-12 {
+                return Err(Error::InvalidParameter {
+                    name: "series",
+                    message: format!(
+                        "prefix changed since the matrix was computed: Φ(0, {last}) is {check}, \
+                         matrix has {}",
+                        self.get(0, last)
+                    ),
+                });
+            }
         }
         // The condensed triangle grows by appending one contiguous row per
         // new observation — stored history is never touched or re-embedded.
@@ -424,91 +419,6 @@ impl SimilarityMatrix {
         }
         self.n = new_n;
         Ok(())
-    }
-
-    /// Like [`SimilarityMatrix::extend`], but wrapped in a runtime
-    /// [`DivergenceGuard`]: sampled extends are cross-checked against a
-    /// full batch recompute, a bitwise mismatch records a typed
-    /// [`Error::IncrementalDivergence`](crate::error::Error) on the guard,
-    /// the batch matrix replaces the diverged one, and the guard's
-    /// quarantine steers every later call straight to the batch path. The
-    /// returned `Result` only carries *caller* errors (shape mismatches, a
-    /// changed prefix); a divergence repairs itself and reports through
-    /// the guard instead of failing the campaign.
-    pub fn extend_guarded(
-        &mut self,
-        series: &VectorSeries,
-        w: &Weights,
-        policy: UnknownPolicy,
-        guard: &mut DivergenceGuard,
-    ) -> Result<()> {
-        if guard.quarantined() {
-            *self = Self::compute(series, w, policy)?;
-            return Ok(());
-        }
-        let old_n = self.n;
-        self.extend(series, w, policy)?;
-        if guard.should_check(self.n > old_n) {
-            let batch = Self::compute(series, w, policy)?;
-            let mismatch = self.n != batch.n
-                || self
-                    .values
-                    .iter()
-                    .zip(&batch.values)
-                    .any(|(a, b)| a.to_bits() != b.to_bits());
-            if mismatch {
-                let cell = self
-                    .values
-                    .iter()
-                    .zip(&batch.values)
-                    .position(|(a, b)| a.to_bits() != b.to_bits());
-                guard.record(
-                    "similarity matrix",
-                    match cell {
-                        Some(k) => format!(
-                            "condensed cell {k} is {}, batch computed {}",
-                            self.values[k], batch.values[k]
-                        ),
-                        None => format!("dimension {} vs batch {}", self.n, batch.n),
-                    },
-                );
-                *self = batch;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuild a matrix from its condensed lower-triangle buffer (the
-    /// exact bytes [`SimilarityMatrix::raw`] exposes) — the journal
-    /// restore path. Validates the cell count and that every Φ is finite
-    /// and within `[0, 1]`.
-    pub fn from_condensed(n: usize, values: Vec<f64>) -> Result<Self> {
-        if values.len() != tri_len(n) {
-            return Err(Error::ShapeMismatch {
-                what: "condensed similarity buffer",
-                expected: tri_len(n),
-                actual: values.len(),
-            });
-        }
-        for (k, &v) in values.iter().enumerate() {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(Error::InvalidParameter {
-                    name: "values",
-                    message: format!(
-                        "Φ at condensed cell {k} is {v}, not a finite value in [0, 1]"
-                    ),
-                });
-            }
-        }
-        Ok(SimilarityMatrix { n, values })
-    }
-
-    /// The condensed cells appended for observation `i`: `Φ(i, 0..=i)`,
-    /// `i + 1` values. This is the per-observation delta a journal frame
-    /// persists — history rows never change, so replaying these slices in
-    /// order reproduces [`SimilarityMatrix::raw`] bit-for-bit.
-    pub fn condensed_row(&self, i: usize) -> &[f64] {
-        &self.values[tri_len(i)..tri_len(i + 1)]
     }
 
     /// Build from a precomputed row-major `n × n` dense buffer (used by
@@ -908,63 +818,29 @@ mod tests {
         assert!(SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).is_err());
     }
 
+    /// An empty matrix, built as `from_raw(0, [])` builds it, extends to
+    /// the whole series; `compute` is that extend, so the threaded
+    /// per-cell loop of `compute_parallel` is the independent check.
     #[test]
-    fn from_condensed_round_trips_raw() {
-        let (series, w) = small_series();
-        let m = SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).unwrap();
-        let back = SimilarityMatrix::from_condensed(m.len(), m.raw().to_vec()).unwrap();
-        assert_eq!(m, back);
-        // Condensed rows concatenate back into the raw buffer.
-        let rebuilt: Vec<f64> = (0..m.len())
-            .flat_map(|i| m.condensed_row(i).to_vec())
-            .collect();
-        assert_eq!(rebuilt, m.raw());
-    }
-
-    #[test]
-    fn from_condensed_rejects_bad_cells() {
-        assert!(SimilarityMatrix::from_condensed(2, vec![1.0; 2]).is_err());
-        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, f64::NAN, 1.0]).is_err());
-        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, 1.5, 1.0]).is_err());
-        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, 0.5, 1.0]).is_ok());
-    }
-
-    #[test]
-    fn extend_guarded_matches_plain_extend_when_clean() {
-        let (series, w) = small_series();
-        let prefix = series.slice_time(series.get(0).time(), series.get(1).time());
-        let mut guard = crate::guard::DivergenceGuard::new(crate::guard::SamplingRate::always());
-        let mut m = SimilarityMatrix::compute(&prefix, &w, UnknownPolicy::Pessimistic).unwrap();
-        m.extend_guarded(&series, &w, UnknownPolicy::Pessimistic, &mut guard)
-            .unwrap();
-        let full = SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).unwrap();
-        assert_eq!(m, full);
-        assert!(!guard.quarantined());
-        assert_eq!(guard.drain_new(), 0);
-    }
-
-    #[test]
-    fn extend_guarded_repairs_and_quarantines_on_divergence() {
-        let (series, w) = small_series();
-        let prefix = series.slice_time(series.get(0).time(), series.get(1).time());
-        let mut guard = crate::guard::DivergenceGuard::new(crate::guard::SamplingRate::always());
-        let mut m = SimilarityMatrix::compute(&prefix, &w, UnknownPolicy::Pessimistic).unwrap();
-        // Poison a stored cell: the diagonal spot-check still passes (it
-        // recomputes Φ(0, old_n−1), cell index 1), so corrupt the diagonal
-        // of row 1 instead — only the guard's batch cross-check sees it.
-        m.values[2] = 0.123;
-        m.extend_guarded(&series, &w, UnknownPolicy::Pessimistic, &mut guard)
-            .unwrap();
-        // The batch result replaced the poisoned matrix...
-        let full = SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).unwrap();
-        assert_eq!(m, full);
-        // ...and the guard recorded + quarantined.
-        assert!(guard.quarantined());
-        assert_eq!(guard.drain_new(), 1);
-        // Further guarded extends take the batch path and stay correct.
-        m.extend_guarded(&series, &w, UnknownPolicy::Pessimistic, &mut guard)
-            .unwrap();
-        assert_eq!(m, full);
+    fn extend_from_empty_equals_compute_bit_for_bit() {
+        let (series, _) = small_series();
+        let bits =
+            |m: &SimilarityMatrix| -> Vec<u64> { m.raw().iter().map(|v| v.to_bits()).collect() };
+        let weights = [
+            Weights::uniform(4),
+            Weights::from_values(vec![0.5, 3.0, 1.25, 7.0]).unwrap(),
+        ];
+        for w in &weights {
+            for policy in [UnknownPolicy::Pessimistic, UnknownPolicy::KnownOnly] {
+                let mut m = SimilarityMatrix::from_raw(0, Vec::new()).unwrap();
+                m.extend(&series, w, policy).unwrap();
+                let full = SimilarityMatrix::compute(&series, w, policy).unwrap();
+                let threaded = SimilarityMatrix::compute_parallel(&series, w, policy, 2).unwrap();
+                assert_eq!(m.len(), 4);
+                assert_eq!(bits(&m), bits(&full), "{policy:?}");
+                assert_eq!(bits(&m), bits(&threaded), "{policy:?}");
+            }
+        }
     }
 
     #[test]

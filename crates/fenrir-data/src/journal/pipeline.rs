@@ -2,31 +2,23 @@
 //! journaled one observation at a time.
 //!
 //! The measurement side checkpoints raw sweeps ([`super::sink`]); this
-//! module journals the *derived* state so a crash does not force the
-//! O(T²) similarity matrix to be recomputed from scratch. Each observed
-//! vector appends one [`KIND_OBSERVATION`] frame carrying the observation,
-//! its condensed similarity row (the only matrix cells a new observation
-//! adds — history rows never change) and its health record, followed by a
-//! [`KIND_OBS_LATENCY`] frame when it carries a latency panel. A journal
-//! holds each observation exactly once: a flat journal only ever grows,
-//! and a tiered journal's seal writes the same frames, after the meta
-//! frame, into the object tier. Every observation builds the tree over the
-//! grown matrix, and so does a restore.
+//! module journals the analysis pipeline's observations. Each observed
+//! vector appends one [`KIND_OBSERVATION`] frame carrying its time, its
+//! codes and its health record, followed by a [`KIND_OBS_LATENCY`] frame
+//! when it carries a latency panel. A journal holds each observation
+//! exactly once: a flat journal only ever grows, and a tiered journal's
+//! seal writes the same frames, after the meta frame, into the object
+//! tier.
 //!
-//! Restores are bit-exact: journaled Φ rows are the exact IEEE-754 bits
-//! the pipeline computed, and the tree is a pure function of them — the
-//! kill/resume equivalence tests assert `D(t)` comes out identical either
-//! way.
-//!
-//! The Φ extend runs behind the runtime [`DivergenceGuard`], sampled at
-//! the configured rate: a sampled incremental-vs-batch mismatch repairs
-//! from the batch result, quarantines the incremental path, and surfaces
-//! through the observation's [`CampaignHealth::divergences`] counter
-//! instead of aborting the pipeline. Guard sampling counters reset on
-//! restore (they are pacing state, not data), so a resumed run may
-//! *check* at different sweeps than an uninterrupted one — but since
-//! checks only repair already-wrong state, results are unaffected when
-//! the incremental path is healthy.
+//! Φ and the merge tree are derived state: a pure function of the series
+//! and of the weights, unknown policy and linkage the meta frame binds,
+//! so no frame holds them. Observing extends Φ by the new row
+//! ([`SimilarityMatrix::extend`]) and builds the tree over the grown
+//! matrix; a restore computes Φ over the restored series
+//! ([`SimilarityMatrix::compute`], the extend of an empty matrix) and
+//! builds the tree once. Both run one per-cell loop in one order, so a
+//! restore is bit-exact — the kill/resume equivalence tests assert that
+//! the series, Φ and the tree come out identical either way.
 
 use super::codec::{self, Dec};
 use super::{Backend, Frame, Journal, RecoveryReport};
@@ -34,7 +26,7 @@ use crate::storage::tiered::hydrate_latest;
 use crate::storage::{RetryPolicy, Storage, TieredJournal};
 use fenrir_core::cluster::{Dendrogram, Linkage};
 use fenrir_core::error::{Error, Result};
-use fenrir_core::guard::{DivergenceGuard, SamplingRate};
+use fenrir_core::guard::SamplingRate;
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
 use fenrir_core::latency::LatencyPanel;
@@ -48,7 +40,7 @@ use std::sync::Arc;
 
 /// Frame kind: pipeline metadata (always the first frame).
 pub const KIND_PIPELINE_META: u16 = 0x20;
-/// Frame kind: one observation delta (vector + Φ row + health).
+/// Frame kind: one observation (time + codes + health).
 pub const KIND_OBSERVATION: u16 = 0x21;
 // Kind 0x22 held a folded snapshot in older builds and stays reserved.
 /// Frame kind: latency panel for one already-journaled observation.
@@ -65,7 +57,10 @@ pub struct PipelineConfig {
     pub policy: UnknownPolicy,
     /// HAC linkage.
     pub linkage: Linkage,
-    /// Divergence-guard sampling rate for the Φ extend.
+    /// Ignored: Φ has no divergence guard, since
+    /// [`SimilarityMatrix::compute`] is the [`SimilarityMatrix::extend`]
+    /// of an empty matrix. The field stays so that configurations written
+    /// with it, such as the benchmark harness's, still build.
     pub sampling: SamplingRate,
     /// On a tiered journal, seal once this many observations accumulate
     /// in the hot tail (`None` = never seal automatically). A flat
@@ -74,8 +69,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Uniform weights, paper-default policy and linkage, build-default
-    /// guard sampling, a seal every 64 observations.
+    /// Uniform weights, paper-default policy and linkage, a seal every 64
+    /// observations.
     pub fn new(networks: usize) -> Self {
         PipelineConfig {
             weights: Weights::uniform(networks),
@@ -127,6 +122,16 @@ fn policy_from(code: u8) -> Result<UnknownPolicy> {
     }
 }
 
+/// Encode a [`KIND_OBSERVATION`] payload: the vector's time and codes,
+/// then its health record.
+fn observation_payload(v: &RoutingVector, health: &CampaignHealth) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_i64(&mut out, v.time().as_secs());
+    codec::put_seq(&mut out, v.codes(), |o, &c| codec::put_u16(o, c));
+    codec::put_health(&mut out, health);
+    out
+}
+
 /// Encode a [`KIND_OBS_LATENCY`] payload: observation index, panel time,
 /// then one `present` flag (+ RTT bits when present) per network.
 fn latency_payload(idx: usize, p: &LatencyPanel) -> Vec<u8> {
@@ -144,7 +149,7 @@ fn latency_payload(idx: usize, p: &LatencyPanel) -> Vec<u8> {
 }
 
 /// Decoded pipeline-journal metadata: the analysis configuration and site
-/// table the journal's Φ bits were computed under.
+/// table the journal's observations are analysed under.
 ///
 /// Public so read-only consumers (most importantly the `fenrir-serve`
 /// query server) can adopt a journal's own configuration instead of
@@ -192,12 +197,11 @@ pub struct RecoverablePipeline {
     journal: Backend,
     cfg: PipelineConfig,
     series: VectorSeries,
-    matrix: Option<SimilarityMatrix>,
+    /// Φ over `series` (empty before the first observation).
+    matrix: SimilarityMatrix,
     dendro: Option<Dendrogram>,
     health: Vec<CampaignHealth>,
     panels: Vec<Option<LatencyPanel>>,
-    /// Cross-checks of the Φ extend.
-    phi_guard: DivergenceGuard,
     deltas: usize,
     report: RecoveryReport,
 }
@@ -366,11 +370,10 @@ impl RecoverablePipeline {
             });
         }
         let mut pipe = RecoverablePipeline {
-            phi_guard: DivergenceGuard::new(cfg.sampling),
             journal: Backend::Flat(Journal::in_memory()),
             cfg,
             series: VectorSeries::new(sites, networks),
-            matrix: None,
+            matrix: SimilarityMatrix::default(),
             dendro: None,
             health: Vec::new(),
             panels: Vec::new(),
@@ -391,8 +394,7 @@ impl RecoverablePipeline {
             });
         }
         pipe.check_meta(&first.payload)?;
-        // Collect the clean prefix, then rebuild the derived state once.
-        let mut condensed: Vec<f64> = Vec::new();
+        // Collect the clean prefix, then derive Φ and the tree once.
         let mut vectors: Vec<RoutingVector> = Vec::new();
         for frame in &frames[1..] {
             match frame.kind {
@@ -401,8 +403,6 @@ impl RecoverablePipeline {
                     let t = d.i64()?;
                     let nc = d.seq_len(2)?;
                     let codes = (0..nc).map(|_| d.u16()).collect::<Result<Vec<_>>>()?;
-                    let nr = d.seq_len(8)?;
-                    let row = (0..nr).map(|_| d.f64()).collect::<Result<Vec<_>>>()?;
                     let health = codec::read_health(&mut d)?;
                     d.finish()?;
                     if codes.len() != networks {
@@ -412,19 +412,7 @@ impl RecoverablePipeline {
                             actual: codes.len(),
                         });
                     }
-                    if row.len() != vectors.len() + 1 {
-                        return Err(Error::Corrupted {
-                            what: "pipeline observation",
-                            offset: 0,
-                            message: format!(
-                                "Φ row of {} cells for observation {}",
-                                row.len(),
-                                vectors.len()
-                            ),
-                        });
-                    }
                     vectors.push(RoutingVector::from_codes(Timestamp::from_secs(t), codes));
-                    condensed.extend(row);
                     pipe.panels.push(None);
                     pipe.health.push(health);
                 }
@@ -470,12 +458,11 @@ impl RecoverablePipeline {
             .filter(|f| f.kind == KIND_OBSERVATION)
             .count();
         if !vectors.is_empty() {
-            let n = vectors.len();
             pipe.series =
                 VectorSeries::from_vectors(pipe.series.sites().clone(), networks, vectors)?;
-            let matrix = SimilarityMatrix::from_condensed(n, condensed)?;
-            pipe.dendro = Some(Dendrogram::build(&matrix, pipe.cfg.linkage)?);
-            pipe.matrix = Some(matrix);
+            let (w, policy) = (&pipe.cfg.weights, pipe.cfg.policy);
+            pipe.matrix = SimilarityMatrix::compute(&pipe.series, w, policy)?;
+            pipe.dendro = Some(Dendrogram::build(&pipe.matrix, pipe.cfg.linkage)?);
         }
         pipe.journal = journal;
         Ok(pipe)
@@ -519,10 +506,9 @@ impl RecoverablePipeline {
         Ok(())
     }
 
-    /// Ingest one observation: push it into the series, extend the matrix
-    /// behind the divergence guard, fold any divergence events into the
-    /// health record, journal the delta durably, and build the dendrogram
-    /// over the grown matrix.
+    /// Ingest one observation: push it into the series, journal it
+    /// durably, extend Φ by its row and build the dendrogram over the
+    /// grown matrix.
     ///
     /// Durable first: when the append fails, the series, matrix, tree,
     /// health and panels stay as they were before the call.
@@ -556,38 +542,22 @@ impl RecoverablePipeline {
                 });
             }
         }
+        let payload = observation_payload(&v, &health);
         self.series.push(v)?;
         let i = self.series.len() - 1;
-        match &mut self.matrix {
-            None => {
-                self.matrix = Some(SimilarityMatrix::compute(
-                    &self.series,
-                    &self.cfg.weights,
-                    self.cfg.policy,
-                )?);
-            }
-            Some(m) => m.extend_guarded(
-                &self.series,
-                &self.cfg.weights,
-                self.cfg.policy,
-                &mut self.phi_guard,
-            )?,
-        }
-        let mut health = health;
-        health.divergences += self.phi_guard.drain_new();
-        self.health.push(health);
-        if let Err(e) = self
-            .journal
-            .append(KIND_OBSERVATION, &self.delta_payload(i))
-        {
-            self.health.pop();
-            self.truncate(i)?;
+        if let Err(e) = self.journal.append(KIND_OBSERVATION, &payload) {
+            // Undo the push: the series goes back to its first `i` vectors.
+            let (sites, networks) = (self.series.sites().clone(), self.series.networks());
+            let vectors = self.series.vectors()[..i].to_vec();
+            self.series = VectorSeries::from_vectors(sites, networks, vectors)?;
             return Err(e);
         }
-        let matrix = self.matrix.as_ref().expect("matrix exists after extend");
-        self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?);
+        self.health.push(health);
         self.panels.push(None);
         self.deltas += 1;
+        self.matrix
+            .extend(&self.series, &self.cfg.weights, self.cfg.policy)?;
+        self.dendro = Some(Dendrogram::build(&self.matrix, self.cfg.linkage)?);
         if let Some(p) = panel {
             self.journal
                 .append(KIND_OBS_LATENCY, &latency_payload(i, &p))?;
@@ -596,38 +566,6 @@ impl RecoverablePipeline {
         if self.cfg.compact_every.is_some_and(|n| self.deltas >= n) {
             self.compact()?;
         }
-        Ok(())
-    }
-
-    /// The [`KIND_OBSERVATION`] payload of observation `i`: its time and
-    /// codes, its condensed Φ row and its health record.
-    fn delta_payload(&self, i: usize) -> Vec<u8> {
-        let v = self.series.get(i);
-        let matrix = self.matrix.as_ref().expect("an observed series has Φ");
-        let mut out = Vec::new();
-        codec::put_i64(&mut out, v.time().as_secs());
-        codec::put_seq(&mut out, v.codes(), |o, &c| codec::put_u16(o, c));
-        codec::put_seq(&mut out, matrix.condensed_row(i), |o, &p| {
-            codec::put_f64(o, p)
-        });
-        codec::put_health(&mut out, &self.health[i]);
-        out
-    }
-
-    /// Cut the series and matrix back to their first `n` observations,
-    /// rebuilt through their constructors: the undo of an observation
-    /// whose append failed.
-    fn truncate(&mut self, n: usize) -> Result<()> {
-        let sites = self.series.sites().clone();
-        let vectors = self.series.vectors()[..n].to_vec();
-        self.series = VectorSeries::from_vectors(sites, self.series.networks(), vectors)?;
-        self.matrix = match self.matrix.take() {
-            Some(m) if n > 0 => Some(SimilarityMatrix::from_condensed(
-                n,
-                m.raw()[..n * (n + 1) / 2].to_vec(),
-            )?),
-            _ => None,
-        };
         Ok(())
     }
 
@@ -643,7 +581,8 @@ impl RecoverablePipeline {
         if self.journal.tier().is_some() {
             let mut frames = vec![(KIND_PIPELINE_META, self.meta_payload())];
             for (i, panel) in self.panels.iter().enumerate() {
-                frames.push((KIND_OBSERVATION, self.delta_payload(i)));
+                let payload = observation_payload(self.series.get(i), &self.health[i]);
+                frames.push((KIND_OBSERVATION, payload));
                 if let Some(p) = panel {
                     frames.push((KIND_OBS_LATENCY, latency_payload(i, p)));
                 }
@@ -673,7 +612,7 @@ impl RecoverablePipeline {
 
     /// The similarity matrix (`None` before the first observation).
     pub fn matrix(&self) -> Option<&SimilarityMatrix> {
-        self.matrix.as_ref()
+        (!self.matrix.is_empty()).then_some(&self.matrix)
     }
 
     /// The dendrogram (`None` before the first observation).
@@ -681,8 +620,7 @@ impl RecoverablePipeline {
         self.dendro.as_ref()
     }
 
-    /// Per-observation health records (with pipeline divergences folded
-    /// into [`CampaignHealth::divergences`]).
+    /// Per-observation health records, as observed and journaled.
     pub fn health(&self) -> &[CampaignHealth] {
         &self.health
     }

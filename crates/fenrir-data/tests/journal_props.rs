@@ -9,8 +9,9 @@
 
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
+use fenrir_core::latency::LatencyPanel;
 use fenrir_core::time::Timestamp;
-use fenrir_core::vector::RoutingVector;
+use fenrir_core::vector::{RoutingVector, CODE_UNKNOWN};
 use fenrir_data::journal::{
     CampaignMeta, Journal, JournalSink, PipelineConfig, RecoverablePipeline,
 };
@@ -278,4 +279,80 @@ fn pipeline_restore_from_any_bit_flip_never_yields_wrong_observations() {
             }
         }
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The byte layout of a pipeline journal, pinned: a fixed two-observation
+/// pipeline (meta, two observation frames, one latency frame) encodes to
+/// exactly these bytes, and reopening them yields the same series, Φ bits
+/// and panel. An observation frame holds time, codes and health only: Φ
+/// is derived, recomputed on every restore.
+#[test]
+fn pipeline_journal_layout_is_pinned() {
+    let sites = || SiteTable::from_names(["LAX", "MIA"]);
+    let cfg = || PipelineConfig {
+        compact_every: None,
+        ..PipelineConfig::new(2)
+    };
+    let mut pipe = RecoverablePipeline::in_memory(sites(), 2, cfg()).unwrap();
+    for (day, codes) in [(0i64, [0u16, CODE_UNKNOWN]), (1, [0, 1])] {
+        let time = Timestamp::from_days(day);
+        let mut health = CampaignHealth::new(time, 2);
+        health.responses = 1 + day as usize;
+        health.attempts = 3;
+        let v = RoutingVector::from_codes(time, codes.to_vec());
+        let panel = (day == 1).then(|| LatencyPanel::new(time, vec![Some(12.5), None]));
+        pipe.observe_with_latency(v, panel, health).unwrap();
+    }
+    let bytes = pipe.bytes().to_vec();
+    assert_eq!(
+        hex(&bytes),
+        concat!(
+            "464e524a03000000400000002000acc802000000000000000000020000000000",
+            "0000000000000000f03f000000000000f03f0200000000000000030000000000",
+            "00004c415803000000000000004d4941860000002100ff500000000000000000",
+            "02000000000000000000ffff0000000000000000020000000000000001000000",
+            "0000000003000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000008600",
+            "000021005c4c8051010000000000020000000000000000000100805101000000",
+            "0000020000000000000002000000000000000300000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000022000000230084f5010000000000000080510100",
+            "00000000020000000000000001000000000000294000",
+        )
+    );
+
+    let back = RecoverablePipeline::from_bytes(bytes.clone(), sites(), 2, cfg()).unwrap();
+    assert!(back.recovery_report().is_clean());
+    assert_eq!(back.series().vectors(), pipe.series().vectors());
+    assert_eq!(back.health(), pipe.health());
+    assert_eq!(back.panels(), pipe.panels());
+    let bits = |p: &RecoverablePipeline| -> Vec<u64> {
+        p.matrix()
+            .unwrap()
+            .raw()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    // Φ(0, 0) = 1/2 (one known network of two), Φ(1, 0) = 1/2, Φ(1, 1) = 1.
+    assert_eq!(bits(&back), [0.5f64, 0.5, 1.0].map(f64::to_bits));
+    assert_eq!(bits(&back), bits(&pipe));
+
+    // A journal of the previous version, whose observation frames also
+    // carried Φ rows, is refused at its header with a typed error.
+    let mut v2 = bytes;
+    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert!(matches!(
+        RecoverablePipeline::from_bytes(v2, sites(), 2, cfg()),
+        Err(fenrir_core::error::Error::Corrupted {
+            what: "journal header",
+            ..
+        })
+    ));
 }

@@ -14,7 +14,8 @@
 //! responses are lost at random; both show as `Unknown`, which the paper's
 //! spatial gap-fill ([`TracerouteResult::fill_gaps`], using the
 //! nearest-viable-hop rule) repairs. Each hop's packets are written into
-//! two buffers the campaign owns and read in place.
+//! two buffers the campaign owns and read in place, and each probe's hops
+//! are collected in a third.
 
 use crate::checkpoint::{CampaignSink, NullSink};
 use crate::fault::FaultPlan;
@@ -156,8 +157,10 @@ impl TracerouteCampaign {
         // on first use and advanced incrementally across sweeps.
         let mut tables = crate::routes::DestRoutes::new();
         // Each hop's expired echo and the time-exceeded quoting it are
-        // written into, mangled in and read from these two buffers.
+        // written into, mangled in and read from these two buffers; each
+        // probe collects its `(hop index, catchment)` answers in `hops`.
         let (mut expired, mut answer) = (Vec::with_capacity(64), Vec::with_capacity(64));
+        let mut hops: Vec<(usize, Catchment)> = Vec::with_capacity(self.max_hops);
         let (rows, health) = run_campaign(
             cfg,
             faults,
@@ -172,22 +175,19 @@ impl TracerouteCampaign {
                 }
                 let mut row = vec![vec![CODE_UNKNOWN; blocks.len()]; self.max_hops];
                 for (n, &dest) in owners.iter().enumerate() {
-                    let table = tables.at(topo, dest, &cfg_t);
-                    let path = table.full_path(self.source);
+                    let route = tables.at(topo, dest, &cfg_t).route(self.source);
                     // One probe per destination: the whole traceroute either
                     // runs (with per-hop gaps) or is lost/retried as a unit.
                     let outcome = runner.probe(n, |wire| {
-                        let Some(path) = &path else {
+                        hops.clear();
+                        let Some(route) = route else {
                             // Unreachable destination: every hop reports err.
-                            return ProbeReply::Response(
-                                (0..self.max_hops).map(|k| (k, Catchment::Err)).collect(),
-                            );
+                            hops.extend((0..self.max_hops).map(|k| (k, Catchment::Err)));
+                            return ProbeReply::Response(());
                         };
-                        let mut hops: Vec<(usize, Catchment)> = Vec::with_capacity(self.max_hops);
-                        // path[0] is the source; hop k is path[k].
                         for k in 1..=self.max_hops {
-                            match path.get(k) {
-                                Some(&hop_as) => {
+                            match route.hop(k) {
+                                Some(hop_as) => {
                                     // Each hop answer is a real packet
                                     // exchange: an IPv4 ICMP echo with TTL = k
                                     // leaves the source, every router on the
@@ -246,10 +246,10 @@ impl TracerouteCampaign {
                                 None => hops.push((k - 1, Catchment::Other)),
                             }
                         }
-                        ProbeReply::Response(hops)
+                        ProbeReply::Response(())
                     });
-                    if let ProbeOutcome::Response(hops) = outcome {
-                        for (k, c) in hops {
+                    if let ProbeOutcome::Response(()) = outcome {
+                        for &(k, c) in &hops {
                             row[k][n] = c.code();
                         }
                     }

@@ -5,12 +5,13 @@
 //! `Submit` frame is appended to a [`RecoverablePipeline`] journal —
 //! `fsync`ed *before* the ack leaves the server — and folded into the
 //! live analysis state through the exact entry points the batch
-//! pipeline uses ([`SimilarityMatrix::extend`] behind the divergence
-//! guard, [`Dendrogram::build`], [`AdaptiveThreshold::choose`]), so
-//! after any prefix of submissions the streamed matrix, merge tree,
-//! threshold and mode labels are bit-identical to a batch
-//! recomputation over the same observations — including across a
-//! kill/restart at any frame boundary.
+//! pipeline uses ([`SimilarityMatrix::extend`], whose empty-matrix case
+//! is [`SimilarityMatrix::compute`], then [`Dendrogram::build`] and
+//! [`AdaptiveThreshold::choose`]), so after any prefix of submissions
+//! the streamed matrix, merge tree, threshold and mode labels are
+//! bit-identical to a batch recomputation over the same observations —
+//! including across a kill/restart at any frame boundary, since a
+//! restart recomputes Φ from the journaled observations.
 //!
 //! ## Sequencing
 //!
@@ -85,7 +86,7 @@ fn vp_known(c: u16) -> bool {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Analysis parameters the journal is bound to (weights, unknown
-    /// policy, linkage, guard sampling, seal cadence).
+    /// policy, linkage, seal cadence).
     pub pipeline: PipelineConfig,
     /// Optional byzantine-resilience fold applied to each accepted row
     /// before journaling. `None` trusts every vantage point.

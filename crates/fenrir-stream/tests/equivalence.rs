@@ -6,7 +6,6 @@
 //! trust fold never forks the analysis from its trust-free twin, and
 //! that a transition carries its own step's trusted Φ.
 
-use fenrir_core::guard::SamplingRate;
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::ids::SiteTable;
 use fenrir_core::similarity::{phi, UnknownPolicy};
@@ -302,13 +301,7 @@ fn a_transition_carries_its_own_steps_trusted_phi() {
     let mut lagged = 0;
     for seed in 0..6 {
         let feed = lying_regime_rows(seed, networks, rows);
-        let mut cfg = StreamConfig::new(networks).with_trust(TrustConfig::default());
-        // The Φ guard is not under test here; a full recompute per row
-        // would only slow the debug run.
-        cfg.pipeline.sampling = SamplingRate {
-            eventful_every: 0,
-            quiet_every: 0,
-        };
+        let cfg = StreamConfig::new(networks).with_trust(TrustConfig::default());
         let ing = StreamIngestor::in_memory(sites(), networks, cfg).expect("ingestor");
 
         // The oracle: a trust model folded over the same rows, each step

@@ -166,9 +166,11 @@ fn an_ednscs_churn_probe_does_not_allocate() {
     });
 }
 
-/// A traceroute probe writes and reads its hops' packets in place; what
-/// it still allocates is route bookkeeping: the path to each destination
-/// and the hops it answers with.
+/// A traceroute probe writes and reads its hops' packets in place, reads
+/// each hop off the destination's route and collects its answers in a
+/// buffer the campaign owns; what it still allocates is the bookkeeping
+/// of the per-destination route tables as they advance (6.76 per probe in
+/// release, 8.75 in debug, which cross-checks every transition).
 #[test]
 fn a_traceroute_probe_allocates_only_route_bookkeeping() {
     let (topo, _) = setup();
@@ -178,5 +180,5 @@ fn a_traceroute_probe_allocates_only_route_bookkeeping() {
         ..Default::default()
     };
     let (allocs, r) = allocations(|| trace.run(&topo, &Scenario::new(), &times));
-    assert_per_probe(allocs, &r.health, 12_000, 12.0);
+    assert_per_probe(allocs, &r.health, 12_000, 9.0);
 }
