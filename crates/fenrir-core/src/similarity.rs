@@ -421,6 +421,39 @@ impl SimilarityMatrix {
         Ok(())
     }
 
+    /// Rebuild a matrix from its condensed lower-triangle buffer (the
+    /// exact bytes [`SimilarityMatrix::raw`] exposes) — the journal
+    /// restore path. Validates the cell count and that every Φ is finite
+    /// and within `[0, 1]`.
+    pub fn from_condensed(n: usize, values: Vec<f64>) -> Result<Self> {
+        if values.len() != tri_len(n) {
+            return Err(Error::ShapeMismatch {
+                what: "condensed similarity buffer",
+                expected: tri_len(n),
+                actual: values.len(),
+            });
+        }
+        for (k, &v) in values.iter().enumerate() {
+            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+                return Err(Error::InvalidParameter {
+                    name: "values",
+                    message: format!(
+                        "Φ at condensed cell {k} is {v}, not a finite value in [0, 1]"
+                    ),
+                });
+            }
+        }
+        Ok(SimilarityMatrix { n, values })
+    }
+
+    /// The condensed cells appended for observation `i`: `Φ(i, 0..=i)`,
+    /// `i + 1` values. This is the per-observation delta a journal frame
+    /// persists — history rows never change, so replaying these slices in
+    /// order reproduces [`SimilarityMatrix::raw`] bit-for-bit.
+    pub fn condensed_row(&self, i: usize) -> &[f64] {
+        &self.values[tri_len(i)..tri_len(i + 1)]
+    }
+
     /// Build from a precomputed row-major `n × n` dense buffer (used by
     /// tests and ingestion paths). The buffer must be exactly symmetric;
     /// only its lower triangle is kept.
@@ -816,6 +849,27 @@ mod tests {
         let (series, _) = small_series();
         let w = Weights::uniform(3);
         assert!(SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).is_err());
+    }
+
+    #[test]
+    fn from_condensed_round_trips_raw() {
+        let (series, w) = small_series();
+        let m = SimilarityMatrix::compute(&series, &w, UnknownPolicy::Pessimistic).unwrap();
+        let back = SimilarityMatrix::from_condensed(m.len(), m.raw().to_vec()).unwrap();
+        assert_eq!(m, back);
+        // Condensed rows concatenate back into the raw buffer.
+        let rebuilt: Vec<f64> = (0..m.len())
+            .flat_map(|i| m.condensed_row(i).to_vec())
+            .collect();
+        assert_eq!(rebuilt, m.raw());
+    }
+
+    #[test]
+    fn from_condensed_rejects_bad_cells() {
+        assert!(SimilarityMatrix::from_condensed(2, vec![1.0; 2]).is_err());
+        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, f64::NAN, 1.0]).is_err());
+        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, 1.5, 1.0]).is_err());
+        assert!(SimilarityMatrix::from_condensed(2, vec![1.0, 0.5, 1.0]).is_ok());
     }
 
     /// An empty matrix, built as `from_raw(0, [])` builds it, extends to

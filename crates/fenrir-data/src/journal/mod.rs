@@ -52,9 +52,8 @@ use std::path::{Path, PathBuf};
 /// First four bytes of every journal file.
 pub const MAGIC: [u8; 4] = *b"FNRJ";
 /// Current format version; bumped on any frame-layout change.
-/// Version 2 added the `spoofed`/`distrusted` health counters; version 3
-/// dropped the Φ row from pipeline observation frames.
-pub const VERSION: u16 = 3;
+/// Version 2 added the `spoofed`/`distrusted` health counters.
+pub const VERSION: u16 = 2;
 /// Journal header length in bytes.
 const HEADER_LEN: usize = 8;
 /// Per-frame header length in bytes (len + kind + sum).

@@ -2,23 +2,25 @@
 //! journaled one observation at a time.
 //!
 //! The measurement side checkpoints raw sweeps ([`super::sink`]); this
-//! module journals the analysis pipeline's observations. Each observed
-//! vector appends one [`KIND_OBSERVATION`] frame carrying its time, its
-//! codes and its health record, followed by a [`KIND_OBS_LATENCY`] frame
-//! when it carries a latency panel. A journal holds each observation
-//! exactly once: a flat journal only ever grows, and a tiered journal's
-//! seal writes the same frames, after the meta frame, into the object
-//! tier.
+//! module journals the *derived* state so a crash does not force the
+//! O(T²) similarity matrix to be recomputed from scratch. Each observed
+//! vector appends one [`KIND_OBSERVATION`] frame carrying the observation,
+//! its condensed similarity row (the only matrix cells a new observation
+//! adds — history rows never change) and its health record, followed by a
+//! [`KIND_OBS_LATENCY`] frame when it carries a latency panel. A journal
+//! holds each observation exactly once: a flat journal only ever grows,
+//! and a tiered journal's seal writes the same frames, after the meta
+//! frame, into the object tier. Every observation builds the tree over the
+//! grown matrix, and so does a restore.
 //!
-//! Φ and the merge tree are derived state: a pure function of the series
-//! and of the weights, unknown policy and linkage the meta frame binds,
-//! so no frame holds them. Observing extends Φ by the new row
-//! ([`SimilarityMatrix::extend`]) and builds the tree over the grown
-//! matrix; a restore computes Φ over the restored series
-//! ([`SimilarityMatrix::compute`], the extend of an empty matrix) and
-//! builds the tree once. Both run one per-cell loop in one order, so a
-//! restore is bit-exact — the kill/resume equivalence tests assert that
-//! the series, Φ and the tree come out identical either way.
+//! Observing extends Φ by the new row ([`SimilarityMatrix::extend`]), the
+//! one loop that also fills a fresh [`SimilarityMatrix::compute`], so Φ
+//! has no second path to cross-check. Restores are bit-exact: journaled
+//! Φ rows are the exact IEEE-754 bits the pipeline computed, and the tree
+//! is a pure function of them — the kill/resume equivalence tests assert
+//! `D(t)` comes out identical either way. Decoding the rows costs a
+//! restore, and so every serve reload, far less than recomputing them in
+//! `O(T²·N)` would.
 
 use super::codec::{self, Dec};
 use super::{Backend, Frame, Journal, RecoveryReport};
@@ -40,7 +42,7 @@ use std::sync::Arc;
 
 /// Frame kind: pipeline metadata (always the first frame).
 pub const KIND_PIPELINE_META: u16 = 0x20;
-/// Frame kind: one observation (time + codes + health).
+/// Frame kind: one observation delta (vector + Φ row + health).
 pub const KIND_OBSERVATION: u16 = 0x21;
 // Kind 0x22 held a folded snapshot in older builds and stays reserved.
 /// Frame kind: latency panel for one already-journaled observation.
@@ -122,16 +124,6 @@ fn policy_from(code: u8) -> Result<UnknownPolicy> {
     }
 }
 
-/// Encode a [`KIND_OBSERVATION`] payload: the vector's time and codes,
-/// then its health record.
-fn observation_payload(v: &RoutingVector, health: &CampaignHealth) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_i64(&mut out, v.time().as_secs());
-    codec::put_seq(&mut out, v.codes(), |o, &c| codec::put_u16(o, c));
-    codec::put_health(&mut out, health);
-    out
-}
-
 /// Encode a [`KIND_OBS_LATENCY`] payload: observation index, panel time,
 /// then one `present` flag (+ RTT bits when present) per network.
 fn latency_payload(idx: usize, p: &LatencyPanel) -> Vec<u8> {
@@ -149,7 +141,7 @@ fn latency_payload(idx: usize, p: &LatencyPanel) -> Vec<u8> {
 }
 
 /// Decoded pipeline-journal metadata: the analysis configuration and site
-/// table the journal's observations are analysed under.
+/// table the journal's Φ bits were computed under.
 ///
 /// Public so read-only consumers (most importantly the `fenrir-serve`
 /// query server) can adopt a journal's own configuration instead of
@@ -394,7 +386,8 @@ impl RecoverablePipeline {
             });
         }
         pipe.check_meta(&first.payload)?;
-        // Collect the clean prefix, then derive Φ and the tree once.
+        // Collect the clean prefix, then rebuild the derived state once.
+        let mut condensed: Vec<f64> = Vec::new();
         let mut vectors: Vec<RoutingVector> = Vec::new();
         for frame in &frames[1..] {
             match frame.kind {
@@ -403,6 +396,8 @@ impl RecoverablePipeline {
                     let t = d.i64()?;
                     let nc = d.seq_len(2)?;
                     let codes = (0..nc).map(|_| d.u16()).collect::<Result<Vec<_>>>()?;
+                    let nr = d.seq_len(8)?;
+                    let row = (0..nr).map(|_| d.f64()).collect::<Result<Vec<_>>>()?;
                     let health = codec::read_health(&mut d)?;
                     d.finish()?;
                     if codes.len() != networks {
@@ -412,7 +407,19 @@ impl RecoverablePipeline {
                             actual: codes.len(),
                         });
                     }
+                    if row.len() != vectors.len() + 1 {
+                        return Err(Error::Corrupted {
+                            what: "pipeline observation",
+                            offset: 0,
+                            message: format!(
+                                "Φ row of {} cells for observation {}",
+                                row.len(),
+                                vectors.len()
+                            ),
+                        });
+                    }
                     vectors.push(RoutingVector::from_codes(Timestamp::from_secs(t), codes));
+                    condensed.extend(row);
                     pipe.panels.push(None);
                     pipe.health.push(health);
                 }
@@ -458,10 +465,10 @@ impl RecoverablePipeline {
             .filter(|f| f.kind == KIND_OBSERVATION)
             .count();
         if !vectors.is_empty() {
+            let n = vectors.len();
             pipe.series =
                 VectorSeries::from_vectors(pipe.series.sites().clone(), networks, vectors)?;
-            let (w, policy) = (&pipe.cfg.weights, pipe.cfg.policy);
-            pipe.matrix = SimilarityMatrix::compute(&pipe.series, w, policy)?;
+            pipe.matrix = SimilarityMatrix::from_condensed(n, condensed)?;
             pipe.dendro = Some(Dendrogram::build(&pipe.matrix, pipe.cfg.linkage)?);
         }
         pipe.journal = journal;
@@ -506,9 +513,9 @@ impl RecoverablePipeline {
         Ok(())
     }
 
-    /// Ingest one observation: push it into the series, journal it
-    /// durably, extend Φ by its row and build the dendrogram over the
-    /// grown matrix.
+    /// Ingest one observation: push it into the series, extend Φ by its
+    /// row, journal the observation with that row durably, and build the
+    /// dendrogram over the grown matrix.
     ///
     /// Durable first: when the append fails, the series, matrix, tree,
     /// health and panels stay as they were before the call.
@@ -542,22 +549,21 @@ impl RecoverablePipeline {
                 });
             }
         }
-        let payload = observation_payload(&v, &health);
         self.series.push(v)?;
         let i = self.series.len() - 1;
-        if let Err(e) = self.journal.append(KIND_OBSERVATION, &payload) {
-            // Undo the push: the series goes back to its first `i` vectors.
-            let (sites, networks) = (self.series.sites().clone(), self.series.networks());
-            let vectors = self.series.vectors()[..i].to_vec();
-            self.series = VectorSeries::from_vectors(sites, networks, vectors)?;
+        self.matrix
+            .extend(&self.series, &self.cfg.weights, self.cfg.policy)?;
+        if let Err(e) = self
+            .journal
+            .append(KIND_OBSERVATION, &self.delta_payload(i, &health))
+        {
+            self.truncate(i)?;
             return Err(e);
         }
         self.health.push(health);
+        self.dendro = Some(Dendrogram::build(&self.matrix, self.cfg.linkage)?);
         self.panels.push(None);
         self.deltas += 1;
-        self.matrix
-            .extend(&self.series, &self.cfg.weights, self.cfg.policy)?;
-        self.dendro = Some(Dendrogram::build(&self.matrix, self.cfg.linkage)?);
         if let Some(p) = panel {
             self.journal
                 .append(KIND_OBS_LATENCY, &latency_payload(i, &p))?;
@@ -566,6 +572,32 @@ impl RecoverablePipeline {
         if self.cfg.compact_every.is_some_and(|n| self.deltas >= n) {
             self.compact()?;
         }
+        Ok(())
+    }
+
+    /// The [`KIND_OBSERVATION`] payload of observation `i`: its time and
+    /// codes, its condensed Φ row and `health`.
+    fn delta_payload(&self, i: usize, health: &CampaignHealth) -> Vec<u8> {
+        let v = self.series.get(i);
+        let mut out = Vec::new();
+        codec::put_i64(&mut out, v.time().as_secs());
+        codec::put_seq(&mut out, v.codes(), |o, &c| codec::put_u16(o, c));
+        codec::put_seq(&mut out, self.matrix.condensed_row(i), |o, &p| {
+            codec::put_f64(o, p)
+        });
+        codec::put_health(&mut out, health);
+        out
+    }
+
+    /// Cut the series and matrix back to their first `n` observations,
+    /// rebuilt through their constructors: the undo of an observation
+    /// whose append failed.
+    fn truncate(&mut self, n: usize) -> Result<()> {
+        let sites = self.series.sites().clone();
+        let vectors = self.series.vectors()[..n].to_vec();
+        self.series = VectorSeries::from_vectors(sites, self.series.networks(), vectors)?;
+        let cells = self.matrix.raw()[..n * (n + 1) / 2].to_vec();
+        self.matrix = SimilarityMatrix::from_condensed(n, cells)?;
         Ok(())
     }
 
@@ -581,8 +613,7 @@ impl RecoverablePipeline {
         if self.journal.tier().is_some() {
             let mut frames = vec![(KIND_PIPELINE_META, self.meta_payload())];
             for (i, panel) in self.panels.iter().enumerate() {
-                let payload = observation_payload(self.series.get(i), &self.health[i]);
-                frames.push((KIND_OBSERVATION, payload));
+                frames.push((KIND_OBSERVATION, self.delta_payload(i, &self.health[i])));
                 if let Some(p) = panel {
                     frames.push((KIND_OBS_LATENCY, latency_payload(i, p)));
                 }

@@ -288,8 +288,9 @@ fn hex(bytes: &[u8]) -> String {
 /// The byte layout of a pipeline journal, pinned: a fixed two-observation
 /// pipeline (meta, two observation frames, one latency frame) encodes to
 /// exactly these bytes, and reopening them yields the same series, Φ bits
-/// and panel. An observation frame holds time, codes and health only: Φ
-/// is derived, recomputed on every restore.
+/// and panel. An observation frame holds time, codes, the condensed Φ
+/// row it adds and health, so a restore decodes Φ instead of recomputing
+/// it.
 #[test]
 fn pipeline_journal_layout_is_pinned() {
     let sites = || SiteTable::from_names(["LAX", "MIA"]);
@@ -311,23 +312,24 @@ fn pipeline_journal_layout_is_pinned() {
     assert_eq!(
         hex(&bytes),
         concat!(
-            "464e524a03000000400000002000acc802000000000000000000020000000000",
+            "464e524a02000000400000002000acc802000000000000000000020000000000",
             "0000000000000000f03f000000000000f03f0200000000000000030000000000",
-            "00004c415803000000000000004d4941860000002100ff500000000000000000",
-            "02000000000000000000ffff0000000000000000020000000000000001000000",
-            "0000000003000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000000000000000000000000000000000000000000008600",
-            "000021005c4c8051010000000000020000000000000000000100805101000000",
-            "0000020000000000000002000000000000000300000000000000000000000000",
+            "00004c415803000000000000004d4941960000002100bf5f0000000000000000",
+            "02000000000000000000ffff0100000000000000000000000000e03f00000000",
+            "0000000002000000000000000100000000000000030000000000000000000000",
             "0000000000000000000000000000000000000000000000000000000000000000",
             "0000000000000000000000000000000000000000000000000000000000000000",
-            "00000000000000000000000022000000230084f5010000000000000080510100",
-            "00000000020000000000000001000000000000294000",
+            "00000000000000000000000000009e0000002100dc6180510100000000000200",
+            "000000000000000001000200000000000000000000000000e03f000000000000",
+            "f03f805101000000000002000000000000000200000000000000030000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000022000000230084f501000000",
+            "000000008051010000000000020000000000000001000000000000294000",
         )
     );
 
-    let back = RecoverablePipeline::from_bytes(bytes.clone(), sites(), 2, cfg()).unwrap();
+    let back = RecoverablePipeline::from_bytes(bytes, sites(), 2, cfg()).unwrap();
     assert!(back.recovery_report().is_clean());
     assert_eq!(back.series().vectors(), pipe.series().vectors());
     assert_eq!(back.health(), pipe.health());
@@ -343,16 +345,4 @@ fn pipeline_journal_layout_is_pinned() {
     // Φ(0, 0) = 1/2 (one known network of two), Φ(1, 0) = 1/2, Φ(1, 1) = 1.
     assert_eq!(bits(&back), [0.5f64, 0.5, 1.0].map(f64::to_bits));
     assert_eq!(bits(&back), bits(&pipe));
-
-    // A journal of the previous version, whose observation frames also
-    // carried Φ rows, is refused at its header with a typed error.
-    let mut v2 = bytes;
-    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-    assert!(matches!(
-        RecoverablePipeline::from_bytes(v2, sites(), 2, cfg()),
-        Err(fenrir_core::error::Error::Corrupted {
-            what: "journal header",
-            ..
-        })
-    ));
 }

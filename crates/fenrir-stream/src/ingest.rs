@@ -11,7 +11,7 @@
 //! the streamed matrix, merge tree, threshold and mode labels are
 //! bit-identical to a batch recomputation over the same observations —
 //! including across a kill/restart at any frame boundary, since a
-//! restart recomputes Φ from the journaled observations.
+//! restart decodes the Φ rows each observation's frame carries.
 //!
 //! ## Sequencing
 //!
